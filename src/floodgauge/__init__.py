@@ -19,14 +19,12 @@ from .entropy_core import (
     FlowRecord,
     WindowCounts,
     compute_entropy,
-    normalized_entropy,
     windowize,
 )
 from .errors import (
     ConfigError,
     DegenerateDataError,
     DegenerateVarianceError,
-    DegenerateWindowError,
     DomainError,
     EmptyRunError,
     FloodgaugeError,
@@ -73,7 +71,6 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "DegenerateDataError",
     "DegenerateVarianceError",
-    "DegenerateWindowError",
     "DetectionEvent",
     "DomainError",
     "EmptyRunError",
@@ -106,7 +103,6 @@ __all__ = [
     "evaluate_windows",
     "fit",
     "load_model",
-    "normalized_entropy",
     "predict",
     "reference_dataset",
     "residual_summary",

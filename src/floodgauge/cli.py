@@ -12,6 +12,7 @@ stderr), 2 on usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -19,8 +20,8 @@ from typing import Sequence
 
 from .detector import (
     DEFAULT_THRESHOLD,
+    EVENTS_TABLE,
     DetectionEvent,
-    EVENTS_CSV_HEADER,
     build_baseline,
     load_baseline,
     read_events_csv,
@@ -28,10 +29,11 @@ from .detector import (
 )
 from .entropy_core import compute_entropy, read_flow_csv, windowize
 from .errors import ConfigError, FloodgaugeError, InputError
-from .fileio import write_json
-from .metrics import FitReport, report_to_dict
+from .fileio import atomic_write_text, format_flag, write_json
+from .metrics import METRICS, FitReport, evaluate, metric_values, report_to_dict
 from .pipeline import (
-    CALIBRATION_CSV_HEADER,
+    CALIBRATION_TABLE,
+    SELECTION_CRITERIA,
     calibrate,
     compare_models,
     comparison_to_csv,
@@ -41,7 +43,7 @@ from .pipeline import (
     write_calibration_csv,
     write_estimates_csv,
 )
-from .refdata import SUMMARY_METRICS, check_reference_reproduction
+from .refdata import check_reference_reproduction
 from .regression import (
     MODEL_FAMILIES,
     ModelKind,
@@ -50,21 +52,16 @@ from .regression import (
     predict,
     save_model,
 )
-from .traffic_sim import ScenarioConfig, read_series, simulate, write_series
+from .traffic_sim import (
+    FlowRecordSeries,
+    ScenarioConfig,
+    read_series,
+    sidecar_path,
+    simulate,
+    write_series,
+)
 
 SEED_ENV_VAR = "FLOODGAUGE_SEED"
-
-_METRIC_COLUMNS = (
-    ("r2", "r_squared"),
-    ("cc", "cc"),
-    ("sse", "sse"),
-    ("mse", "mse"),
-    ("rmse", "rmse"),
-    ("nmse_eq11", "nmse_eq11"),
-    ("nmse_table2", "nmse_table2"),
-    ("eta", "eta"),
-    ("mae_index", "mae_index"),
-)
 
 
 def _fmt2(v: float) -> str:
@@ -94,23 +91,18 @@ def _resolve_seed(value: int | None) -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def _load_run(path, window_length_ms: float | None) -> tuple[list, float]:
-    """Read a flow CSV with or without its metadata sidecar.
+def _load_run(path, window_length_ms: float | None) -> FlowRecordSeries:
+    """Read a run's flow CSV once, for baseline and calibrate alike.
 
-    Returns the windowized counts and the window length used. Without a
-    sidecar, --window-ms must supply the length.
+    The metadata sidecar is read only when --window-ms is absent, since
+    the window length is all these commands take from it.
     """
-    try:
-        series = read_series(path)
-    except InputError:
-        if window_length_ms is None:
-            raise InputError(
-                f"{path}: no metadata sidecar; pass --window-ms explicitly"
-            )
-        records = read_flow_csv(path)
-        return windowize(records, window_length_ms), window_length_ms
-    length = window_length_ms if window_length_ms is not None else series.window_length_ms
-    return windowize(series.records, length), length
+    if window_length_ms is None and os.path.exists(sidecar_path(path)):
+        return read_series(path)
+    records = tuple(read_flow_csv(path))
+    if window_length_ms is None:
+        raise InputError(f"{path}: no metadata sidecar; pass --window-ms explicitly")
+    return FlowRecordSeries(records, {})
 
 
 def _parse_run_arg(text: str) -> tuple[float, str]:
@@ -148,8 +140,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    windows, _ = _load_run(args.flows, args.window_ms)
-    entropies = [compute_entropy(w) for w in windows]
+    series = _load_run(args.flows, args.window_ms)
+    length = args.window_ms if args.window_ms is not None else series.window_length_ms
+    entropies = [compute_entropy(w) for w in windowize(series.records, length)]
     baseline = build_baseline(entropies, threshold=args.threshold)
     save_baseline(args.out, baseline)
     print(
@@ -161,10 +154,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     baseline = load_baseline(args.baseline)
-    labeled = []
-    for strength, path in args.run:
-        series = read_series(path)
-        labeled.append((strength, series))
+    labeled = [(strength, _load_run(path, args.window_ms)) for strength, path in args.run]
     data = calibrate(labeled, baseline, window_length_ms=args.window_ms)
     write_calibration_csv(args.out, data)
     print(f"wrote {len(data.samples)} calibration samples to {args.out}")
@@ -185,8 +175,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _print_report(report: FitReport) -> None:
     rows = [["metric", "value"]]
-    for label, field in _METRIC_COLUMNS:
-        rows.append([label, _fmt2(getattr(report, field))])
+    rows.extend([label, _fmt2(getattr(report, field))] for field, label in METRICS)
     rows.append(["mean_abs_error", _fmt2(report.mean_abs_error)])
     rows.append(["samples", str(report.sample_count)])
     print(_table(rows))
@@ -195,9 +184,7 @@ def _print_report(report: FitReport) -> None:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     data = read_calibration_csv(args.data)
-    from .metrics import evaluate as evaluate_fit
-
-    report = evaluate_fit(data.ys, [predict(model, x) for x in data.xs])
+    report = evaluate(data.ys, [predict(model, x) for x in data.xs])
     _print_report(report)
     if args.out_json:
         payload = report_to_dict(report)
@@ -211,11 +198,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     data = read_calibration_csv(args.data)
     comparison = compare_models(data, degree=args.degree, criterion=args.criterion)
-    rows = [["model"] + [label for label, _ in _METRIC_COLUMNS]]
+    rows = [["model"] + [label for _, label in METRICS]]
     for tag in MODEL_FAMILIES:
         if tag in comparison.reports:
             report = comparison.reports[tag]
-            rows.append([tag] + [_fmt2(getattr(report, f)) for _, f in _METRIC_COLUMNS])
+            rows.append([tag] + [_fmt2(v) for v in metric_values(report)])
     print(_table(rows))
     for tag in MODEL_FAMILIES:
         if tag in comparison.skipped:
@@ -224,8 +211,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     label = best.tag if best.degree is None else f"{best.tag} (degree {best.degree})"
     print(f"best model by {comparison.selection_criterion}: {label}")
     if args.out_csv:
-        from .fileio import atomic_write_text
-
         atomic_write_text(args.out_csv, comparison_to_csv(comparison))
         print(f"metrics written to {args.out_csv}")
     if args.out_json:
@@ -242,14 +227,11 @@ def _read_events_any(path) -> list[DetectionEvent]:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline().strip()
-    if first == ",".join(EVENTS_CSV_HEADER):
+    if first == ",".join(EVENTS_TABLE.header):
         return read_events_csv(path)
-    if first == ",".join(CALIBRATION_CSV_HEADER):
-        data = read_calibration_csv(path)
-        return [
-            DetectionEvent(i, float("nan"), s.x, True)
-            for i, s in enumerate(data.samples)
-        ]
+    if first == ",".join(CALIBRATION_TABLE.header):
+        samples = read_calibration_csv(path).samples
+        return [DetectionEvent(i, math.nan, s.x, True) for i, s in enumerate(samples)]
     raise InputError(
         f"{path}:1: expected an events or calibration CSV header, got {first!r}"
     )
@@ -261,15 +243,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     estimates = estimate_strength(model, events)
     if estimates:
         rows = [["window", "deviation", "estimate_mbps", "clamped"]]
-        for e in estimates:
-            rows.append(
-                [
-                    str(e.window_index),
-                    f"{e.deviation:.4f}",
-                    f"{e.estimated_strength_mbps:.2f}",
-                    "true" if e.clamped else "false",
-                ]
-            )
+        rows.extend(
+            [str(e.window_index), f"{e.deviation:.4f}",
+             f"{e.estimated_strength_mbps:.2f}", format_flag(e.clamped)]
+            for e in estimates
+        )
         print(_table(rows))
     clamped = sum(1 for e in estimates if e.clamped)
     print(f"estimated {len(estimates)} flagged windows ({clamped} clamped)")
@@ -284,16 +262,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     rows = [["family", "metric", "computed", "published", "tolerance", "status"]]
     for c in result.checks:
         tol = f"±{c.tolerance:.0%}" if c.tolerance_kind == "rel" else f"±{c.tolerance}"
-        rows.append(
-            [
-                c.family,
-                c.metric,
-                f"{c.computed:.4f}",
-                f"{c.published:.2f}",
-                tol,
-                "ok" if c.ok else "FAIL",
-            ]
-        )
+        status = "ok" if c.ok else "FAIL"
+        rows.append([c.family, c.metric, f"{c.computed:.4f}", f"{c.published:.2f}", tol, status])
     print(_table(rows))
     best = result.comparison.best_model.tag
     print(
@@ -308,18 +278,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             "ok": result.ok,
             "best_family": best,
             "expected_best": result.expected_best,
-            "checks": [
-                {
-                    "family": c.family,
-                    "metric": c.metric,
-                    "computed": c.computed,
-                    "published": c.published,
-                    "tolerance_kind": c.tolerance_kind,
-                    "tolerance": c.tolerance,
-                    "ok": c.ok,
-                }
-                for c in result.checks
-            ],
+            "checks": [dataclasses.asdict(c) for c in result.checks],
             "comparison": comparison_to_dict(result.comparison),
         }
         write_json(args.out_json, payload)
@@ -399,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="fit and rank all model families")
     p.add_argument("--data", required=True, help="calibration CSV")
     p.add_argument("--degree", type=int, default=None, help="polynomial degree")
-    p.add_argument("--criterion", choices=("eta", "r_squared", "sse"), default="eta")
+    p.add_argument("--criterion", choices=SELECTION_CRITERIA, default="eta")
     p.add_argument("--out-csv", default=None, help="write the metric table")
     p.add_argument("--out-json", default=None, help="write the full comparison")
     p.set_defaults(func=_cmd_compare)
@@ -423,15 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(args: argparse.Namespace) -> int:
-    return args.func(args)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(args)
+        return args.func(args)
     except FloodgaugeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

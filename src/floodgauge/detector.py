@@ -7,19 +7,26 @@ baseline by more than a fixed threshold in bits.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .entropy_core import EntropyValue
 from .errors import InputError, InsufficientBaselineError
-from .fileio import atomic_write_text, format_float, read_json, write_json
+from .fileio import (
+    Table,
+    atomic_write_text,
+    format_flag,
+    format_float,
+    parse_flag,
+    read_json,
+    read_table,
+    table_text,
+    write_json,
+)
 
 DEFAULT_THRESHOLD = 0.1
 MIN_TRAINING_WINDOWS = 5
-
-EVENTS_CSV_HEADER = ("window_index", "h_c", "deviation", "attack_flag")
 
 
 @dataclass(frozen=True)
@@ -31,15 +38,15 @@ class Baseline:
     training_windows: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.h_n) or self.h_n < 0:
-            raise InputError(f"baseline entropy must be finite and >= 0, got {self.h_n}")
-        if not math.isfinite(self.threshold) or self.threshold < 0:
-            raise InputError(f"threshold must be >= 0, got {self.threshold}")
         if self.training_windows < MIN_TRAINING_WINDOWS:
             raise InsufficientBaselineError(
                 f"baseline needs >= {MIN_TRAINING_WINDOWS} training windows, "
                 f"got {self.training_windows}"
             )
+        if not math.isfinite(self.h_n) or self.h_n < 0:
+            raise InputError(f"baseline entropy must be finite and >= 0, got {self.h_n}")
+        if not math.isfinite(self.threshold) or self.threshold < 0:
+            raise InputError(f"threshold must be >= 0, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -56,13 +63,9 @@ def build_baseline(
     entropies: Sequence[EntropyValue], threshold: float = DEFAULT_THRESHOLD
 ) -> Baseline:
     """Average training-window entropies into a baseline."""
-    if len(entropies) < MIN_TRAINING_WINDOWS:
-        raise InsufficientBaselineError(
-            f"baseline needs >= {MIN_TRAINING_WINDOWS} training windows, "
-            f"got {len(entropies)}"
-        )
-    h_n = math.fsum(e.value for e in entropies) / len(entropies)
-    return Baseline(h_n, threshold, len(entropies))
+    n = len(entropies)
+    h_n = math.fsum(e.value for e in entropies) / n if n else 0.0
+    return Baseline(h_n, threshold, n)
 
 
 def evaluate_window(
@@ -85,14 +88,7 @@ def evaluate_windows(
 
 
 def save_baseline(path, baseline: Baseline) -> None:
-    write_json(
-        path,
-        {
-            "h_n": baseline.h_n,
-            "threshold": baseline.threshold,
-            "training_windows": baseline.training_windows,
-        },
-    )
+    write_json(path, asdict(baseline))
 
 
 def load_baseline(path) -> Baseline:
@@ -105,42 +101,19 @@ def load_baseline(path) -> Baseline:
         raise InputError(f"{path}: malformed baseline file: {exc}") from exc
 
 
-def events_csv_text(events: Sequence[DetectionEvent]) -> str:
-    lines = [",".join(EVENTS_CSV_HEADER)]
-    for e in events:
-        flag = "true" if e.attack_flag else "false"
-        lines.append(
-            f"{e.window_index},{format_float(e.h_c)},{format_float(e.deviation)},{flag}"
-        )
-    return "\n".join(lines) + "\n"
+EVENTS_TABLE = Table(
+    ("window_index", "h_c", "deviation", "attack_flag"),
+    lambda row: DetectionEvent(
+        int(row[0]), float(row[1]), float(row[2]), parse_flag(row[3], "attack_flag")
+    ),
+    lambda e: f"{e.window_index},{format_float(e.h_c)},{format_float(e.deviation)},"
+    f"{format_flag(e.attack_flag)}",
+)
 
 
 def write_events_csv(path, events: Sequence[DetectionEvent]) -> None:
-    atomic_write_text(path, events_csv_text(events))
+    atomic_write_text(path, table_text(EVENTS_TABLE, events))
 
 
 def read_events_csv(path) -> list[DetectionEvent]:
-    events: list[DetectionEvent] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != EVENTS_CSV_HEADER:
-            raise InputError(f"{path}:1: expected header {','.join(EVENTS_CSV_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InputError(f"{path}:{reader.line_num}: expected 4 fields")
-            if row[3] not in ("true", "false"):
-                raise InputError(
-                    f"{path}:{reader.line_num}: attack_flag must be true or false"
-                )
-            try:
-                events.append(
-                    DetectionEvent(
-                        int(row[0]), float(row[1]), float(row[2]), row[3] == "true"
-                    )
-                )
-            except ValueError as exc:
-                raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
-    return events
+    return read_table(path, EVENTS_TABLE)

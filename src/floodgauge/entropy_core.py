@@ -7,14 +7,12 @@ window's traffic is across flows, in bits.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DegenerateWindowError, InputError
-
-FLOW_CSV_HEADER = ("window_index", "flow_id", "bytes")
+from .errors import InputError
+from .fileio import Table, atomic_write_text, read_table, table_text
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,8 +28,11 @@ class FlowRecord:
             raise InputError(f"window_index must be >= 0, got {self.window_index}")
         if not self.flow_id:
             raise InputError("flow_id must be non-empty")
+        # the flow CSV writes ids unquoted, so these would not read back
         if "," in self.flow_id or "\n" in self.flow_id or "\r" in self.flow_id:
             raise InputError(f"flow_id {self.flow_id!r} must not contain commas or newlines")
+        if self.flow_id.startswith('"'):
+            raise InputError(f"flow_id {self.flow_id!r} must not start with a double quote")
         if self.bytes < 0:
             raise InputError(
                 f"negative byte count {self.bytes} for flow {self.flow_id!r}"
@@ -98,15 +99,6 @@ def compute_entropy(w: WindowCounts) -> EntropyValue:
     return EntropyValue(value, n)
 
 
-def normalized_entropy(w: WindowCounts) -> float:
-    """Entropy scaled by its maximum log2(flow_count); needs >= 2 flows."""
-    if w.flow_count < 2:
-        raise DegenerateWindowError(
-            f"normalized entropy needs >= 2 flows, window {w.window_index} has {w.flow_count}"
-        )
-    return compute_entropy(w).value / math.log2(w.flow_count)
-
-
 def windowize(
     records: Sequence[FlowRecord],
     window_length_ms: float,
@@ -139,37 +131,22 @@ def windowize(
     ]
 
 
+FLOW_TABLE = Table(
+    ("window_index", "flow_id", "bytes"),
+    lambda row: FlowRecord(int(row[0]), row[1], int(row[2])),
+    lambda r: f"{r.window_index},{r.flow_id},{r.bytes}",
+)
+
+
 def read_flow_csv(path) -> list[FlowRecord]:
     """Read flow records from CSV with header window_index,flow_id,bytes."""
-    records: list[FlowRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != FLOW_CSV_HEADER:
-            raise InputError(
-                f"{path}:1: expected header {','.join(FLOW_CSV_HEADER)}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InputError(f"{path}:{reader.line_num}: expected 3 fields")
-            try:
-                rec = FlowRecord(int(row[0]), row[1], int(row[2]))
-            except (ValueError, InputError) as exc:
-                raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
-            records.append(rec)
-    return records
+    return read_table(path, FLOW_TABLE)
 
 
 def flow_csv_text(records: Sequence[FlowRecord]) -> str:
     """Render records as CSV text (header included)."""
-    lines = [",".join(FLOW_CSV_HEADER)]
-    lines.extend(f"{r.window_index},{r.flow_id},{r.bytes}" for r in records)
-    return "\n".join(lines) + "\n"
+    return table_text(FLOW_TABLE, records)
 
 
 def write_flow_csv(path, records: Sequence[FlowRecord]) -> None:
-    from .fileio import atomic_write_text
-
     atomic_write_text(path, flow_csv_text(records))

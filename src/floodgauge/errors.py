@@ -9,10 +9,6 @@ class InputError(FloodgaugeError):
     """Rejected input: bad CSV field, negative byte count, empty flow id."""
 
 
-class DegenerateWindowError(FloodgaugeError):
-    """Window has too few flows for the requested statistic."""
-
-
 class InsufficientBaselineError(FloodgaugeError):
     """Not enough attack-free windows to build a baseline profile."""
 

@@ -15,21 +15,30 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateVarianceError, InputError
-from .fileio import format_float
+from .fileio import Table, format_float
 
-REPORT_CSV_HEADER = "model,r2,cc,sse,mse,rmse,nmse_eq11,nmse_table2,eta,mae_index"
-
-_METRIC_FIELDS = (
-    "r_squared",
-    "cc",
-    "sse",
-    "mse",
-    "rmse",
-    "nmse_eq11",
-    "nmse_table2",
-    "eta",
-    "mae_index",
+# (FitReport field, report label) in report column order; the report CSV,
+# the CLI tables and the JSON reports all follow this one list
+METRICS = (
+    ("r_squared", "r2"),
+    ("cc", "cc"),
+    ("sse", "sse"),
+    ("mse", "mse"),
+    ("rmse", "rmse"),
+    ("nmse_eq11", "nmse_eq11"),
+    ("nmse_table2", "nmse_table2"),
+    ("eta", "eta"),
+    ("mae_index", "mae_index"),
 )
+
+# rows are (model tag, metric values in METRICS order)
+REPORT_TABLE = Table(
+    ("model",) + tuple(label for _, label in METRICS),
+    lambda row: (row[0], tuple(float(v) for v in row[1:])),
+    lambda row: ",".join([row[0], *map(format_float, row[1])]),
+)
+
+REPORT_CSV_HEADER = ",".join(REPORT_TABLE.header)
 
 
 @dataclass(frozen=True)
@@ -138,12 +147,17 @@ def residual_summary(series: ResidualSeries) -> tuple[int, int, float]:
     )
 
 
+def metric_values(report: FitReport) -> tuple[float, ...]:
+    """The report's metrics in METRICS order."""
+    return tuple(getattr(report, field) for field, _ in METRICS)
+
+
 def report_to_dict(report: FitReport) -> dict:
     """Report as a JSON-ready mapping; undefined metrics become null."""
     out: dict = {}
-    for name in _METRIC_FIELDS:
-        v = getattr(report, name)
-        out[name] = None if math.isnan(v) else v
+    for field, _ in METRICS:
+        v = getattr(report, field)
+        out[field] = None if math.isnan(v) else v
     out["mean_abs_error"] = report.mean_abs_error
     out["sample_count"] = report.sample_count
     out["cc_defined"] = report.cc_defined
@@ -152,6 +166,4 @@ def report_to_dict(report: FitReport) -> dict:
 
 def report_csv_row(model: str, report: FitReport) -> str:
     """Row matching REPORT_CSV_HEADER, full float precision."""
-    return ",".join(
-        [model] + [format_float(getattr(report, name)) for name in _METRIC_FIELDS]
-    )
+    return REPORT_TABLE.format((model, metric_values(report)))

@@ -8,7 +8,6 @@ model to fresh detection events, clamping negative predictions to zero.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -23,14 +22,16 @@ from .errors import (
     EmptyRunError,
     InputError,
 )
-from .fileio import atomic_write_text, format_float
-from .metrics import (
-    REPORT_CSV_HEADER,
-    FitReport,
-    evaluate,
-    report_csv_row,
-    report_to_dict,
+from .fileio import (
+    Table,
+    atomic_write_text,
+    format_flag,
+    format_float,
+    parse_flag,
+    read_table,
+    table_text,
 )
+from .metrics import REPORT_TABLE, FitReport, evaluate, metric_values, report_to_dict
 from .regression import (
     MODEL_FAMILIES,
     CalibrationDataset,
@@ -43,9 +44,6 @@ from .regression import (
 from .traffic_sim import FlowRecordSeries
 
 logger = logging.getLogger("floodgauge.pipeline")
-
-CALIBRATION_CSV_HEADER = ("deviation", "strength_mbps")
-ESTIMATES_CSV_HEADER = ("window_index", "deviation", "estimate_mbps", "clamped")
 
 SELECTION_CRITERIA = ("eta", "r_squared", "sse")
 
@@ -114,10 +112,11 @@ def calibrate(
 
 
 def _score(report: FitReport, criterion: str) -> float:
-    value = getattr(report, {"r_squared": "r_squared", "eta": "eta", "sse": "sse"}[criterion])
+    """Ranking score, higher is better; an undefined metric ranks last."""
+    value = getattr(report, criterion)
     if math.isnan(value):
-        return math.inf if criterion == "sse" else -math.inf
-    return value
+        return -math.inf
+    return -value if criterion == "sse" else value
 
 
 def compare_models(
@@ -153,19 +152,8 @@ def compare_models(
             "no model family could be fit: "
             + "; ".join(f"{tag}: {reason}" for tag, reason in skipped.items())
         )
-    best_tag = None
-    best_score = None
-    for tag in MODEL_FAMILIES:
-        if tag not in reports:
-            continue
-        score = _score(reports[tag], criterion)
-        if best_tag is None:
-            best_tag, best_score = tag, score
-        elif criterion == "sse":
-            if score < best_score:
-                best_tag, best_score = tag, score
-        elif score > best_score:
-            best_tag, best_score = tag, score
+    # reports follow MODEL_FAMILIES order and max keeps the first of equals
+    best_tag = max(reports, key=lambda tag: _score(reports[tag], criterion))
     return ModelComparisonReport(
         reports=reports,
         fitted=fitted,
@@ -191,64 +179,47 @@ def estimate_strength(
         try:
             raw = predict(model, event.deviation)
         except DomainError as exc:
-            logger.warning(
-                "window %d skipped: %s", event.window_index, exc
-            )
+            logger.warning("window %d skipped: %s", event.window_index, exc)
             continue
-        if raw < 0:
-            estimates.append(
-                StrengthEstimate(event.window_index, event.deviation, 0.0, True)
+        clamped = raw < 0
+        estimates.append(
+            StrengthEstimate(
+                event.window_index, event.deviation, 0.0 if clamped else raw, clamped
             )
-        else:
-            estimates.append(
-                StrengthEstimate(event.window_index, event.deviation, raw, False)
-            )
+        )
     return estimates
 
 
-def calibration_csv_text(data: CalibrationDataset) -> str:
-    lines = [",".join(CALIBRATION_CSV_HEADER)]
-    lines.extend(
-        f"{format_float(s.x)},{format_float(s.y)}" for s in data.samples
-    )
-    return "\n".join(lines) + "\n"
+CALIBRATION_TABLE = Table(
+    ("deviation", "strength_mbps"),
+    lambda row: CalibrationSample(float(row[0]), float(row[1])),
+    lambda s: f"{format_float(s.x)},{format_float(s.y)}",
+)
+
+ESTIMATES_TABLE = Table(
+    ("window_index", "deviation", "estimate_mbps", "clamped"),
+    lambda row: StrengthEstimate(
+        int(row[0]), float(row[1]), float(row[2]), parse_flag(row[3], "clamped")
+    ),
+    lambda e: f"{e.window_index},{format_float(e.deviation)},"
+    f"{format_float(e.estimated_strength_mbps)},{format_flag(e.clamped)}",
+)
 
 
 def write_calibration_csv(path, data: CalibrationDataset) -> None:
-    atomic_write_text(path, calibration_csv_text(data))
+    atomic_write_text(path, table_text(CALIBRATION_TABLE, data.samples))
 
 
 def read_calibration_csv(path) -> CalibrationDataset:
-    pairs: list[tuple[float, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CALIBRATION_CSV_HEADER:
-            raise InputError(
-                f"{path}:1: expected header {','.join(CALIBRATION_CSV_HEADER)}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InputError(f"{path}:{reader.line_num}: expected 2 fields")
-            try:
-                pairs.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
-    if len(pairs) < 2:
-        raise InputError(f"{path}: calibration needs >= 2 samples, got {len(pairs)}")
-    return CalibrationDataset.from_pairs(pairs)
+    samples = read_table(path, CALIBRATION_TABLE)
+    if len(samples) < 2:
+        raise InputError(f"{path}: calibration needs >= 2 samples, got {len(samples)}")
+    return CalibrationDataset(tuple(samples))
 
 
 def comparison_to_csv(report: ModelComparisonReport) -> str:
-    lines = [REPORT_CSV_HEADER]
-    lines.extend(
-        report_csv_row(tag, report.reports[tag])
-        for tag in MODEL_FAMILIES
-        if tag in report.reports
-    )
-    return "\n".join(lines) + "\n"
+    tags = [tag for tag in MODEL_FAMILIES if tag in report.reports]
+    return table_text(REPORT_TABLE, [(t, metric_values(report.reports[t])) for t in tags])
 
 
 def comparison_to_dict(report: ModelComparisonReport) -> dict:
@@ -271,45 +242,9 @@ def comparison_to_dict(report: ModelComparisonReport) -> dict:
     }
 
 
-def estimates_csv_text(estimates: Sequence[StrengthEstimate]) -> str:
-    lines = [",".join(ESTIMATES_CSV_HEADER)]
-    for e in estimates:
-        clamped = "true" if e.clamped else "false"
-        lines.append(
-            f"{e.window_index},{format_float(e.deviation)},"
-            f"{format_float(e.estimated_strength_mbps)},{clamped}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def write_estimates_csv(path, estimates: Sequence[StrengthEstimate]) -> None:
-    atomic_write_text(path, estimates_csv_text(estimates))
+    atomic_write_text(path, table_text(ESTIMATES_TABLE, estimates))
 
 
 def read_estimates_csv(path) -> list[StrengthEstimate]:
-    estimates: list[StrengthEstimate] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ESTIMATES_CSV_HEADER:
-            raise InputError(
-                f"{path}:1: expected header {','.join(ESTIMATES_CSV_HEADER)}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InputError(f"{path}:{reader.line_num}: expected 4 fields")
-            if row[3] not in ("true", "false"):
-                raise InputError(
-                    f"{path}:{reader.line_num}: clamped must be true or false"
-                )
-            try:
-                estimates.append(
-                    StrengthEstimate(
-                        int(row[0]), float(row[1]), float(row[2]), row[3] == "true"
-                    )
-                )
-            except ValueError as exc:
-                raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
-    return estimates
+    return read_table(path, ESTIMATES_TABLE)

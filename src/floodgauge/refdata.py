@@ -17,99 +17,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .metrics import METRICS
 from .pipeline import ModelComparisonReport, compare_models
 from .regression import DEFAULT_POLY_DEGREE, CalibrationDataset
 
 REFERENCE_STRENGTHS_MBPS = tuple(float(v) for v in range(10, 101, 5))
 
 REFERENCE_DEVIATIONS = (
-    0.149,
-    0.169,
-    0.184,
-    0.192,
-    0.199,
-    0.197,
-    0.195,
-    0.195,
-    0.208,
-    0.212,
-    0.233,
-    0.241,
-    0.244,
-    0.253,
-    0.279,
-    0.280,
-    0.299,
-    0.296,
-    0.319,
+    0.149, 0.169, 0.184, 0.192, 0.199, 0.197, 0.195, 0.195, 0.208, 0.212,
+    0.233, 0.241, 0.244, 0.253, 0.279, 0.280, 0.299, 0.296, 0.319,
 )
 
 EXPECTED_BEST_FAMILY = "polynomial"
 
-# published per-family summary; keys match FitReport field names
-REFERENCE_SUMMARY: dict[str, dict[str, float]] = {
-    "linear": {
-        "r_squared": 0.95,
-        "cc": 0.97,
-        "sse": 708.13,
-        "mse": 37.27,
-        "rmse": 6.10,
-        "nmse_table2": 1.32,
-        "eta": 0.95,
-        "mae_index": 0.78,
-    },
-    "polynomial": {
-        "r_squared": 0.96,
-        "cc": 0.98,
-        "sse": 566.31,
-        "mse": 29.81,
-        "rmse": 5.46,
-        "nmse_table2": 1.06,
-        "eta": 0.96,
-        "mae_index": 0.81,
-    },
-    "logarithmic": {
-        "r_squared": 0.96,
-        "cc": 0.98,
-        "sse": 596.96,
-        "mse": 31.42,
-        "rmse": 5.61,
-        "nmse_table2": 1.12,
-        "eta": 0.96,
-        "mae_index": 0.80,
-    },
-    "power": {
-        "r_squared": 0.89,
-        "cc": 0.94,
-        "sse": 2643.90,
-        "mse": 139.15,
-        "rmse": 11.80,
-        "nmse_table2": 4.95,
-        "eta": 0.81,
-        "mae_index": 0.59,
-    },
-    "exponential": {
-        "r_squared": 0.84,
-        "cc": 0.92,
-        "sse": 3995.70,
-        "mse": 210.30,
-        "rmse": 14.50,
-        "nmse_table2": 7.47,
-        "eta": 0.72,
-        "mae_index": 0.51,
-    },
+# the published summary has every metrics.METRICS column but nmse_eq11
+_SUMMARY_FIELDS = tuple(field for field, _ in METRICS if field != "nmse_eq11")
+_PUBLISHED = {
+    #               r2    cc    sse      mse     rmse   nmse  eta   mae_index
+    "linear":      (0.95, 0.97, 708.13,  37.27,  6.10,  1.32, 0.95, 0.78),
+    "polynomial":  (0.96, 0.98, 566.31,  29.81,  5.46,  1.06, 0.96, 0.81),
+    "logarithmic": (0.96, 0.98, 596.96,  31.42,  5.61,  1.12, 0.96, 0.80),
+    "power":       (0.89, 0.94, 2643.90, 139.15, 11.80, 4.95, 0.81, 0.59),
+    "exponential": (0.84, 0.92, 3995.70, 210.30, 14.50, 7.47, 0.72, 0.51),
 }
 
-SUMMARY_METRICS = (
-    "r_squared",
-    "cc",
-    "sse",
-    "mse",
-    "rmse",
-    "nmse_table2",
-    "eta",
-    "mae_index",
-)
+# published per-family summary; keys are FitReport field names
+REFERENCE_SUMMARY: dict[str, dict[str, float]] = {
+    family: dict(zip(_SUMMARY_FIELDS, row)) for family, row in _PUBLISHED.items()
+}
 
 # published values are rounded; squared-error magnitudes get a relative
 # band, bounded indices an absolute one
@@ -197,7 +132,7 @@ def check_reference_reproduction(
                 f"reference sweep must fit every family, {family} skipped: {reason}"
             )
         report = comparison.reports[family]
-        for metric in SUMMARY_METRICS:
+        for metric in REFERENCE_SUMMARY[family]:
             checks.append(_check_cell(family, metric, getattr(report, metric)))
     return ReproductionResult(
         checks=tuple(checks),

@@ -112,7 +112,6 @@ class FittedModel:
     coefficients: tuple[float, ...]
     fit_method: str
     trained_on: str
-    condition_number: float | None = None
 
 
 def _simple_ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
@@ -136,7 +135,7 @@ def _require_positive(values: Sequence[float], axis: str, family: str) -> None:
             )
 
 
-def _fit_polynomial(data: CalibrationDataset, degree: int) -> tuple[tuple[float, ...], float]:
+def _fit_polynomial(data: CalibrationDataset, degree: int) -> tuple[float, ...]:
     xs = np.asarray(data.xs, dtype=float)
     ys = np.asarray(data.ys, dtype=float)
     if len(set(data.xs)) < degree + 1:
@@ -149,7 +148,6 @@ def _fit_polynomial(data: CalibrationDataset, degree: int) -> tuple[tuple[float,
     sigma = float(xs.std())
     z = (xs - mu) / sigma
     v = np.vander(z, degree + 1, increasing=True)
-    condition = float(np.linalg.cond(v))
     q, r = np.linalg.qr(v)
     diag = np.abs(np.diag(r))
     if diag.min() <= diag.max() * 1e-13:
@@ -162,7 +160,7 @@ def _fit_polynomial(data: CalibrationDataset, degree: int) -> tuple[tuple[float,
     coeffs = np.array([beta_z[degree]])
     for k in range(degree - 1, -1, -1):
         coeffs = npoly.polyadd(npoly.polymul(coeffs, sub), np.array([beta_z[k]]))
-    return tuple(float(c) for c in coeffs), condition
+    return tuple(float(c) for c in coeffs)
 
 
 def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
@@ -180,8 +178,7 @@ def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
         b0, b1 = _simple_ols(xs, ys)
         return FittedModel(kind, (b0, b1), RAW_OLS, digest)
     if kind.tag == "polynomial":
-        coeffs, condition = _fit_polynomial(data, kind.degree)
-        return FittedModel(kind, coeffs, RAW_OLS, digest, condition_number=condition)
+        return FittedModel(kind, _fit_polynomial(data, kind.degree), RAW_OLS, digest)
     if kind.tag == "logarithmic":
         _require_positive(xs, "x", "logarithmic")
         intercept, slope = _simple_ols([math.log(x) for x in xs], ys)
@@ -225,10 +222,6 @@ def predict(model: FittedModel, x: float) -> float:
     if tag == "exponential":
         return c[0] * math.exp(c[1] * x)
     raise InputError(f"unknown model family {tag!r}")
-
-
-def predict_many(model: FittedModel, xs: Sequence[float]) -> list[float]:
-    return [predict(model, x) for x in xs]
 
 
 def residuals(model: FittedModel, data: CalibrationDataset) -> ResidualSeries:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -160,20 +160,15 @@ def sweep(
                 1, np.uint64
             )[0]
         )
-        cfg = ScenarioConfig(
-            legit_clients=base.legit_clients,
-            zombies=base.zombies,
-            attack_rate_mbps_per_zombie=strength / base.zombies,
-            legit_mean_rate_mbps_per_client=base.legit_mean_rate_mbps_per_client,
-            window_length_ms=base.window_length_ms,
-            num_windows=base.num_windows,
-            seed=child_seed,
+        cfg = replace(
+            base, attack_rate_mbps_per_zombie=strength / base.zombies, seed=child_seed
         )
         runs.append((float(strength), simulate(cfg)))
     return runs
 
 
-def _meta_path(csv_path) -> str:
+def sidecar_path(csv_path) -> str:
+    """The metadata sidecar beside a flow CSV: ``run.csv`` -> ``run.meta.json``."""
     root, _ = os.path.splitext(os.fspath(csv_path))
     return root + ".meta.json"
 
@@ -181,13 +176,13 @@ def _meta_path(csv_path) -> str:
 def write_series(csv_path, series: FlowRecordSeries) -> None:
     """Write records as flow CSV plus a metadata sidecar JSON."""
     atomic_write_text(csv_path, flow_csv_text(series.records))
-    write_json(_meta_path(csv_path), series.metadata)
+    write_json(sidecar_path(csv_path), series.metadata)
 
 
 def read_series(csv_path) -> FlowRecordSeries:
     """Read a flow CSV and its metadata sidecar back into a series."""
     records = read_flow_csv(csv_path)
-    meta_path = _meta_path(csv_path)
+    meta_path = sidecar_path(csv_path)
     try:
         metadata = read_json(meta_path)
     except FileNotFoundError as exc:

@@ -275,3 +275,49 @@ def test_same_seed_produces_byte_identical_outputs(tmp_path):
     for obj in models:
         del obj["created_at"]
     assert models[0] == models[1]
+
+
+def test_bad_row_with_sidecar_names_the_line_not_the_sidecar(tmp_path, capsys):
+    run = simulate_run(tmp_path, "run.csv", 0.5, 3)
+    lines = run.read_text().splitlines()
+    window, flow, _ = lines[2].split(",")
+    lines[2] = f"{window},{flow},-5"
+    run.write_text("\n".join(lines) + "\n")
+    assert run_cli("baseline", "--flows", run, "--out", tmp_path / "b.json") == 1
+    err = capsys.readouterr().err
+    assert f"{run}:3: negative byte count" in err
+    assert "sidecar" not in err.replace(str(tmp_path), "")
+
+
+def test_missing_sidecar_needs_window_ms(tmp_path, capsys):
+    clean = simulate_run(tmp_path, "clean.csv", 0.0, 11, zombies=0)
+    (tmp_path / "clean.meta.json").unlink()
+    assert run_cli("baseline", "--flows", clean, "--out", tmp_path / "b.json") == 1
+    assert "pass --window-ms" in capsys.readouterr().err
+    assert run_cli(
+        "baseline", "--flows", clean, "--out", tmp_path / "b.json", "--window-ms", 200
+    ) == 0
+
+
+def test_calibrate_accepts_run_without_sidecar_given_window_ms(tmp_path, capsys):
+    clean = simulate_run(tmp_path, "clean.csv", 0.0, 11, zombies=0)
+    baseline = tmp_path / "baseline.json"
+    assert run_cli("baseline", "--flows", clean, "--out", baseline) == 0
+    runs = [simulate_run(tmp_path, f"atk{i}.csv", rate, 20 + i)
+            for i, rate in enumerate((0.5, 1.2))]
+    with_sidecar = tmp_path / "with.csv"
+    args = ["calibrate", "--baseline", baseline, "--window-ms", 200]
+    for strength, path in zip((5.0, 12.0), runs):
+        args += ["--run", f"{strength}={path}"]
+    assert run_cli(*args, "--out", with_sidecar) == 0
+
+    for path in runs:
+        path.with_suffix(".meta.json").unlink()
+    without = tmp_path / "without.csv"
+    assert run_cli(*args, "--out", without) == 0
+    assert without.read_bytes() == with_sidecar.read_bytes()
+
+    capsys.readouterr()
+    assert run_cli("calibrate", "--baseline", baseline, "--out", tmp_path / "x.csv",
+                   "--run", f"5={runs[0]}") == 1
+    assert "pass --window-ms" in capsys.readouterr().err

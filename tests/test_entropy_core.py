@@ -8,12 +8,11 @@ from floodgauge.entropy_core import (
     WindowCounts,
     compute_entropy,
     flow_csv_text,
-    normalized_entropy,
     read_flow_csv,
     windowize,
     write_flow_csv,
 )
-from floodgauge.errors import DegenerateWindowError, InputError
+from floodgauge.errors import InputError
 
 
 def counts(window_index=0, window_length_ms=200.0, **flows):
@@ -97,14 +96,6 @@ def test_entropy_range_and_invariances():
 def test_entropy_maximal_only_for_uniform():
     uneven = counts(a=1, b=3)
     assert compute_entropy(uneven).value < 1.0
-
-
-def test_normalized_entropy():
-    w = counts(a=1, b=1, c=2)
-    assert normalized_entropy(w) == 1.5 / math.log2(3)
-    assert normalized_entropy(counts(a=4, b=4)) == 1.0
-    with pytest.raises(DegenerateWindowError):
-        normalized_entropy(counts(a=5))
 
 
 def test_windowize_sums_and_fills_gaps():

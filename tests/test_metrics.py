@@ -13,7 +13,7 @@ from floodgauge.metrics import (
     residual_summary,
 )
 from floodgauge.refdata import reference_dataset
-from floodgauge.regression import ModelKind, fit, predict_many
+from floodgauge.regression import ModelKind, fit, predict
 
 
 def test_perfect_fit():
@@ -129,7 +129,7 @@ def test_eta_matches_r_squared_for_raw_ols_fits():
     data = reference_dataset()
     for kind in (ModelKind("linear"), ModelKind("polynomial"), ModelKind("logarithmic")):
         model = fit(data, kind)
-        predicted = predict_many(model, data.xs)
+        predicted = [predict(model, x) for x in data.xs]
         r = evaluate(data.ys, predicted)
         assert abs(r.eta - r.r_squared) <= 1e-6
 
