@@ -27,7 +27,7 @@ from .detector import (
     read_events_csv,
     save_baseline,
 )
-from .entropy_core import compute_entropy, read_flow_csv, windowize
+from .entropy_core import compute_entropy, read_flow_csv
 from .errors import ConfigError, FloodgaugeError, InputError
 from .fileio import atomic_write_text, format_flag, write_json
 from .metrics import METRICS, FitReport, evaluate, metric_values, report_to_dict
@@ -94,15 +94,16 @@ def _resolve_seed(value: int | None) -> int:
 def _load_run(path, window_length_ms: float | None) -> FlowRecordSeries:
     """Read a run's flow CSV once, for baseline and calibrate alike.
 
-    The metadata sidecar is read only when --window-ms is absent, since
-    the window length is all these commands take from it.
+    Without --window-ms the metadata sidecar gives the run's window
+    length and count. With it the sidecar is not read, and the run ends
+    at the last window that has a record.
     """
     if window_length_ms is None and os.path.exists(sidecar_path(path)):
         return read_series(path)
     records = tuple(read_flow_csv(path))
     if window_length_ms is None:
         raise InputError(f"{path}: no metadata sidecar; pass --window-ms explicitly")
-    return FlowRecordSeries(records, {})
+    return FlowRecordSeries(records, {"config": {"window_length_ms": window_length_ms}})
 
 
 def _parse_run_arg(text: str) -> tuple[float, str]:
@@ -141,8 +142,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     series = _load_run(args.flows, args.window_ms)
-    length = args.window_ms if args.window_ms is not None else series.window_length_ms
-    entropies = [compute_entropy(w) for w in windowize(series.records, length)]
+    entropies = [compute_entropy(w) for w in series.windows()]
     baseline = build_baseline(entropies, threshold=args.threshold)
     save_baseline(args.out, baseline)
     print(
@@ -155,7 +155,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     baseline = load_baseline(args.baseline)
     labeled = [(strength, _load_run(path, args.window_ms)) for strength, path in args.run]
-    data = calibrate(labeled, baseline, window_length_ms=args.window_ms)
+    data = calibrate(labeled, baseline)
     write_calibration_csv(args.out, data)
     print(f"wrote {len(data.samples)} calibration samples to {args.out}")
     return 0
@@ -387,10 +387,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FloodgaugeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FloodgaugeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

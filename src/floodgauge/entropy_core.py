@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .fileio import Table, atomic_write_text, read_table, table_text
+from .fileio import Table, read_table, table_text
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +146,3 @@ def read_flow_csv(path) -> list[FlowRecord]:
 def flow_csv_text(records: Sequence[FlowRecord]) -> str:
     """Render records as CSV text (header included)."""
     return table_text(FLOW_TABLE, records)
-
-
-def write_flow_csv(path, records: Sequence[FlowRecord]) -> None:
-    atomic_write_text(path, flow_csv_text(records))

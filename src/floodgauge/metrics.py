@@ -38,8 +38,6 @@ REPORT_TABLE = Table(
     lambda row: ",".join([row[0], *map(format_float, row[1])]),
 )
 
-REPORT_CSV_HEADER = ",".join(REPORT_TABLE.header)
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -162,8 +160,3 @@ def report_to_dict(report: FitReport) -> dict:
     out["sample_count"] = report.sample_count
     out["cc_defined"] = report.cc_defined
     return out
-
-
-def report_csv_row(model: str, report: FitReport) -> str:
-    """Row matching REPORT_CSV_HEADER, full float precision."""
-    return REPORT_TABLE.format((model, metric_values(report)))

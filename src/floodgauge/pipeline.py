@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .detector import Baseline, DetectionEvent, evaluate_windows
-from .entropy_core import compute_entropy, windowize
+from .entropy_core import compute_entropy
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -69,15 +69,9 @@ class ModelComparisonReport:
     selection_criterion: str
 
 
-def run_events(
-    series: FlowRecordSeries,
-    baseline: Baseline,
-    window_length_ms: float | None = None,
-) -> list[DetectionEvent]:
+def run_events(series: FlowRecordSeries, baseline: Baseline) -> list[DetectionEvent]:
     """Windowize a run, compute entropies, and score every window."""
-    if window_length_ms is None:
-        window_length_ms = series.window_length_ms
-    windows = windowize(series.records, window_length_ms)
+    windows = series.windows()
     if not windows:
         raise EmptyRunError("run contains no windows")
     entropies = [compute_entropy(w) for w in windows]
@@ -85,9 +79,7 @@ def run_events(
 
 
 def calibrate(
-    labeled_runs: Sequence[tuple[float, FlowRecordSeries]],
-    baseline: Baseline,
-    window_length_ms: float | None = None,
+    labeled_runs: Sequence[tuple[float, FlowRecordSeries]], baseline: Baseline
 ) -> CalibrationDataset:
     """Build (deviation, strength) samples from labeled attack runs.
 
@@ -97,7 +89,7 @@ def calibrate(
     """
     samples = []
     for strength, series in labeled_runs:
-        events = run_events(series, baseline, window_length_ms)
+        events = run_events(series, baseline)
         flagged = [e.deviation for e in events if e.attack_flag]
         if not flagged:
             raise EmptyRunError(

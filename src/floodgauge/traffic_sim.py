@@ -16,7 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy_core import FlowRecord, flow_csv_text, read_flow_csv
+from .entropy_core import (
+    FlowRecord,
+    WindowCounts,
+    flow_csv_text,
+    read_flow_csv,
+    windowize,
+)
 from .errors import ConfigError, InputError
 from .fileio import atomic_write_text, read_json, write_json
 
@@ -96,11 +102,21 @@ class FlowRecordSeries:
             raise InputError("metadata lacks config.window_length_ms") from exc
 
     @property
-    def num_windows(self) -> int:
+    def num_windows(self) -> int | None:
+        """Recorded window count; None when the run ends at its last record."""
         try:
-            return int(self.metadata["config"]["num_windows"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError("metadata lacks config.num_windows") from exc
+            count = self.metadata["config"].get("num_windows")
+            return None if count is None else int(count)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputError("metadata config.num_windows is not a window count") from exc
+
+    def windows(self) -> list[WindowCounts]:
+        """The run's per-window byte totals, trailing empty windows included.
+
+        A recorded ``num_windows`` sets how many windows the run has;
+        without one the run ends at the last window that has a record.
+        """
+        return windowize(self.records, self.window_length_ms, self.num_windows)
 
 
 def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
@@ -113,23 +129,26 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
     seed = cfg.seed & _SEED_MASK
     rng = np.random.default_rng(seed)
     lam = _bytes_per_window(cfg.legit_mean_rate_mbps_per_client, cfg.window_length_ms)
-    if cfg.legit_clients > 0:
-        legit = rng.poisson(lam, size=(cfg.num_windows, cfg.legit_clients))
-    else:
-        legit = np.zeros((cfg.num_windows, 0), dtype=np.int64)
-    zombie_bytes = int(
-        round(_bytes_per_window(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms))
+    zombie_bytes = round(
+        _bytes_per_window(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms)
     )
-
-    records: list[FlowRecord] = []
-    for w in range(cfg.num_windows):
-        for i in range(cfg.legit_clients):
-            b = int(legit[w, i])
-            if b > 0:
-                records.append(FlowRecord(w, f"{LEGIT_PREFIX}{i:04d}", b))
-        if zombie_bytes > 0:
-            for i in range(cfg.zombies):
-                records.append(FlowRecord(w, f"{ZOMBIE_PREFIX}{i:04d}", zombie_bytes))
+    # one column per flow, legit clients first; row-major nonzero keeps
+    # records in window order, then flow order, and skips zero volumes
+    volumes = np.hstack([
+        rng.poisson(lam, size=(cfg.num_windows, cfg.legit_clients)),
+        np.full((cfg.num_windows, cfg.zombies), zombie_bytes, dtype=np.int64),
+    ])
+    windows, flows = np.nonzero(volumes)
+    flow_ids = np.concatenate([
+        np.char.mod(LEGIT_PREFIX + "%04d", np.arange(cfg.legit_clients)),
+        np.char.mod(ZOMBIE_PREFIX + "%04d", np.arange(cfg.zombies)),
+    ]).astype(object)
+    records = tuple(map(
+        FlowRecord,
+        windows.tolist(),
+        flow_ids[flows].tolist(),
+        volumes[windows, flows].tolist(),
+    ))
 
     metadata = {
         "config": asdict(cfg),
@@ -137,7 +156,7 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
         "seed": seed,
         "flow_labels": {"legit": LEGIT_PREFIX, "zombie": ZOMBIE_PREFIX},
     }
-    return FlowRecordSeries(tuple(records), metadata)
+    return FlowRecordSeries(records, metadata)
 
 
 def sweep(

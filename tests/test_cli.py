@@ -68,6 +68,23 @@ def test_baseline_reports_training_stats(tmp_path, capsys):
     assert "baseline h_n=" in capsys.readouterr().out
 
 
+def test_baseline_counts_trailing_empty_windows(tmp_path, capsys):
+    sparse = tmp_path / "sparse.csv"
+    assert run_cli(
+        "simulate", "--out", sparse, "--legit-clients", 2, "--zombies", 0,
+        "--legit-rate", 0.00004, "--windows", 12, "--seed", 9,
+    ) == 0
+    assert "over 12 windows" in capsys.readouterr().out
+    assert sparse.read_text().splitlines()[-1].startswith("10,")
+    assert run_cli("baseline", "--flows", sparse, "--out", tmp_path / "b.json") == 0
+    assert "over 12 windows" in capsys.readouterr().out
+    # --window-ms skips the sidecar, so the run ends at its last record
+    assert run_cli(
+        "baseline", "--flows", sparse, "--out", tmp_path / "b.json", "--window-ms", 200
+    ) == 0
+    assert "over 11 windows" in capsys.readouterr().out
+
+
 def test_full_workflow(workflow, capsys):
     tmp_path, cal = workflow
     data = read_calibration_csv(cal)

@@ -10,9 +10,9 @@ from floodgauge.entropy_core import (
     flow_csv_text,
     read_flow_csv,
     windowize,
-    write_flow_csv,
 )
 from floodgauge.errors import InputError
+from floodgauge.fileio import atomic_write_text
 
 
 def counts(window_index=0, window_length_ms=200.0, **flows):
@@ -137,7 +137,7 @@ def test_flow_record_rejects_csv_breaking_ids():
 def test_flow_csv_round_trip(tmp_path):
     records = [FlowRecord(0, "a", 5), FlowRecord(1, "bc", 7)]
     path = tmp_path / "flows.csv"
-    write_flow_csv(path, records)
+    atomic_write_text(path, flow_csv_text(records))
     assert read_flow_csv(path) == records
     text = flow_csv_text(records)
     assert text.splitlines()[0] == "window_index,flow_id,bytes"

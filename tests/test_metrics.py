@@ -5,10 +5,8 @@ import pytest
 
 from floodgauge.errors import DegenerateVarianceError, InputError
 from floodgauge.metrics import (
-    REPORT_CSV_HEADER,
     ResidualSeries,
     evaluate,
-    report_csv_row,
     report_to_dict,
     residual_summary,
 )
@@ -132,18 +130,6 @@ def test_eta_matches_r_squared_for_raw_ols_fits():
         predicted = [predict(model, x) for x in data.xs]
         r = evaluate(data.ys, predicted)
         assert abs(r.eta - r.r_squared) <= 1e-6
-
-
-def test_report_csv_row_matches_header():
-    r = evaluate([1.0, 2.0, 3.0], [1.1, 2.1, 2.9])
-    row = report_csv_row("linear", r)
-    header_fields = REPORT_CSV_HEADER.split(",")
-    fields = row.split(",")
-    assert len(fields) == len(header_fields)
-    assert fields[0] == "linear"
-    # full precision round trip
-    assert float(fields[3]) == r.sse
-    assert float(fields[8]) == r.eta
 
 
 def test_report_to_dict_maps_nan_to_null():

@@ -76,6 +76,32 @@ def test_run_events_flags_attacked_traffic_only():
     assert not any(e.attack_flag for e in events)
 
 
+def test_run_events_keeps_trailing_empty_windows():
+    # one byte per window on average: window 11 of this run has no record
+    sparse = simulate(small_base(
+        legit_clients=2, zombies=0, legit_mean_rate_mbps_per_client=0.00004, seed=9
+    ))
+    assert max(r.window_index for r in sparse.records) < 11
+    baseline = Baseline(h_n=0.5, threshold=0.1, training_windows=5)
+    events = run_events(sparse, baseline)
+    assert [e.window_index for e in events] == list(range(12))
+    assert events[-1].deviation == -0.5
+    assert not events[-1].attack_flag
+
+    silent = FlowRecordSeries((), sparse.metadata)
+    assert len(run_events(silent, baseline)) == 12
+    # without a recorded count the run ends at its last record
+    config = {"window_length_ms": 200.0}
+    shortened = FlowRecordSeries(sparse.records, {"config": config})
+    assert len(run_events(shortened, baseline)) == 11
+    with pytest.raises(EmptyRunError, match="no windows"):
+        run_events(FlowRecordSeries((), {"config": config}), baseline)
+    for count in ("twelve", 10):
+        bad = FlowRecordSeries(sparse.records, {"config": dict(config, num_windows=count)})
+        with pytest.raises(InputError, match="num_windows"):
+            run_events(bad, baseline)
+
+
 def test_calibrate_builds_sorted_samples():
     base = small_base()
     baseline = clean_baseline(base)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from floodgauge.entropy_core import FlowRecord
 from floodgauge.errors import ConfigError, InputError
 from floodgauge.traffic_sim import (
     GENERATOR_NAME,
@@ -68,6 +69,57 @@ def test_metadata_describes_the_run():
     assert series.window_length_ms == 200.0
     assert series.num_windows == 6
     assert series.metadata["flow_labels"] == {"legit": "legit-", "zombie": "zombie-"}
+
+
+def nested_loop_records(cfg):
+    """The simulator's records built cell by cell, as a reference."""
+    rng = np.random.default_rng(cfg.seed & (2**64 - 1))
+    lam = cfg.legit_mean_rate_mbps_per_client * (cfg.window_length_ms / 1000.0) * 1e6 / 8.0
+    if cfg.legit_clients > 0:
+        legit = rng.poisson(lam, size=(cfg.num_windows, cfg.legit_clients))
+    else:
+        legit = np.zeros((cfg.num_windows, 0), dtype=np.int64)
+    zombie_bytes = int(
+        round(cfg.attack_rate_mbps_per_zombie * (cfg.window_length_ms / 1000.0) * 1e6 / 8.0)
+    )
+    records = []
+    for w in range(cfg.num_windows):
+        for i in range(cfg.legit_clients):
+            b = int(legit[w, i])
+            if b > 0:
+                records.append(FlowRecord(w, f"legit-{i:04d}", b))
+        if zombie_bytes > 0:
+            for i in range(cfg.zombies):
+                records.append(FlowRecord(w, f"zombie-{i:04d}", zombie_bytes))
+    return tuple(records)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ScenarioConfig(),
+        small_config(legit_clients=0),
+        small_config(zombies=0),
+        small_config(legit_clients=0, zombies=0),
+        small_config(attack_rate_mbps_per_zombie=0.0),
+        # about one byte per window, so many draws are zero
+        small_config(legit_mean_rate_mbps_per_client=0.00004, num_windows=40),
+    ],
+    ids=["default", "no-legit", "no-zombies", "empty", "no-attack", "sparse"],
+)
+def test_records_match_the_nested_loop_reference(cfg):
+    records = simulate(cfg).records
+    assert records == nested_loop_records(cfg)
+    assert all(type(r.window_index) is int and type(r.bytes) is int for r in records)
+    # every record of a flow shares the one id string
+    first = {}
+    assert all(first.setdefault(r.flow_id, r.flow_id) is r.flow_id for r in records)
+
+
+def test_sparse_reference_config_has_zero_draws():
+    cfg = small_config(legit_mean_rate_mbps_per_client=0.00004, num_windows=40)
+    legit = [r for r in simulate(cfg).records if r.flow_id.startswith("legit-")]
+    assert 0 < len(legit) < cfg.legit_clients * cfg.num_windows
 
 
 def test_records_are_ordered_by_window():
