@@ -30,7 +30,7 @@ from .detector import (
 from .entropy_core import compute_entropy, read_flow_csv
 from .errors import ConfigError, FloodgaugeError, InputError
 from .fileio import atomic_write_text, format_flag, write_json
-from .metrics import METRICS, FitReport, evaluate, metric_values, report_to_dict
+from .metrics import METRICS, evaluate, metric_values, report_to_dict
 from .pipeline import (
     CALIBRATION_TABLE,
     SELECTION_CRITERIA,
@@ -64,10 +64,6 @@ from .traffic_sim import (
 SEED_ENV_VAR = "FLOODGAUGE_SEED"
 
 
-def _fmt2(v: float) -> str:
-    return "nan" if math.isnan(v) else f"{v:.2f}"
-
-
 def _table(rows: Sequence[Sequence[str]]) -> str:
     """Align rows into columns; first column left, the rest right."""
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
@@ -98,11 +94,12 @@ def _load_run(path, window_length_ms: float | None) -> FlowRecordSeries:
     length and count. With it the sidecar is not read, and the run ends
     at the last window that has a record.
     """
-    if window_length_ms is None and os.path.exists(sidecar_path(path)):
-        return read_series(path)
-    records = tuple(read_flow_csv(path))
     if window_length_ms is None:
-        raise InputError(f"{path}: no metadata sidecar; pass --window-ms explicitly")
+        meta_path = sidecar_path(path)
+        if os.path.exists(meta_path):
+            return read_series(path)
+        raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
+    records = tuple(read_flow_csv(path))
     return FlowRecordSeries(records, {"config": {"window_length_ms": window_length_ms}})
 
 
@@ -173,19 +170,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_report(report: FitReport) -> None:
-    rows = [["metric", "value"]]
-    rows.extend([label, _fmt2(getattr(report, field))] for field, label in METRICS)
-    rows.append(["mean_abs_error", _fmt2(report.mean_abs_error)])
-    rows.append(["samples", str(report.sample_count)])
-    print(_table(rows))
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     data = read_calibration_csv(args.data)
     report = evaluate(data.ys, [predict(model, x) for x in data.xs])
-    _print_report(report)
+    rows = [["metric", "value"]]
+    rows.extend([label, f"{getattr(report, field):.2f}"] for field, label in METRICS)
+    rows.append(["mean_abs_error", f"{report.mean_abs_error:.2f}"])
+    rows.append(["samples", str(report.sample_count)])
+    print(_table(rows))
     if args.out_json:
         payload = report_to_dict(report)
         payload["model"] = model.kind.tag
@@ -199,14 +192,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     data = read_calibration_csv(args.data)
     comparison = compare_models(data, degree=args.degree, criterion=args.criterion)
     rows = [["model"] + [label for _, label in METRICS]]
-    for tag in MODEL_FAMILIES:
-        if tag in comparison.reports:
-            report = comparison.reports[tag]
-            rows.append([tag] + [_fmt2(v) for v in metric_values(report)])
+    rows.extend([tag] + [f"{v:.2f}" for v in metric_values(report)]
+                for tag, report in comparison.reports.items())
     print(_table(rows))
-    for tag in MODEL_FAMILIES:
-        if tag in comparison.skipped:
-            print(f"{tag}: skipped ({comparison.skipped[tag]})")
+    for tag, reason in comparison.skipped.items():
+        print(f"{tag}: skipped ({reason})")
     best = comparison.best_model
     label = best.tag if best.degree is None else f"{best.tag} (degree {best.degree})"
     print(f"best model by {comparison.selection_criterion}: {label}")
@@ -225,7 +215,7 @@ def _read_events_any(path) -> list[DetectionEvent]:
     Calibration rows carry only deviations, so they become flagged
     events indexed by position.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         first = fh.readline().strip()
     if first == ",".join(EVENTS_TABLE.header):
         return read_events_csv(path)

@@ -55,8 +55,8 @@ class WindowCounts:
     def __post_init__(self) -> None:
         if self.window_index < 0:
             raise InputError(f"window_index must be >= 0, got {self.window_index}")
-        if self.window_length_ms <= 0:
-            raise InputError("window_length_ms must be positive")
+        if not math.isfinite(self.window_length_ms) or self.window_length_ms <= 0:
+            raise InputError("window_length_ms must be finite and positive")
         if any(c <= 0 for c in self.counts.values()):
             raise InputError("window counts must all be positive")
         if self.total != sum(self.counts.values()):
@@ -110,8 +110,8 @@ def windowize(
     window 0 through the highest index seen (or ``num_windows`` when given),
     with gaps present as empty windows, in ascending order.
     """
-    if window_length_ms <= 0:
-        raise InputError("window_length_ms must be positive")
+    if not math.isfinite(window_length_ms) or window_length_ms <= 0:
+        raise InputError("window_length_ms must be finite and positive")
     sums: dict[int, dict[str, int]] = {}
     max_index = -1
     for rec in records:

@@ -47,20 +47,30 @@ def read_table(path: str | Path, table: Table) -> list:
     rows = []
     parse = table.parse
     width = len(table.header)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != table.header:
-            raise InputError(f"{path}:1: expected header {','.join(table.header)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise InputError(f"{path}:{reader.line_num}: expected {width} fields")
-            try:
-                rows.append(parse(row))
-            except (ValueError, InputError) as exc:
-                raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != table.header:
+                raise InputError(f"{path}:1: expected header {','.join(table.header)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise InputError(f"{path}:{reader.line_num}: expected {width} fields")
+                try:
+                    rows.append(parse(row))
+                except (ValueError, InputError) as exc:
+                    raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError:
+        # the reader decodes ahead in chunks, so find the bad byte's line anew
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise InputError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from exc
+        raise
     return rows
 
 
@@ -94,4 +104,7 @@ def write_json(path: str | Path, obj: object) -> None:
 
 def read_json(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}: invalid JSON: {exc}") from exc

@@ -60,7 +60,11 @@ class StrengthEstimate:
 
 @dataclass(frozen=True)
 class ModelComparisonReport:
-    """Per-family fits and metrics plus the winning family."""
+    """Per-family fits and metrics plus the winning family.
+
+    ``reports``, ``fitted`` and ``skipped`` list families in
+    MODEL_FAMILIES order.
+    """
 
     reports: Mapping[str, FitReport]
     fitted: Mapping[str, FittedModel]
@@ -210,20 +214,17 @@ def read_calibration_csv(path) -> CalibrationDataset:
 
 
 def comparison_to_csv(report: ModelComparisonReport) -> str:
-    tags = [tag for tag in MODEL_FAMILIES if tag in report.reports]
-    return table_text(REPORT_TABLE, [(t, metric_values(report.reports[t])) for t in tags])
+    rows = [(tag, metric_values(r)) for tag, r in report.reports.items()]
+    return table_text(REPORT_TABLE, rows)
 
 
 def comparison_to_dict(report: ModelComparisonReport) -> dict:
-    models: dict = {}
-    for tag in MODEL_FAMILIES:
-        if tag in report.reports:
-            entry = report_to_dict(report.reports[tag])
-            entry["coefficients"] = list(report.fitted[tag].coefficients)
-            entry["fit_method"] = report.fitted[tag].fit_method
-            models[tag] = entry
-        elif tag in report.skipped:
-            models[tag] = {"skipped": report.skipped[tag]}
+    models: dict = {tag: {"skipped": reason} for tag, reason in report.skipped.items()}
+    for tag, r in report.reports.items():
+        entry = report_to_dict(r)
+        entry["coefficients"] = list(report.fitted[tag].coefficients)
+        entry["fit_method"] = report.fitted[tag].fit_method
+        models[tag] = entry
     return {
         "criterion": report.selection_criterion,
         "best_model": {

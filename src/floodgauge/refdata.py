@@ -115,15 +115,13 @@ def _check_cell(family: str, metric: str, computed: float) -> MetricCheck:
     return MetricCheck(family, metric, computed, published, kind, tol, ok)
 
 
-def check_reference_reproduction(
-    degree: int = DEFAULT_POLY_DEGREE, criterion: str = "eta"
-) -> ReproductionResult:
+def check_reference_reproduction(degree: int = DEFAULT_POLY_DEGREE) -> ReproductionResult:
     """Refit all families to the bundled sweep and compare to the summary.
 
     Every family/metric cell is checked at its tolerance, and the family
-    ranked best by the criterion must match the published winner.
+    ranked best by eta must match the published winner.
     """
-    comparison = compare_models(reference_dataset(), degree=degree, criterion=criterion)
+    comparison = compare_models(reference_dataset(), degree=degree)
     checks: list[MetricCheck] = []
     for family in REFERENCE_SUMMARY:
         if family not in comparison.reports:

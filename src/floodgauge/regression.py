@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateDataError, DomainError, InputError
 from .fileio import read_json, write_json
@@ -135,18 +134,17 @@ def _require_positive(values: Sequence[float], axis: str, family: str) -> None:
             )
 
 
-def _fit_polynomial(data: CalibrationDataset, degree: int) -> tuple[float, ...]:
-    xs = np.asarray(data.xs, dtype=float)
-    ys = np.asarray(data.ys, dtype=float)
-    if len(set(data.xs)) < degree + 1:
+def _fit_polynomial(xs: list[float], ys: list[float], degree: int) -> tuple[float, ...]:
+    if len(set(xs)) < degree + 1:
         raise DegenerateDataError(
             f"polynomial degree {degree} needs >= {degree + 1} distinct x values"
         )
+    x = np.asarray(xs, dtype=float)
     # center and scale before building the Vandermonde basis; raw powers
     # of nearby x values make the normal equations needlessly ill-conditioned
-    mu = float(xs.mean())
-    sigma = float(xs.std())
-    z = (xs - mu) / sigma
+    mu = float(x.mean())
+    sigma = float(x.std())
+    z = (x - mu) / sigma
     v = np.vander(z, degree + 1, increasing=True)
     q, r = np.linalg.qr(v)
     diag = np.abs(np.diag(r))
@@ -154,13 +152,20 @@ def _fit_polynomial(data: CalibrationDataset, degree: int) -> tuple[float, ...]:
         raise DegenerateDataError(
             f"polynomial basis is rank deficient for degree {degree}"
         )
-    beta_z = np.linalg.solve(r, q.T @ ys)
-    # rewrite p(z) with z = (x - mu)/sigma as a polynomial in raw x
+    beta_z = np.linalg.solve(r, q.T @ np.asarray(ys, dtype=float))
+    # rewrite p(z) with z = (x - mu)/sigma in raw x by Horner's rule on
+    # coefficient arrays; no step drops a zero, so degree + 1 terms remain
     sub = np.array([-mu / sigma, 1.0 / sigma])
-    coeffs = np.array([beta_z[degree]])
+    coeffs = beta_z[degree:]
     for k in range(degree - 1, -1, -1):
-        coeffs = npoly.polyadd(npoly.polymul(coeffs, sub), np.array([beta_z[k]]))
-    return tuple(float(c) for c in coeffs)
+        coeffs = np.convolve(coeffs, sub)
+        coeffs[0] += beta_z[k]
+    return tuple(coeffs.tolist())
+
+
+def _fit_method(tag: str) -> str:
+    """How a family is fit: OLS on log y for power and exponential, else raw OLS."""
+    return LOG_LINEARIZED if tag in ("power", "exponential") else RAW_OLS
 
 
 def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
@@ -171,30 +176,25 @@ def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
     and DegenerateDataError when the data cannot pin the coefficients
     down.
     """
-    xs = data.xs
-    ys = data.ys
-    digest = data.digest()
-    if kind.tag == "linear":
-        b0, b1 = _simple_ols(xs, ys)
-        return FittedModel(kind, (b0, b1), RAW_OLS, digest)
-    if kind.tag == "polynomial":
-        return FittedModel(kind, _fit_polynomial(data, kind.degree), RAW_OLS, digest)
-    if kind.tag == "logarithmic":
-        _require_positive(xs, "x", "logarithmic")
+    xs, ys, tag = data.xs, data.ys, kind.tag
+    if tag == "linear":
+        coefficients = _simple_ols(xs, ys)
+    elif tag == "polynomial":
+        coefficients = _fit_polynomial(xs, ys, kind.degree)
+    elif tag == "logarithmic":
+        _require_positive(xs, "x", tag)
         intercept, slope = _simple_ols([math.log(x) for x in xs], ys)
-        return FittedModel(kind, (slope, intercept), RAW_OLS, digest)
-    if kind.tag == "power":
-        _require_positive(xs, "x", "power")
-        _require_positive(ys, "y", "power")
-        intercept, slope = _simple_ols(
-            [math.log(x) for x in xs], [math.log(y) for y in ys]
-        )
-        return FittedModel(kind, (math.exp(intercept), slope), LOG_LINEARIZED, digest)
-    if kind.tag == "exponential":
-        _require_positive(ys, "y", "exponential")
+        coefficients = (slope, intercept)
+    else:
+        # power and exponential: OLS of ln y on ln x or x, with the
+        # intercept back-transformed into the scale factor
+        if tag == "power":
+            _require_positive(xs, "x", tag)
+            xs = [math.log(x) for x in xs]
+        _require_positive(ys, "y", tag)
         intercept, slope = _simple_ols(xs, [math.log(y) for y in ys])
-        return FittedModel(kind, (math.exp(intercept), slope), LOG_LINEARIZED, digest)
-    raise InputError(f"unknown model family {kind.tag!r}")
+        coefficients = (math.exp(intercept), slope)
+    return FittedModel(kind, coefficients, _fit_method(tag), data.digest())
 
 
 def predict(model: FittedModel, x: float) -> float:
@@ -204,9 +204,7 @@ def predict(model: FittedModel, x: float) -> float:
         raise DomainError(f"prediction input must be finite, got {x!r}")
     c = model.coefficients
     tag = model.kind.tag
-    if tag == "linear":
-        return c[0] + c[1] * x
-    if tag == "polynomial":
+    if tag in ("linear", "polynomial"):
         acc = 0.0
         for coef in reversed(c):
             acc = acc * x + coef
@@ -219,9 +217,7 @@ def predict(model: FittedModel, x: float) -> float:
         if x <= 0:
             raise DomainError(f"power model needs x > 0, got {x!r}")
         return c[0] * x ** c[1]
-    if tag == "exponential":
-        return c[0] * math.exp(c[1] * x)
-    raise InputError(f"unknown model family {tag!r}")
+    return c[0] * math.exp(c[1] * x)
 
 
 def residuals(model: FittedModel, data: CalibrationDataset) -> ResidualSeries:
@@ -255,8 +251,11 @@ def load_model(path) -> FittedModel:
         trained_on = obj["trained_on"]
     except (KeyError, TypeError, ValueError, InputError) as exc:
         raise InputError(f"{path}: malformed model file: {exc}") from exc
-    if fit_method not in (RAW_OLS, LOG_LINEARIZED):
-        raise InputError(f"{path}: unknown fit_method {fit_method!r}")
+    method = _fit_method(kind.tag)
+    if fit_method != method:
+        raise InputError(
+            f"{path}: {kind.tag} model needs fit_method {method!r}, got {fit_method!r}"
+        )
     expected = (kind.degree + 1) if kind.tag == "polynomial" else 2
     if len(coefficients) != expected:
         raise InputError(

@@ -8,7 +8,6 @@ strength from a base configuration.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
@@ -206,6 +205,4 @@ def read_series(csv_path) -> FlowRecordSeries:
         metadata = read_json(meta_path)
     except FileNotFoundError as exc:
         raise InputError(f"{meta_path}: metadata sidecar not found") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{meta_path}: invalid JSON: {exc}") from exc
     return FlowRecordSeries(tuple(records), metadata)

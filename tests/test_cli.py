@@ -158,6 +158,11 @@ def test_estimate_rejects_unknown_header(tmp_path, capsys):
     )
     assert run_cli("estimate", "--model", model, "--events", bogus) == 1
     assert "error:" in capsys.readouterr().err
+    bogus.write_bytes(b"deviation\xff,strength_mbps\n0.2,10.0\n")
+    assert run_cli("estimate", "--model", model, "--events", bogus) == 1
+    assert f"error: {bogus}:1: expected an events or calibration CSV header" in (
+        capsys.readouterr().err
+    )
 
 
 def test_fit_polynomial_degree_flag(workflow):
@@ -314,6 +319,12 @@ def test_missing_sidecar_needs_window_ms(tmp_path, capsys):
     assert run_cli(
         "baseline", "--flows", clean, "--out", tmp_path / "b.json", "--window-ms", 200
     ) == 0
+    # the missing sidecar is reported before the CSV is parsed
+    junk = tmp_path / "junk.csv"
+    junk.write_text("not,a,flow,csv\n")
+    capsys.readouterr()
+    assert run_cli("baseline", "--flows", junk, "--out", tmp_path / "j.json") == 1
+    assert "pass --window-ms" in capsys.readouterr().err
 
 
 def test_calibrate_accepts_run_without_sidecar_given_window_ms(tmp_path, capsys):
@@ -338,3 +349,55 @@ def test_calibrate_accepts_run_without_sidecar_given_window_ms(tmp_path, capsys)
     assert run_cli("calibrate", "--baseline", baseline, "--out", tmp_path / "x.csv",
                    "--run", f"5={runs[0]}") == 1
     assert "pass --window-ms" in capsys.readouterr().err
+
+
+def test_truncated_model_json_is_an_error_not_a_traceback(workflow, capsys):
+    tmp_path, cal = workflow
+    model = tmp_path / "model.json"
+    assert run_cli("fit", "--data", cal, "--model", "linear", "--out", model) == 0
+    model.write_text(model.read_text()[:25])
+    capsys.readouterr()
+    assert run_cli("estimate", "--model", model, "--events", cal) == 1
+    assert f"error: {model}: invalid JSON" in capsys.readouterr().err
+
+
+def test_truncated_baseline_json_is_an_error_not_a_traceback(workflow, capsys):
+    tmp_path, _ = workflow
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(baseline.read_text()[:15])
+    capsys.readouterr()
+    assert run_cli(
+        "calibrate", "--baseline", baseline, "--out", tmp_path / "c.csv",
+        "--run", f"5={tmp_path / 'atk05.csv'}",
+    ) == 1
+    assert f"error: {baseline}: invalid JSON" in capsys.readouterr().err
+
+
+def test_non_utf8_flow_csv_names_the_line(tmp_path, capsys):
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(b"window_index,flow_id,bytes\n0,a,5\n0,b\xff,7\n")
+    assert run_cli(
+        "baseline", "--flows", flows, "--out", tmp_path / "b.json", "--window-ms", 200
+    ) == 1
+    assert f"error: {flows}:3: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["nan", "inf"])
+def test_non_finite_window_ms_is_refused(tmp_path, capsys, length):
+    clean = simulate_run(tmp_path, "clean.csv", 0.0, 11, zombies=0)
+    baseline = tmp_path / "b.json"
+    assert run_cli(
+        "baseline", "--flows", clean, "--out", baseline, "--window-ms", length
+    ) == 1
+    assert "window_length_ms must be finite and positive" in capsys.readouterr().err
+    assert not baseline.exists()
+
+
+def test_polynomial_with_zero_leading_coefficient_round_trips(tmp_path):
+    sym = tmp_path / "sym.csv"
+    sym.write_text("deviation,strength_mbps\n-1.0,1.0\n0.0,0.0\n1.0,1.0\n")
+    model = tmp_path / "sym.json"
+    assert run_cli(
+        "fit", "--data", sym, "--model", "polynomial", "--degree", 1, "--out", model
+    ) == 0
+    assert run_cli("estimate", "--model", model, "--events", sym) == 0

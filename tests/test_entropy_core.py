@@ -40,8 +40,9 @@ def test_window_counts_rejects_inconsistent_total():
         WindowCounts(0, {"a": 5}, 6, 200.0)
     with pytest.raises(InputError):
         WindowCounts(0, {"a": 0}, 0, 200.0)
-    with pytest.raises(InputError):
-        WindowCounts(0, {"a": 5}, 5, 0.0)
+    for length in (0.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="finite and positive"):
+            WindowCounts(0, {"a": 5}, 5, length)
 
 
 def test_entropy_of_four_equal_flows_is_two_bits():
@@ -118,8 +119,11 @@ def test_windowize_num_windows_extends_and_validates():
     assert len(windows) == 4
     with pytest.raises(InputError):
         windowize(records, 200.0, num_windows=1)
-    with pytest.raises(InputError):
-        windowize(records, 0.0)
+    for length in (0.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="finite and positive"):
+            windowize(records, length)
+        with pytest.raises(InputError, match="finite and positive"):
+            windowize([], length, num_windows=0)
 
 
 def test_windowize_empty_records():
@@ -154,3 +158,10 @@ def test_flow_csv_errors_name_file_and_line(tmp_path):
     path.write_text("window_index,flow_id,bytes\n0,a,-5\n")
     with pytest.raises(InputError, match=rf"{path}:2"):
         read_flow_csv(path)
+    # the reader decodes ahead in chunks; the line must still be exact
+    for good_rows in (1, 5000):
+        path.write_bytes(
+            b"window_index,flow_id,bytes\n" + b"0,a,5\n" * good_rows + b"1,\xff,7\n"
+        )
+        with pytest.raises(InputError, match=rf"{path}:{good_rows + 2}: not UTF-8"):
+            read_flow_csv(path)

@@ -3,10 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from floodgauge.errors import DegenerateDataError, DomainError, InputError
-from floodgauge.refdata import reference_dataset
+from floodgauge.refdata import (
+    REFERENCE_DEVIATIONS,
+    REFERENCE_STRENGTHS_MBPS,
+    reference_dataset,
+)
 from floodgauge.regression import (
+    MAX_POLY_DEGREE,
     MODEL_FAMILIES,
     CalibrationDataset,
     CalibrationSample,
@@ -261,6 +269,13 @@ def test_load_model_rejects_malformed_files(tmp_path):
     )
     with pytest.raises(InputError, match="fit_method"):
         load_model(path)
+    # a known method that belongs to another family
+    path.write_text(
+        '{"kind": "power", "degree": null, "coefficients": [1.0, 2.0],'
+        ' "fit_method": "raw_ols", "trained_on": "x"}\n'
+    )
+    with pytest.raises(InputError, match="power model needs fit_method 'log_linearized'"):
+        load_model(path)
 
 
 def test_exact_line_is_interpolated():
@@ -345,3 +360,80 @@ def test_duplicate_x_values_are_accepted():
         assert all(math.isfinite(c) for c in model.coefficients)
     poly = fit(dataset(xs, ys), ModelKind("polynomial", 2))
     assert len(poly.coefficients) == 3
+
+
+def reference_polynomial(xs, ys, degree):
+    """Reference basis change through numpy's polymul and polyadd.
+
+    numpy trims trailing zero coefficients after each step, so this can
+    return fewer than degree + 1 of them.
+    """
+    x = np.asarray(xs, dtype=float)
+    mu = float(x.mean())
+    sigma = float(x.std())
+    v = np.vander((x - mu) / sigma, degree + 1, increasing=True)
+    q, r = np.linalg.qr(v)
+    beta_z = np.linalg.solve(r, q.T @ np.asarray(ys, dtype=float))
+    sub = np.array([-mu / sigma, 1.0 / sigma])
+    coeffs = np.array([beta_z[degree]])
+    for k in range(degree - 1, -1, -1):
+        coeffs = npoly.polyadd(npoly.polymul(coeffs, sub), np.array([beta_z[k]]))
+    return tuple(float(c) for c in coeffs)
+
+
+def test_polynomial_coefficients_match_the_polyadd_reference():
+    rng = np.random.default_rng(518)
+    cases = []
+    for _ in range(20):
+        xs = np.asarray(REFERENCE_DEVIATIONS) + rng.normal(0.0, 0.005, 19)
+        cases += [(xs, REFERENCE_STRENGTHS_MBPS), (xs, rng.uniform(-5.0, 50.0, 19))]
+    for _ in range(20):
+        xs = np.sort(rng.uniform(-2.0, 3.0, int(rng.integers(8, 20))))
+        cases.append((xs, rng.uniform(-5.0, 50.0, len(xs))))
+    # symmetric data makes some leading coefficients exactly zero
+    for k in range(1, 7):
+        xs = np.arange(-k, k + 1, dtype=float)
+        cases += [(xs, xs * xs), (xs, np.abs(xs) % 3)]
+    full = short = 0
+    for xs, ys in cases:
+        data = dataset(xs, ys)
+        for degree in range(1, min(MAX_POLY_DEGREE, len(xs) - 1) + 1):
+            got = fit(data, ModelKind("polynomial", degree)).coefficients
+            want = reference_polynomial(data.xs, data.ys, degree)
+            assert len(got) == degree + 1
+            assert got[: len(want)] == want
+            assert all(c == 0.0 for c in got[len(want):])
+            full += len(want) == degree + 1
+            short += len(want) < degree + 1
+    assert full > 400 and short > 0
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    degree=st.integers(1, MAX_POLY_DEGREE),
+    points=st.dictionaries(
+        st.integers(-1000, 1000), st.integers(-1000, 1000),
+        min_size=MAX_POLY_DEGREE + 1, max_size=12,
+    ),
+)
+@example(degree=1, points={-100: 1, 0: 0, 100: 1})
+def test_polynomial_fit_keeps_every_coefficient_and_round_trips(tmp_path, degree, points):
+    # dictionary keys make the x values distinct
+    data = dataset([x / 100 for x in points], [float(y) for y in points.values()])
+    model = fit(data, ModelKind("polynomial", degree))
+    assert len(model.coefficients) == degree + 1
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    assert load_model(path) == model
+
+
+def test_linear_predict_is_intercept_plus_slope_times_x():
+    rng = np.random.default_rng(519)
+    for c0, c1, x in rng.uniform(-100.0, 100.0, (200, 3)).tolist():
+        model = FittedModel(ModelKind("linear"), (c0, c1), "raw_ols", "synthetic")
+        assert predict(model, x) == c0 + c1 * x
