@@ -78,9 +78,7 @@ def _table(rows: Sequence[Sequence[str]]) -> str:
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None or raw == "":
-        return 0
+    raw = os.environ.get(SEED_ENV_VAR) or "0"
     try:
         return int(raw)
     except ValueError as exc:
@@ -92,7 +90,7 @@ def _load_run(path, window_length_ms: float | None) -> FlowRecordSeries:
 
     Without --window-ms the metadata sidecar gives the run's window
     length and count. With it the sidecar is not read, and the run ends
-    at the last window that has a record.
+    at the last window that has a record. Errors name the CSV or sidecar.
     """
     if window_length_ms is None:
         meta_path = sidecar_path(path)
@@ -100,7 +98,10 @@ def _load_run(path, window_length_ms: float | None) -> FlowRecordSeries:
             return read_series(path)
         raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
     records = tuple(read_flow_csv(path))
-    return FlowRecordSeries(records, {"config": {"window_length_ms": window_length_ms}})
+    try:
+        return FlowRecordSeries(records, {"config": {"window_length_ms": window_length_ms}})
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _parse_run_arg(text: str) -> tuple[float, str]:

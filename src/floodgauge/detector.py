@@ -92,13 +92,9 @@ def save_baseline(path, baseline: Baseline) -> None:
 
 
 def load_baseline(path) -> Baseline:
-    obj = read_json(path)
-    try:
-        return Baseline(
-            float(obj["h_n"]), float(obj["threshold"]), int(obj["training_windows"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed baseline file: {exc}") from exc
+    return read_json(path, lambda obj: Baseline(
+        float(obj["h_n"]), float(obj["threshold"]), int(obj["training_windows"])
+    ))
 
 
 EVENTS_TABLE = Table(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .errors import InputError
+from .errors import FloodgaugeError, InputError
 
 
 def format_float(value: float) -> str:
@@ -102,9 +102,19 @@ def write_json(path: str | Path, obj: object) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path) -> dict:
+def read_json(path: str | Path, parse: Callable[[Any], Any]) -> Any:
+    """Build an object from a JSON file with ``parse``; every error names the file.
+
+    A missing or ill-typed field becomes InputError; a FloodgaugeError keeps its class.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            obj = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"{path}: missing or ill-typed field: {exc!r}") from exc
+    except FloodgaugeError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

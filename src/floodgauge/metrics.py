@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateVarianceError, InputError
+from .errors import DegenerateDataError, DegenerateVarianceError, InputError
 from .fileio import Table, format_float
 
 # (FitReport field, report label) in report column order; the report CSV,
@@ -66,33 +66,34 @@ def evaluate(observed: Sequence[float], computed: Sequence[float]) -> FitReport:
     """
     n = len(observed)
     if n != len(computed):
-        raise InputError(
-            f"observed and computed lengths differ: {n} vs {len(computed)}"
-        )
+        raise InputError(f"observed and computed lengths differ: {n} vs {len(computed)}")
     if n < 2:
         raise InputError(f"need >= 2 samples to evaluate a fit, got {n}")
     obs = [float(v) for v in observed]
     comp = [float(v) for v in computed]
 
-    obs_mean = math.fsum(obs) / n
-    sst = math.fsum((o - obs_mean) ** 2 for o in obs)
-    if sst == 0.0:
-        raise DegenerateVarianceError("observed values are all equal")
+    try:
+        obs_mean = math.fsum(obs) / n
+        sst = math.fsum((o - obs_mean) ** 2 for o in obs)
+        if sst == 0.0:
+            raise DegenerateVarianceError("observed values are all equal")
 
-    sse = math.fsum((c - o) ** 2 for c, o in zip(comp, obs))
-    mse = sse / n
-    rmse = math.sqrt(mse)
-    abs_err = math.fsum(abs(c - o) for c, o in zip(comp, obs))
+        sse = math.fsum((c - o) ** 2 for c, o in zip(comp, obs))
+        mse = sse / n
+        rmse = math.sqrt(mse)
+        abs_err = math.fsum(abs(c - o) for c, o in zip(comp, obs))
 
-    comp_mean = math.fsum(comp) / n
-    comp_ss = math.fsum((c - comp_mean) ** 2 for c in comp)
-    if comp_ss == 0.0:
-        cc = float("nan")
-        cc_defined = False
-    else:
-        cov = math.fsum((c - comp_mean) * (o - obs_mean) for c, o in zip(comp, obs))
-        cc = cov / math.sqrt(comp_ss * sst)
-        cc_defined = True
+        comp_mean = math.fsum(comp) / n
+        comp_ss = math.fsum((c - comp_mean) ** 2 for c in comp)
+        if comp_ss == 0.0:
+            cc = float("nan")
+            cc_defined = False
+        else:
+            cov = math.fsum((c - comp_mean) * (o - obs_mean) for c, o in zip(comp, obs))
+            cc = cov / math.sqrt(comp_ss * sst)
+            cc_defined = True
+    except OverflowError as exc:
+        raise DegenerateDataError(f"metrics overflow the float range: {exc}") from exc
 
     return FitReport(
         r_squared=cc * cc,

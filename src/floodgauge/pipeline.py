@@ -96,9 +96,7 @@ def calibrate(
         events = run_events(series, baseline)
         flagged = [e.deviation for e in events if e.attack_flag]
         if not flagged:
-            raise EmptyRunError(
-                f"run at {strength} Mbps produced no flagged windows"
-            )
+            raise EmptyRunError(f"run at {strength} Mbps produced no flagged windows")
         deviation = math.fsum(flagged) / len(flagged)
         samples.append(CalibrationSample(deviation, float(strength)))
     if not samples:

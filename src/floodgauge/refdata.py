@@ -67,15 +67,6 @@ def reference_dataset() -> CalibrationDataset:
     )
 
 
-def tolerance_for(family: str, metric: str) -> tuple[str, float]:
-    """Tolerance kind ("abs" or "rel") and width for one summary cell."""
-    if metric in _RELATIVE_TOLERANCE:
-        return "rel", _RELATIVE_TOLERANCE[metric]
-    if metric == "eta" and family in _ETA_WIDE_FAMILIES:
-        return "abs", _ETA_WIDE_TOLERANCE
-    return "abs", _ABSOLUTE_TOLERANCE[metric]
-
-
 @dataclass(frozen=True)
 class MetricCheck:
     """Comparison of one computed summary cell against its published value."""
@@ -105,7 +96,12 @@ class ReproductionResult:
 
 def _check_cell(family: str, metric: str, computed: float) -> MetricCheck:
     published = REFERENCE_SUMMARY[family][metric]
-    kind, tol = tolerance_for(family, metric)
+    if metric in _RELATIVE_TOLERANCE:
+        kind, tol = "rel", _RELATIVE_TOLERANCE[metric]
+    elif metric == "eta" and family in _ETA_WIDE_FAMILIES:
+        kind, tol = "abs", _ETA_WIDE_TOLERANCE
+    else:
+        kind, tol = "abs", _ABSOLUTE_TOLERANCE[metric]
     if math.isnan(computed):
         ok = False
     elif kind == "rel":

@@ -61,6 +61,11 @@ class ModelKind:
         elif self.degree is not None:
             raise InputError(f"degree only applies to polynomial, not {self.tag}")
 
+    @property
+    def fit_method(self) -> str:
+        """How the family is fit: OLS on log y for power and exponential, else raw OLS."""
+        return LOG_LINEARIZED if self.tag in ("power", "exponential") else RAW_OLS
+
 
 @dataclass(frozen=True)
 class CalibrationSample:
@@ -82,9 +87,7 @@ class CalibrationDataset:
 
     def __post_init__(self) -> None:
         if len(self.samples) < 2:
-            raise InputError(
-                f"calibration needs >= 2 samples, got {len(self.samples)}"
-            )
+            raise InputError(f"calibration needs >= 2 samples, got {len(self.samples)}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "CalibrationDataset":
@@ -105,12 +108,24 @@ class CalibrationDataset:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Coefficients of one fitted family, b0 first."""
+    """Coefficients of one fitted family, b0 first; the family sets their count."""
 
     kind: ModelKind
     coefficients: tuple[float, ...]
     fit_method: str
     trained_on: str
+
+    def __post_init__(self) -> None:
+        tag, method, got = self.kind.tag, self.kind.fit_method, self.fit_method
+        if got != method:
+            raise InputError(f"{tag} model needs fit_method {method!r}, got {got!r}")
+        expected = (self.kind.degree + 1) if tag == "polynomial" else 2
+        if len(self.coefficients) != expected:
+            raise InputError(
+                f"{tag} model needs {expected} coefficients, got {len(self.coefficients)}"
+            )
+        if not all(map(math.isfinite, self.coefficients)):
+            raise InputError(f"{tag} model coefficients must be finite: {self.coefficients}")
 
 
 def _simple_ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
@@ -163,38 +178,39 @@ def _fit_polynomial(xs: list[float], ys: list[float], degree: int) -> tuple[floa
     return tuple(coeffs.tolist())
 
 
-def _fit_method(tag: str) -> str:
-    """How a family is fit: OLS on log y for power and exponential, else raw OLS."""
-    return LOG_LINEARIZED if tag in ("power", "exponential") else RAW_OLS
-
-
 def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
     """Fit one family to the calibration data.
 
     Raises DomainError when a sample lies outside the family's domain
     (x <= 0 for logarithmic and power, y <= 0 for power and exponential)
     and DegenerateDataError when the data cannot pin the coefficients
-    down.
+    down or the fit leaves the float range.
     """
     xs, ys, tag = data.xs, data.ys, kind.tag
-    if tag == "linear":
-        coefficients = _simple_ols(xs, ys)
-    elif tag == "polynomial":
-        coefficients = _fit_polynomial(xs, ys, kind.degree)
-    elif tag == "logarithmic":
-        _require_positive(xs, "x", tag)
-        intercept, slope = _simple_ols([math.log(x) for x in xs], ys)
-        coefficients = (slope, intercept)
-    else:
-        # power and exponential: OLS of ln y on ln x or x, with the
-        # intercept back-transformed into the scale factor
-        if tag == "power":
+    try:
+        if tag == "linear":
+            coefficients = _simple_ols(xs, ys)
+        elif tag == "polynomial":
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                coefficients = _fit_polynomial(xs, ys, kind.degree)
+        elif tag == "logarithmic":
             _require_positive(xs, "x", tag)
-            xs = [math.log(x) for x in xs]
-        _require_positive(ys, "y", tag)
-        intercept, slope = _simple_ols(xs, [math.log(y) for y in ys])
-        coefficients = (math.exp(intercept), slope)
-    return FittedModel(kind, coefficients, _fit_method(tag), data.digest())
+            intercept, slope = _simple_ols([math.log(x) for x in xs], ys)
+            coefficients = (slope, intercept)
+        else:
+            # power and exponential: OLS of ln y on ln x or x, with the
+            # intercept back-transformed into the scale factor
+            if tag == "power":
+                _require_positive(xs, "x", tag)
+                xs = [math.log(x) for x in xs]
+            _require_positive(ys, "y", tag)
+            intercept, slope = _simple_ols(xs, [math.log(y) for y in ys])
+            coefficients = (math.exp(intercept), slope)
+    except ArithmeticError as exc:
+        raise DegenerateDataError(f"{tag} fit overflows: {exc}") from exc
+    if not all(map(math.isfinite, coefficients)):
+        raise DegenerateDataError(f"{tag} fit gives non-finite coefficients {coefficients}")
+    return FittedModel(kind, coefficients, kind.fit_method, data.digest())
 
 
 def predict(model: FittedModel, x: float) -> float:
@@ -209,22 +225,18 @@ def predict(model: FittedModel, x: float) -> float:
         for coef in reversed(c):
             acc = acc * x + coef
         return acc
+    if tag in ("logarithmic", "power") and x <= 0:
+        raise DomainError(f"{tag} model needs x > 0, got {x!r}")
     if tag == "logarithmic":
-        if x <= 0:
-            raise DomainError(f"logarithmic model needs x > 0, got {x!r}")
         return c[0] * math.log(x) + c[1]
     if tag == "power":
-        if x <= 0:
-            raise DomainError(f"power model needs x > 0, got {x!r}")
         return c[0] * x ** c[1]
     return c[0] * math.exp(c[1] * x)
 
 
 def residuals(model: FittedModel, data: CalibrationDataset) -> ResidualSeries:
     """Residuals over the dataset, predicted minus observed."""
-    return ResidualSeries.from_values(
-        [predict(model, s.x) - s.y for s in data.samples]
-    )
+    return ResidualSeries.from_values([predict(model, s.x) - s.y for s in data.samples])
 
 
 def save_model(path, model: FittedModel) -> None:
@@ -243,23 +255,9 @@ def save_model(path, model: FittedModel) -> None:
 
 
 def load_model(path) -> FittedModel:
-    obj = read_json(path)
-    try:
-        kind = ModelKind(obj["kind"], obj.get("degree"))
-        coefficients = tuple(float(c) for c in obj["coefficients"])
-        fit_method = obj["fit_method"]
-        trained_on = obj["trained_on"]
-    except (KeyError, TypeError, ValueError, InputError) as exc:
-        raise InputError(f"{path}: malformed model file: {exc}") from exc
-    method = _fit_method(kind.tag)
-    if fit_method != method:
-        raise InputError(
-            f"{path}: {kind.tag} model needs fit_method {method!r}, got {fit_method!r}"
-        )
-    expected = (kind.degree + 1) if kind.tag == "polynomial" else 2
-    if len(coefficients) != expected:
-        raise InputError(
-            f"{path}: {kind.tag} model needs {expected} coefficients, "
-            f"got {len(coefficients)}"
-        )
-    return FittedModel(kind, coefficients, fit_method, trained_on)
+    return read_json(path, lambda obj: FittedModel(
+        ModelKind(obj["kind"], obj.get("degree")),
+        tuple(float(c) for c in obj["coefficients"]),
+        obj["fit_method"],
+        obj["trained_on"],
+    ))

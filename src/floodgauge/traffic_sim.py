@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -55,10 +55,6 @@ class ScenarioConfig:
             raise ConfigError(f"legit_clients must be >= 0, got {self.legit_clients}")
         if self.zombies < 0:
             raise ConfigError(f"zombies must be >= 0, got {self.zombies}")
-        for name in ("attack_rate_mbps_per_zombie", "legit_mean_rate_mbps_per_client"):
-            rate = getattr(self, name)
-            if not math.isfinite(rate) or rate < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {rate}")
         if not math.isfinite(self.window_length_ms) or self.window_length_ms <= 0:
             raise ConfigError(
                 f"window_length_ms must be positive, got {self.window_length_ms}"
@@ -66,7 +62,10 @@ class ScenarioConfig:
         if self.num_windows < 1:
             raise ConfigError(f"num_windows must be >= 1, got {self.num_windows}")
         for name in ("attack_rate_mbps_per_zombie", "legit_mean_rate_mbps_per_client"):
-            per_window = _bytes_per_window(getattr(self, name), self.window_length_ms)
+            rate = getattr(self, name)
+            if not math.isfinite(rate) or rate < 0:
+                raise ConfigError(f"{name} must be finite and >= 0, got {rate}")
+            per_window = _bytes_per_window(rate, self.window_length_ms)
             if per_window > _MAX_BYTES_PER_WINDOW:
                 raise ConfigError(
                     f"{name} yields {per_window:.3g} bytes per window, "
@@ -81,10 +80,16 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class FlowRecordSeries:
-    """Flow records of one run plus the metadata needed to replay it."""
+    """Flow records of one run plus the metadata needed to replay it.
+
+    The window length and count are read from ``metadata["config"]`` when the
+    series is built; without a count the run ends at its last record.
+    """
 
     records: tuple[FlowRecord, ...]
     metadata: dict
+    window_length_ms: float = field(init=False)
+    num_windows: int | None = field(init=False)
 
     def __post_init__(self) -> None:
         last = -1
@@ -92,29 +97,24 @@ class FlowRecordSeries:
             if rec.window_index < last:
                 raise InputError("records must be ordered by window_index")
             last = rec.window_index
-
-    @property
-    def window_length_ms(self) -> float:
         try:
-            return float(self.metadata["config"]["window_length_ms"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError("metadata lacks config.window_length_ms") from exc
-
-    @property
-    def num_windows(self) -> int | None:
-        """Recorded window count; None when the run ends at its last record."""
-        try:
-            count = self.metadata["config"].get("num_windows")
-            return None if count is None else int(count)
+            config = self.metadata["config"]
+            length = float(config["window_length_ms"])
+            count = config.get("num_windows")
+            count = None if count is None else int(count)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise InputError("metadata config.num_windows is not a window count") from exc
+            raise InputError(
+                f"metadata lacks a valid config.window_length_ms or num_windows: {exc!r}"
+            ) from exc
+        if not math.isfinite(length) or length <= 0:
+            raise InputError("window_length_ms must be finite and positive")
+        if count is not None and count <= last:
+            raise InputError(f"num_windows={count} but records reach window {last}")
+        object.__setattr__(self, "window_length_ms", length)
+        object.__setattr__(self, "num_windows", count)
 
     def windows(self) -> list[WindowCounts]:
-        """The run's per-window byte totals, trailing empty windows included.
-
-        A recorded ``num_windows`` sets how many windows the run has;
-        without one the run ends at the last window that has a record.
-        """
+        """The run's per-window byte totals, trailing empty windows included."""
         return windowize(self.records, self.window_length_ms, self.num_windows)
 
 
@@ -199,10 +199,8 @@ def write_series(csv_path, series: FlowRecordSeries) -> None:
 
 def read_series(csv_path) -> FlowRecordSeries:
     """Read a flow CSV and its metadata sidecar back into a series."""
-    records = read_flow_csv(csv_path)
     meta_path = sidecar_path(csv_path)
-    try:
-        metadata = read_json(meta_path)
-    except FileNotFoundError as exc:
-        raise InputError(f"{meta_path}: metadata sidecar not found") from exc
-    return FlowRecordSeries(tuple(records), metadata)
+    if not os.path.exists(meta_path):
+        raise InputError(f"{meta_path}: metadata sidecar not found")
+    records = tuple(read_flow_csv(csv_path))
+    return read_json(meta_path, lambda metadata: FlowRecordSeries(records, metadata))

@@ -401,3 +401,72 @@ def test_polynomial_with_zero_leading_coefficient_round_trips(tmp_path):
         "fit", "--data", sym, "--model", "polynomial", "--degree", 1, "--out", model
     ) == 0
     assert run_cli("estimate", "--model", model, "--events", sym) == 0
+
+
+OVERFLOW_DATA = {
+    "big": "1e308,1e308\n-1e308,1e308\n0.5,-1e308\n",
+    "exp": "-1.0,1.0\n-0.9999999999,1e300\n",
+    "huge": "0.1,1e200\n0.2,3e200\n0.3,2e200\n",
+}
+
+
+@pytest.mark.parametrize("name, command, message", [
+    ("big", ["compare"], "linear: linear fit overflows"),
+    ("exp", ["fit", "--model", "exponential"], "exponential fit overflows"),
+    ("exp", ["compare"], "linear: linear fit gives non-finite coefficients"),
+    ("huge", ["compare"], "metrics overflow the float range"),
+    ("huge", ["evaluate"], "metrics overflow the float range"),
+], ids=["big-compare", "exp-fit", "exp-compare", "huge-compare", "huge-evaluate"])
+def test_float_overflow_is_a_data_error(tmp_path, capsys, name, command, message):
+    data = tmp_path / f"{name}.csv"
+    data.write_text("deviation,strength_mbps\n" + OVERFLOW_DATA[name])
+    model = tmp_path / "model.json"
+    if command == ["evaluate"]:
+        assert run_cli("fit", "--data", data, "--model", "linear", "--out", model) == 0
+        command = ["evaluate", "--model", model]
+    elif command[0] == "fit":
+        command = command + ["--out", model]
+    capsys.readouterr()
+    assert run_cli(*command, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def _bad_sidecar(tmp_path):
+    run = simulate_run(tmp_path, "c.csv", 0.0, 11, zombies=0)
+    (tmp_path / "c.meta.json").write_text('{"config": []}\n')
+    return ["baseline", "--flows", run, "--out", tmp_path / "b.json"], "c.meta.json"
+
+
+def _short_sidecar(tmp_path):
+    run = simulate_run(tmp_path, "c.csv", 0.0, 11, zombies=0)
+    meta = tmp_path / "c.meta.json"
+    obj = json.loads(meta.read_text())
+    obj["config"]["num_windows"] = 2
+    meta.write_text(json.dumps(obj))
+    return ["baseline", "--flows", run, "--out", tmp_path / "b.json"], "c.meta.json"
+
+
+def _unordered_run(tmp_path):
+    run = tmp_path / "u.csv"
+    run.write_text("window_index,flow_id,bytes\n1,a,5\n0,b,7\n")
+    return ["baseline", "--flows", run, "--out", tmp_path / "b.json",
+            "--window-ms", 200], "u.csv"
+
+
+def _bad_baseline(tmp_path):
+    run = simulate_run(tmp_path, "atk.csv", 0.5, 21)
+    baseline = tmp_path / "nb.json"
+    baseline.write_text('{"h_n": 1.0, "threshold": -1, "training_windows": 9}\n')
+    return ["calibrate", "--baseline", baseline, "--run", f"5={run}",
+            "--out", tmp_path / "cal.csv"], "nb.json"
+
+
+@pytest.mark.parametrize("make", [_bad_sidecar, _short_sidecar, _unordered_run, _bad_baseline])
+def test_load_errors_name_their_file(tmp_path, capsys, make):
+    argv, name = make(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / name}: ")

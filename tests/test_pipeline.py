@@ -97,9 +97,8 @@ def test_run_events_keeps_trailing_empty_windows():
     with pytest.raises(EmptyRunError, match="no windows"):
         run_events(FlowRecordSeries((), {"config": config}), baseline)
     for count in ("twelve", 10):
-        bad = FlowRecordSeries(sparse.records, {"config": dict(config, num_windows=count)})
         with pytest.raises(InputError, match="num_windows"):
-            run_events(bad, baseline)
+            FlowRecordSeries(sparse.records, {"config": dict(config, num_windows=count)})
 
 
 def test_calibrate_builds_sorted_samples():

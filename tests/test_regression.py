@@ -276,6 +276,14 @@ def test_load_model_rejects_malformed_files(tmp_path):
     )
     with pytest.raises(InputError, match="power model needs fit_method 'log_linearized'"):
         load_model(path)
+    # json reads NaN and Infinity, but a model must have finite coefficients
+    for literal in ("NaN", "Infinity"):
+        path.write_text(
+            f'{{"kind": "linear", "degree": null, "coefficients": [{literal}, 1.0],'
+            ' "fit_method": "raw_ols", "trained_on": "x"}\n'
+        )
+        with pytest.raises(InputError, match=rf"{path}: .* must be finite"):
+            load_model(path)
 
 
 def test_exact_line_is_interpolated():
