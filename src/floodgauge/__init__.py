@@ -6,6 +6,8 @@ baseline, and maps deviation to aggregate attack strength through
 calibrated regression models.
 """
 
+from types import ModuleType as _ModuleType
+
 from .detector import (
     DEFAULT_THRESHOLD,
     Baseline,
@@ -63,53 +65,8 @@ from .traffic_sim import FlowRecordSeries, ScenarioConfig, simulate, sweep
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Baseline",
-    "CalibrationDataset",
-    "CalibrationSample",
-    "ConfigError",
-    "DEFAULT_THRESHOLD",
-    "DegenerateDataError",
-    "DegenerateVarianceError",
-    "DetectionEvent",
-    "DomainError",
-    "EmptyRunError",
-    "EntropyValue",
-    "FitReport",
-    "FittedModel",
-    "FloodgaugeError",
-    "FlowRecord",
-    "FlowRecordSeries",
-    "InputError",
-    "InsufficientBaselineError",
-    "MODEL_FAMILIES",
-    "ModelComparisonReport",
-    "ModelKind",
-    "REFERENCE_DEVIATIONS",
-    "REFERENCE_STRENGTHS_MBPS",
-    "REFERENCE_SUMMARY",
-    "ResidualSeries",
-    "ScenarioConfig",
-    "StrengthEstimate",
-    "WindowCounts",
-    "build_baseline",
-    "calibrate",
-    "check_reference_reproduction",
-    "compare_models",
-    "compute_entropy",
-    "estimate_strength",
-    "evaluate",
-    "evaluate_window",
-    "evaluate_windows",
-    "fit",
-    "load_model",
-    "predict",
-    "reference_dataset",
-    "residual_summary",
-    "residuals",
-    "run_events",
-    "save_model",
-    "simulate",
-    "sweep",
-    "windowize",
-]
+# the names imported above, without the submodules they come from
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

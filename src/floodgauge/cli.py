@@ -97,7 +97,7 @@ def _load_run(path, window_length_ms: float | None) -> FlowRecordSeries:
         if os.path.exists(meta_path):
             return read_series(path)
         raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
-    records = tuple(read_flow_csv(path))
+    records = read_flow_csv(path)
     try:
         return FlowRecordSeries(records, {"config": {"window_length_ms": window_length_ms}})
     except InputError as exc:
@@ -130,7 +130,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     series = simulate(cfg)
     write_series(args.out, series)
     print(
-        f"wrote {len(series.records)} flow records over {cfg.num_windows} windows "
+        f"wrote {len(series.columns.bytes)} flow records over {cfg.num_windows} windows "
         f"to {args.out} (seed {series.metadata['seed']})"
     )
     if cfg.zombies > 0 and cfg.attack_rate_mbps_per_zombie > 0:
@@ -288,46 +288,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="flow CSV to write (plus .meta.json)")
     p.add_argument("--legit-clients", type=int, default=400)
     p.add_argument("--zombies", type=int, default=100)
-    p.add_argument(
-        "--attack-rate",
-        type=float,
-        default=0.1,
-        help="Mbps per zombie (0 disables the attack)",
-    )
-    p.add_argument(
-        "--legit-rate", type=float, default=1.0, help="mean Mbps per legit client"
-    )
+    p.add_argument("--attack-rate", type=float, default=0.1,
+                   help="Mbps per zombie (0 disables the attack)")
+    p.add_argument("--legit-rate", type=float, default=1.0, help="mean Mbps per legit client")
     p.add_argument("--window-ms", type=float, default=200.0)
     p.add_argument("--windows", type=int, default=50)
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)",
-    )
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("baseline", help="learn a baseline from clean traffic")
     p.add_argument("--flows", required=True, help="clean-run flow CSV")
     p.add_argument("--out", required=True, help="baseline JSON to write")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument(
-        "--window-ms",
-        type=float,
-        default=None,
-        help="window length when the run has no metadata sidecar",
-    )
+    p.add_argument("--window-ms", type=float, default=None,
+                   help="window length when the run has no metadata sidecar")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("calibrate", help="build calibration data from labeled runs")
-    p.add_argument(
-        "--run",
-        action="append",
-        required=True,
-        type=_parse_run_arg,
-        metavar="STRENGTH=PATH",
-        help="labeled attack run; repeat per strength",
-    )
+    p.add_argument("--run", action="append", required=True, type=_parse_run_arg,
+                   metavar="STRENGTH=PATH", help="labeled attack run; repeat per strength")
     p.add_argument("--baseline", required=True, help="baseline JSON")
     p.add_argument("--out", required=True, help="calibration CSV to write")
     p.add_argument("--window-ms", type=float, default=None)
@@ -356,16 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate strength for flagged windows")
     p.add_argument("--model", required=True, help="model JSON")
-    p.add_argument(
-        "--events", required=True, help="events CSV (or calibration CSV of deviations)"
-    )
+    p.add_argument("--events", required=True,
+                   help="events CSV (or calibration CSV of deviations)")
     p.add_argument("--out", default=None, help="estimates CSV to write")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser(
-        "reproduce-table2",
-        help="refit the bundled reference sweep and check the published summary",
-    )
+    p = sub.add_parser("reproduce-table2",
+                       help="refit the bundled reference sweep and check the published summary")
     p.add_argument("--degree", type=int, default=2, help="polynomial degree")
     p.add_argument("--out-json", default=None, help="write the check results")
     p.set_defaults(func=_cmd_reproduce)

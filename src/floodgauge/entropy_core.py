@@ -8,11 +8,14 @@ window's traffic is across flows, in bits.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import repeat
+from operator import attrgetter, mul, truediv
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InputError
-from .fileio import Table, read_table, table_text
+from .fileio import Table, read_table, table_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +42,21 @@ class FlowRecord:
             )
 
 
+class FlowColumns(NamedTuple):
+    """Flow records as three parallel columns, one entry per record."""
+
+    window_index: Sequence[int]
+    flow_id: Sequence[str]
+    bytes: Sequence[int]
+
+
+def flow_columns(records: Sequence[FlowRecord] | FlowColumns) -> FlowColumns:
+    """The records as columns; FlowColumns come back unchanged."""
+    if isinstance(records, FlowColumns):
+        return records
+    return FlowColumns(*(tuple(map(attrgetter(f), records)) for f in FlowColumns._fields))
+
+
 @dataclass(frozen=True)
 class WindowCounts:
     """Per-flow byte totals for one window.
@@ -57,7 +75,7 @@ class WindowCounts:
             raise InputError(f"window_index must be >= 0, got {self.window_index}")
         if not math.isfinite(self.window_length_ms) or self.window_length_ms <= 0:
             raise InputError("window_length_ms must be finite and positive")
-        if any(c <= 0 for c in self.counts.values()):
+        if min(self.counts.values(), default=1) <= 0:
             raise InputError("window counts must all be positive")
         if self.total != sum(self.counts.values()):
             raise InputError("total does not match the sum of counts")
@@ -71,8 +89,9 @@ class WindowCounts:
         cls, window_index: int, counts: Mapping[str, int], window_length_ms: float
     ) -> "WindowCounts":
         """Construct from raw per-flow sums, dropping zero-byte flows."""
-        kept = {fid: c for fid, c in counts.items() if c > 0}
-        return cls(window_index, kept, sum(kept.values()), window_length_ms)
+        if min(counts.values(), default=1) <= 0:
+            counts = {fid: c for fid, c in counts.items() if c > 0}
+        return cls(window_index, dict(counts), sum(counts.values()), window_length_ms)
 
 
 @dataclass(frozen=True)
@@ -93,42 +112,51 @@ def compute_entropy(w: WindowCounts) -> EntropyValue:
     if n <= 1:
         return EntropyValue(0.0, n)
     s = float(w.total)
-    value = -math.fsum((c / s) * math.log2(c / s) for c in w.counts.values())
+    shares = list(map(truediv, w.counts.values(), repeat(s)))
+    value = -math.fsum(map(mul, shares, map(math.log2, shares)))
     # clip float residue so 0 <= value <= log2(n) holds exactly
     value = min(max(value, 0.0), math.log2(n))
     return EntropyValue(value, n)
 
 
-def windowize(
-    records: Sequence[FlowRecord],
-    window_length_ms: float,
-    num_windows: int | None = None,
+def group_windows(
+    columns: FlowColumns, window_length_ms: float, num_windows: int | None = None
 ) -> list[WindowCounts]:
-    """Group flow records into per-window byte totals.
+    """Group columns ordered by window into per-window byte totals.
 
     Bytes for the same (window, flow) pair are summed. The result covers
-    window 0 through the highest index seen (or ``num_windows`` when given),
+    window 0 through the last window seen (or ``num_windows`` when given),
     with gaps present as empty windows, in ascending order.
     """
     if not math.isfinite(window_length_ms) or window_length_ms <= 0:
         raise InputError("window_length_ms must be finite and positive")
-    sums: dict[int, dict[str, int]] = {}
-    max_index = -1
-    for rec in records:
-        per_flow = sums.setdefault(rec.window_index, {})
-        per_flow[rec.flow_id] = per_flow.get(rec.flow_id, 0) + rec.bytes
-        if rec.window_index > max_index:
-            max_index = rec.window_index
+    windows, flows, nbytes = columns
+    last = windows[-1] if windows else -1
     if num_windows is None:
-        num_windows = max_index + 1
-    elif num_windows <= max_index:
-        raise InputError(
-            f"num_windows={num_windows} but records reach window {max_index}"
-        )
-    return [
-        WindowCounts.build(w, sums.get(w, {}), window_length_ms)
-        for w in range(num_windows)
-    ]
+        num_windows = last + 1
+    elif num_windows <= last:
+        raise InputError(f"num_windows={num_windows} but records reach window {last}")
+    result = []
+    start = 0
+    for w in range(num_windows):
+        end = bisect_right(windows, w, start)
+        counts = dict(zip(flows[start:end], nbytes[start:end]))
+        if len(counts) < end - start:
+            # a flow repeats within the window: sum its bytes
+            counts = {}
+            for fid, b in zip(flows[start:end], nbytes[start:end]):
+                counts[fid] = counts.get(fid, 0) + b
+        result.append(WindowCounts.build(w, counts, window_length_ms))
+        start = end
+    return result
+
+
+def windowize(
+    records: Sequence[FlowRecord], window_length_ms: float, num_windows: int | None = None
+) -> list[WindowCounts]:
+    """Group flow records, in any order, into per-window byte totals."""
+    ordered = sorted(records, key=attrgetter("window_index"))
+    return group_windows(flow_columns(ordered), window_length_ms, num_windows)
 
 
 FLOW_TABLE = Table(
@@ -143,6 +171,33 @@ def read_flow_csv(path) -> list[FlowRecord]:
     return read_table(path, FLOW_TABLE)
 
 
-def flow_csv_text(records: Sequence[FlowRecord]) -> str:
-    """Render records as CSV text (header included)."""
-    return table_text(FLOW_TABLE, records)
+def read_flow_columns(path) -> FlowColumns:
+    """Read a run's flow CSV, ordered by window, into columns; errors name file and line.
+
+    FlowRecord's rules are checked on each row with a new flow id or a
+    number out of order or negative; a flow's rows share one id string.
+    """
+    windows, flows, nbytes = [], [], []
+    ids: dict[str, str] = {}
+    last = 0
+    for line, (w, fid, b) in table_rows(path, FLOW_TABLE.header):
+        try:
+            w, b = int(w), int(b)
+            if w < last or b < 0 or fid not in ids:
+                ids[fid] = FlowRecord(w, fid, b).flow_id
+                if w < last:
+                    raise InputError("records must be ordered by window_index")
+        except (ValueError, InputError) as exc:
+            raise InputError(f"{path}:{line}: {exc}") from exc
+        last = w
+        windows.append(w)
+        flows.append(ids[fid])
+        nbytes.append(b)
+    return FlowColumns(windows, flows, nbytes)
+
+
+def flow_csv_text(records: Sequence[FlowRecord] | FlowColumns) -> str:
+    """Render records, or their columns, as CSV text (header included)."""
+    lines = [",".join(FLOW_TABLE.header)]
+    lines.extend(map("%s,%s,%s".__mod__, zip(*flow_columns(records))))
+    return "\n".join(lines) + "\n"

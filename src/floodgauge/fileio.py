@@ -8,7 +8,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import FloodgaugeError, InputError
 
@@ -42,26 +42,24 @@ class Table:
     format: Callable[[Any], str]
 
 
-def read_table(path: str | Path, table: Table) -> list:
-    """Parse every non-blank row after the header; errors name file and line."""
-    rows = []
-    parse = table.parse
-    width = len(table.header)
+def table_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, fields)`` for every non-blank row after the header.
+
+    A wrong header or field count, or text that is not UTF-8, is an
+    InputError that names file and line.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != table.header:
-                raise InputError(f"{path}:1: expected header {','.join(table.header)}")
+            first = next(reader, None)
+            if first is None or tuple(h.strip() for h in first) != header:
+                raise InputError(f"{path}:1: expected header {','.join(header)}")
             for row in reader:
                 if not row:
                     continue
-                if len(row) != width:
-                    raise InputError(f"{path}:{reader.line_num}: expected {width} fields")
-                try:
-                    rows.append(parse(row))
-                except (ValueError, InputError) as exc:
-                    raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+                if len(row) != len(header):
+                    raise InputError(f"{path}:{reader.line_num}: expected {len(header)} fields")
+                yield reader.line_num, row
     except UnicodeDecodeError:
         # the reader decodes ahead in chunks, so find the bad byte's line anew
         data = Path(path).read_bytes()
@@ -71,6 +69,16 @@ def read_table(path: str | Path, table: Table) -> list:
             line = data.count(b"\n", 0, exc.start) + 1
             raise InputError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from exc
         raise
+
+
+def read_table(path: str | Path, table: Table) -> list:
+    """Parse every row after the header; errors name file and line."""
+    rows = []
+    for line, row in table_rows(path, table.header):
+        try:
+            rows.append(table.parse(row))
+        except (ValueError, InputError) as exc:
+            raise InputError(f"{path}:{line}: {exc}") from exc
     return rows
 
 

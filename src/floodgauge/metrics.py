@@ -11,6 +11,7 @@ reported rather than folded into one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,7 +91,10 @@ def evaluate(observed: Sequence[float], computed: Sequence[float]) -> FitReport:
             cc_defined = False
         else:
             cov = math.fsum((c - comp_mean) * (o - obs_mean) for c, o in zip(comp, obs))
-            cc = cov / math.sqrt(comp_ss * sst)
+            scale = comp_ss * sst
+            # split the root only when the product leaves the normal float range
+            normal = sys.float_info.min <= scale <= sys.float_info.max
+            cc = cov / (math.sqrt(scale) if normal else math.sqrt(comp_ss) * math.sqrt(sst))
             cc_defined = True
     except OverflowError as exc:
         raise DegenerateDataError(f"metrics overflow the float range: {exc}") from exc

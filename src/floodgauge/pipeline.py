@@ -15,13 +15,7 @@ from typing import Mapping, Sequence
 
 from .detector import Baseline, DetectionEvent, evaluate_windows
 from .entropy_core import compute_entropy
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    DomainError,
-    EmptyRunError,
-    InputError,
-)
+from .errors import ConfigError, DegenerateDataError, DomainError, EmptyRunError, InputError
 from .fileio import (
     Table,
     atomic_write_text,

@@ -14,7 +14,6 @@ standard deviation of the observed strengths).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .metrics import METRICS
@@ -102,12 +101,9 @@ def _check_cell(family: str, metric: str, computed: float) -> MetricCheck:
         kind, tol = "abs", _ETA_WIDE_TOLERANCE
     else:
         kind, tol = "abs", _ABSOLUTE_TOLERANCE[metric]
-    if math.isnan(computed):
-        ok = False
-    elif kind == "rel":
-        ok = abs(computed - published) <= tol * abs(published)
-    else:
-        ok = abs(computed - published) <= tol
+    # a NaN cell compares false, so it fails its check
+    bound = tol * abs(published) if kind == "rel" else tol
+    ok = abs(computed - published) <= bound
     return MetricCheck(family, metric, computed, published, kind, tol, ok)
 
 

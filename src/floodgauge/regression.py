@@ -214,24 +214,30 @@ def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
 
 
 def predict(model: FittedModel, x: float) -> float:
-    """Evaluate the model at one deviation value."""
+    """Evaluate the model at one deviation value; a non-finite result is a DomainError."""
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"prediction input must be finite, got {x!r}")
     c = model.coefficients
     tag = model.kind.tag
-    if tag in ("linear", "polynomial"):
-        acc = 0.0
-        for coef in reversed(c):
-            acc = acc * x + coef
-        return acc
     if tag in ("logarithmic", "power") and x <= 0:
         raise DomainError(f"{tag} model needs x > 0, got {x!r}")
-    if tag == "logarithmic":
-        return c[0] * math.log(x) + c[1]
-    if tag == "power":
-        return c[0] * x ** c[1]
-    return c[0] * math.exp(c[1] * x)
+    try:
+        if tag == "logarithmic":
+            value = c[0] * math.log(x) + c[1]
+        elif tag == "power":
+            value = c[0] * x ** c[1]
+        elif tag == "exponential":
+            value = c[0] * math.exp(c[1] * x)
+        else:
+            value = 0.0
+            for coef in reversed(c):
+                value = value * x + coef
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{tag} model overflows the float range at x={x!r}")
+    return value
 
 
 def residuals(model: FittedModel, data: CalibrationDataset) -> ResidualSeries:

@@ -9,18 +9,21 @@ strength from a base configuration.
 from __future__ import annotations
 
 import math
+import operator
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .entropy_core import (
+    FlowColumns,
     FlowRecord,
     WindowCounts,
+    flow_columns,
     flow_csv_text,
-    read_flow_csv,
-    windowize,
+    group_windows,
+    read_flow_columns,
 )
 from .errors import ConfigError, InputError
 from .fileio import atomic_write_text, read_json, write_json
@@ -78,27 +81,22 @@ class ScenarioConfig:
         return self.zombies * self.attack_rate_mbps_per_zombie
 
 
-@dataclass(frozen=True)
 class FlowRecordSeries:
-    """Flow records of one run plus the metadata needed to replay it.
+    """Flow records of one run, held as columns, plus the metadata to replay it.
 
-    The window length and count are read from ``metadata["config"]`` when the
-    series is built; without a count the run ends at its last record.
+    ``records`` are FlowRecord objects, or FlowColumns whose rows pass their
+    checks, ordered by window. ``metadata["config"]`` gives the window length
+    and count; without a count the run ends at its last record.
     """
 
-    records: tuple[FlowRecord, ...]
-    metadata: dict
-    window_length_ms: float = field(init=False)
-    num_windows: int | None = field(init=False)
-
-    def __post_init__(self) -> None:
-        last = -1
-        for rec in self.records:
-            if rec.window_index < last:
-                raise InputError("records must be ordered by window_index")
-            last = rec.window_index
+    def __init__(self, records: Sequence[FlowRecord] | FlowColumns, metadata: dict) -> None:
+        columns = flow_columns(records)
+        windows = columns.window_index
+        if any(map(operator.gt, windows, windows[1:])):
+            raise InputError("records must be ordered by window_index")
+        last = windows[-1] if windows else -1
         try:
-            config = self.metadata["config"]
+            config = metadata["config"]
             length = float(config["window_length_ms"])
             count = config.get("num_windows")
             count = None if count is None else int(count)
@@ -110,12 +108,19 @@ class FlowRecordSeries:
             raise InputError("window_length_ms must be finite and positive")
         if count is not None and count <= last:
             raise InputError(f"num_windows={count} but records reach window {last}")
-        object.__setattr__(self, "window_length_ms", length)
-        object.__setattr__(self, "num_windows", count)
+        self.columns = FlowColumns(*map(tuple, columns))
+        self.metadata = metadata
+        self.window_length_ms = length
+        self.num_windows = count
+
+    @property
+    def records(self) -> tuple[FlowRecord, ...]:
+        """The run's records, built anew on each access: hold it to use it twice."""
+        return tuple(map(FlowRecord, *self.columns))
 
     def windows(self) -> list[WindowCounts]:
         """The run's per-window byte totals, trailing empty windows included."""
-        return windowize(self.records, self.window_length_ms, self.num_windows)
+        return group_windows(self.columns, self.window_length_ms, self.num_windows)
 
 
 def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
@@ -142,12 +147,12 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
         np.char.mod(LEGIT_PREFIX + "%04d", np.arange(cfg.legit_clients)),
         np.char.mod(ZOMBIE_PREFIX + "%04d", np.arange(cfg.zombies)),
     ]).astype(object)
-    records = tuple(map(
-        FlowRecord,
-        windows.tolist(),
-        flow_ids[flows].tolist(),
-        volumes[windows, flows].tolist(),
-    ))
+    # draws and zombie volumes are never negative, so only the ids need checks
+    for fid in flow_ids:
+        FlowRecord(0, fid, 0)
+    columns = FlowColumns(
+        windows.tolist(), flow_ids[flows].tolist(), volumes[windows, flows].tolist()
+    )
 
     metadata = {
         "config": asdict(cfg),
@@ -155,7 +160,7 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
         "seed": seed,
         "flow_labels": {"legit": LEGIT_PREFIX, "zombie": ZOMBIE_PREFIX},
     }
-    return FlowRecordSeries(records, metadata)
+    return FlowRecordSeries(columns, metadata)
 
 
 def sweep(
@@ -173,11 +178,8 @@ def sweep(
     for i, strength in enumerate(strengths_mbps):
         if not math.isfinite(strength) or strength <= 0:
             raise ConfigError(f"sweep strengths must be positive, got {strength}")
-        child_seed = int(
-            np.random.SeedSequence([base.seed & _SEED_MASK, i]).generate_state(
-                1, np.uint64
-            )[0]
-        )
+        sequence = np.random.SeedSequence([base.seed & _SEED_MASK, i])
+        child_seed = int(sequence.generate_state(1, np.uint64)[0])
         cfg = replace(
             base, attack_rate_mbps_per_zombie=strength / base.zombies, seed=child_seed
         )
@@ -193,7 +195,7 @@ def sidecar_path(csv_path) -> str:
 
 def write_series(csv_path, series: FlowRecordSeries) -> None:
     """Write records as flow CSV plus a metadata sidecar JSON."""
-    atomic_write_text(csv_path, flow_csv_text(series.records))
+    atomic_write_text(csv_path, flow_csv_text(series.columns))
     write_json(sidecar_path(csv_path), series.metadata)
 
 
@@ -202,5 +204,5 @@ def read_series(csv_path) -> FlowRecordSeries:
     meta_path = sidecar_path(csv_path)
     if not os.path.exists(meta_path):
         raise InputError(f"{meta_path}: metadata sidecar not found")
-    records = tuple(read_flow_csv(csv_path))
-    return read_json(meta_path, lambda metadata: FlowRecordSeries(records, metadata))
+    columns = read_flow_columns(csv_path)
+    return read_json(meta_path, lambda metadata: FlowRecordSeries(columns, metadata))

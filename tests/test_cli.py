@@ -311,6 +311,17 @@ def test_bad_row_with_sidecar_names_the_line_not_the_sidecar(tmp_path, capsys):
     assert "sidecar" not in err.replace(str(tmp_path), "")
 
 
+def test_unordered_rows_with_sidecar_name_the_csv_line(tmp_path, capsys):
+    run = simulate_run(tmp_path, "c.csv", 0.0, 11, zombies=0)
+    lines = run.read_text().splitlines()
+    # the last record (window 11) moves up to line 2, so line 3 goes back to window 0
+    run.write_text("\n".join([lines[0], lines[-1], *lines[1:-1]]) + "\n")
+    assert run_cli("baseline", "--flows", run, "--out", tmp_path / "b.json") == 1
+    assert capsys.readouterr().err == (
+        f"error: {run}:3: records must be ordered by window_index\n"
+    )
+
+
 def test_missing_sidecar_needs_window_ms(tmp_path, capsys):
     clean = simulate_run(tmp_path, "clean.csv", 0.0, 11, zombies=0)
     (tmp_path / "clean.meta.json").unlink()
@@ -470,3 +481,36 @@ def test_load_errors_name_their_file(tmp_path, capsys, make):
     capsys.readouterr()
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / name}: ")
+
+
+def test_tiny_strengths_keep_a_defined_correlation(tmp_path, capsys):
+    data = tmp_path / "tiny.csv"
+    data.write_text("deviation,strength_mbps\n0.1,1e-150\n0.2,2e-150\n0.3,3e-150\n")
+    report = tmp_path / "report.json"
+    assert run_cli("compare", "--data", data, "--out-json", report) == 0
+    linear = json.loads(report.read_text())["models"]["linear"]
+    assert linear["cc"] == pytest.approx(1.0)
+
+
+def test_model_overflow_skips_the_window_or_fails_evaluate(tmp_path, capsys, caplog):
+    model = tmp_path / "exp.json"
+    model.write_text(json.dumps({
+        "kind": "exponential", "degree": None, "coefficients": [1.0, 1000.0],
+        "fit_method": "log_linearized", "trained_on": "synthetic",
+        "created_at": "2000-01-01T00:00:00+00:00",
+    }))
+    events = tmp_path / "events.csv"
+    events.write_text(
+        "window_index,h_c,deviation,attack_flag\n0,8.0,1.0,true\n1,8.0,0.002,true\n"
+    )
+    out = tmp_path / "estimates.csv"
+    assert run_cli("estimate", "--model", model, "--events", events, "--out", out) == 0
+    assert [e.window_index for e in read_estimates_csv(out)] == [1]
+    assert "window 0 skipped: exponential model overflows" in caplog.text
+    capsys.readouterr()
+    data = tmp_path / "cal.csv"
+    data.write_text("deviation,strength_mbps\n1.0,5.0\n0.5,3.0\n")
+    assert run_cli("evaluate", "--model", model, "--data", data) == 1
+    assert capsys.readouterr().err == (
+        "error: exponential model overflows the float range at x=1.0\n"
+    )

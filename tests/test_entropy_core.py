@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodgauge.entropy_core import (
     FlowRecord,
@@ -165,3 +167,25 @@ def test_flow_csv_errors_name_file_and_line(tmp_path):
         )
         with pytest.raises(InputError, match=rf"{path}:{good_rows + 2}: not UTF-8"):
             read_flow_csv(path)
+
+
+@settings(max_examples=300, database=None)
+@given(st.lists(st.integers(1, 2**53), min_size=2, max_size=60))
+def test_entropy_is_bit_identical_to_the_per_term_sum(volumes):
+    w = WindowCounts.build(0, {f"f{i}": v for i, v in enumerate(volumes)}, 200.0)
+    s = float(w.total)
+    expected = -math.fsum((c / s) * math.log2(c / s) for c in volumes)
+    expected = min(max(expected, 0.0), math.log2(len(volumes)))
+    assert compute_entropy(w).value == expected
+
+
+def test_build_drops_non_positive_counts_and_copies():
+    raw = {"a": 5, "b": 0, "c": -2, "d": 1}
+    w = WindowCounts.build(0, raw, 200.0)
+    assert w.counts == {"a": 5, "d": 1} and w.total == 6
+    kept = {"a": 5, "d": 1}
+    w = WindowCounts.build(0, kept, 200.0)
+    kept["a"] = 7
+    assert w.counts == {"a": 5, "d": 1}
+    with pytest.raises(InputError, match="must all be positive"):
+        WindowCounts(0, {"a": 5, "b": 0}, 5, 200.0)

@@ -140,3 +140,23 @@ def test_report_to_dict_maps_nan_to_null():
     assert d["sse"] == r.sse
     assert d["cc_defined"] is False
     assert d["sample_count"] == 3
+
+
+@pytest.mark.parametrize("scale_obs, scale_comp", [(1e100, 1e150), (1e-150, 1e-150)],
+                         ids=["overflow", "underflow"])
+def test_correlation_survives_sums_of_squares_beyond_the_float_range(scale_obs, scale_comp):
+    # comp_ss * sst leaves the normal range, but each factor's root does not
+    r = evaluate([scale_obs * k for k in (1, 2, 3)], [scale_comp * k for k in (1, 2, 3)])
+    assert r.cc_defined
+    assert math.isclose(r.cc, 1.0, rel_tol=1e-12)
+    assert math.isclose(r.r_squared, 1.0, rel_tol=1e-12)
+
+
+def test_correlation_in_range_keeps_the_single_root():
+    obs, comp = [1.0, 2.0, 4.0, 3.0], [1.5, 1.9, 3.2, 3.3]
+    r = evaluate(obs, comp)
+    mo, mc = math.fsum(obs) / 4, math.fsum(comp) / 4
+    cov = math.fsum((c - mc) * (o - mo) for c, o in zip(comp, obs))
+    sst = math.fsum((o - mo) ** 2 for o in obs)
+    comp_ss = math.fsum((c - mc) ** 2 for c in comp)
+    assert r.cc == cov / math.sqrt(comp_ss * sst)

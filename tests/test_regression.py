@@ -445,3 +445,28 @@ def test_linear_predict_is_intercept_plus_slope_times_x():
     for c0, c1, x in rng.uniform(-100.0, 100.0, (200, 3)).tolist():
         model = FittedModel(ModelKind("linear"), (c0, c1), "raw_ols", "synthetic")
         assert predict(model, x) == c0 + c1 * x
+
+
+@pytest.mark.parametrize("tag, coefficients, x", [
+    ("exponential", (1.0, 1000.0), 1.0),
+    ("power", (1.0, 1000.0), 1e10),
+    # no OverflowError here: the product rounds to inf
+    ("exponential", (1e306, 1.0), 10.0),
+    ("linear", (1e308, 1e308), 10.0),
+    ("polynomial", (0.0, 0.0, 1e300), 1e10),
+])
+def test_predict_overflow_is_a_domain_error(tag, coefficients, x):
+    model = FittedModel(
+        kind=ModelKind(tag, 2 if tag == "polynomial" else None), coefficients=coefficients,
+        fit_method=ModelKind(tag).fit_method, trained_on="synthetic",
+    )
+    with pytest.raises(DomainError, match=rf"{tag} model overflows the float range at x={x!r}"):
+        predict(model, x)
+
+
+def test_a_nan_reference_cell_fails_its_check():
+    from floodgauge.refdata import _check_cell
+
+    assert _check_cell("linear", "sse", 708.13).ok
+    assert not _check_cell("linear", "sse", math.nan).ok
+    assert not _check_cell("linear", "cc", math.nan).ok

@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from floodgauge.entropy_core import FlowRecord
+from floodgauge.entropy_core import (
+    FLOW_TABLE,
+    FlowRecord,
+    WindowCounts,
+    flow_csv_text,
+    windowize,
+)
 from floodgauge.errors import ConfigError, InputError
+from floodgauge.fileio import table_text
 from floodgauge.traffic_sim import (
     GENERATOR_NAME,
     FlowRecordSeries,
@@ -261,3 +270,99 @@ def test_series_rejects_unordered_records():
     shuffled = (series.records[-1],) + series.records[:-1]
     with pytest.raises(InputError):
         FlowRecordSeries(shuffled, series.metadata)
+
+
+def reference_windows(records, window_length_ms, num_windows):
+    """Per-window totals summed through a dict per window, as a reference."""
+    sums = {}
+    for r in records:
+        per_flow = sums.setdefault(r.window_index, {})
+        per_flow[r.flow_id] = per_flow.get(r.flow_id, 0) + r.bytes
+    if num_windows is None:
+        num_windows = max(sums, default=-1) + 1
+    return [
+        WindowCounts.build(w, sums.get(w, {}), window_length_ms) for w in range(num_windows)
+    ]
+
+
+# mostly a few ids, so (window, flow) pairs repeat; zero bytes and window
+# gaps occur; any other id the flow CSV can carry shows up now and then
+flow_ids = st.one_of(
+    st.sampled_from(["a", "b", "legit-0001", "zombie-0000", "x y"]),
+    st.text(min_size=1).filter(
+        lambda s: not (set(s) & {",", "\n", "\r"}) and not s.startswith('"')
+    ),
+)
+run_rows = st.lists(
+    st.tuples(st.integers(0, 8), flow_ids, st.integers(0, 10**6)), max_size=40
+)
+
+
+@settings(
+    max_examples=80,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(rows=run_rows, trailing=st.one_of(st.none(), st.integers(0, 3)))
+def test_columnar_series_matches_the_record_path(tmp_path, rows, trailing):
+    records = [FlowRecord(*row) for row in sorted(rows, key=lambda row: row[0])]
+    last = records[-1].window_index if records else -1
+    count = None if trailing is None else last + 1 + trailing
+    config = {"window_length_ms": 100.0}
+    if count is not None:
+        config["num_windows"] = count
+    series = FlowRecordSeries(records, {"config": config})
+    assert series.records == tuple(records)
+    windows = series.windows()
+    assert windows == windowize(records, 100.0, count)
+    assert windows == reference_windows(records, 100.0, count)
+    path = tmp_path / "run.csv"
+    write_series(path, series)
+    text = path.read_text(encoding="utf-8")
+    assert text == flow_csv_text(records) == table_text(FLOW_TABLE, records)
+    loaded = read_series(path)
+    assert loaded.columns == series.columns
+    assert loaded.metadata == series.metadata
+    assert loaded.windows() == windows
+
+
+def test_windowize_accepts_records_in_any_order():
+    records = [FlowRecord(2, "a", 1), FlowRecord(0, "b", 4), FlowRecord(2, "a", 3)]
+    assert windowize(records, 200.0) == reference_windows(records, 200.0, None)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("-1,a,5", "window_index must be >= 0, got -1"),
+    ("0,,5", "flow_id must be non-empty"),
+    ('0,"a,b",5', "flow_id 'a,b' must not contain commas or newlines"),
+    ('0,"""a",5', "flow_id '\"a' must not start with a double quote"),
+    ("0,a,-5", "negative byte count -5 for flow 'a'"),
+    # legit-0000 is the first record, so its id has been checked already
+    ("0,legit-0000,-5", "negative byte count -5 for flow 'legit-0000'"),
+    ("-1,legit-0000,5", "window_index must be >= 0, got -1"),
+    ("x,a,5", "invalid literal for int()"),
+], ids=["negative-window", "empty-id", "comma-id", "quote-id", "negative-bytes",
+        "negative-bytes-known-id", "negative-window-known-id", "non-integer"])
+def test_read_series_checks_every_row(tmp_path, row, message):
+    path = tmp_path / "run.csv"
+    write_series(path, simulate(small_config(num_windows=2)))
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("0,legit-0000,")
+    lines.insert(2, row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError) as info:
+        read_series(path)
+    assert str(info.value).startswith(f"{path}:3: {message}")
+
+
+def test_read_series_names_the_first_unordered_line(tmp_path):
+    path = tmp_path / "run.csv"
+    series = simulate(small_config(num_windows=3))
+    write_series(path, series)
+    lines = path.read_text().splitlines()
+    i = series.columns.window_index.index(2)
+    # the first window-2 record is on line i + 2; a window-1 row follows it
+    lines.insert(i + 2, "1,a,5")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=rf"^{path}:{i + 3}: records must be ordered"):
+        read_series(path)
