@@ -12,6 +12,7 @@ stderr), 2 on usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import math
 import os
@@ -27,9 +28,9 @@ from .detector import (
     read_events_csv,
     save_baseline,
 )
-from .entropy_core import compute_entropy, read_flow_csv
+from .entropy_core import compute_entropy
 from .errors import ConfigError, FloodgaugeError, InputError
-from .fileio import atomic_write_text, format_flag, write_json
+from .fileio import atomic_write_text, format_flag, header_cells, write_json
 from .metrics import METRICS, evaluate, metric_values, report_to_dict
 from .pipeline import (
     CALIBRATION_TABLE,
@@ -52,14 +53,7 @@ from .regression import (
     predict,
     save_model,
 )
-from .traffic_sim import (
-    FlowRecordSeries,
-    ScenarioConfig,
-    read_series,
-    sidecar_path,
-    simulate,
-    write_series,
-)
+from .traffic_sim import ScenarioConfig, read_series, simulate, write_series
 
 SEED_ENV_VAR = "FLOODGAUGE_SEED"
 
@@ -83,25 +77,6 @@ def _resolve_seed(value: int | None) -> int:
         return int(raw)
     except ValueError as exc:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
-
-
-def _load_run(path, window_length_ms: float | None) -> FlowRecordSeries:
-    """Read a run's flow CSV once, for baseline and calibrate alike.
-
-    Without --window-ms the metadata sidecar gives the run's window
-    length and count. With it the sidecar is not read, and the run ends
-    at the last window that has a record. Errors name the CSV or sidecar.
-    """
-    if window_length_ms is None:
-        meta_path = sidecar_path(path)
-        if os.path.exists(meta_path):
-            return read_series(path)
-        raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
-    records = read_flow_csv(path)
-    try:
-        return FlowRecordSeries(records, {"config": {"window_length_ms": window_length_ms}})
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def _parse_run_arg(text: str) -> tuple[float, str]:
@@ -139,7 +114,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    series = _load_run(args.flows, args.window_ms)
+    series = read_series(args.flows, args.window_ms)
     entropies = [compute_entropy(w) for w in series.windows()]
     baseline = build_baseline(entropies, threshold=args.threshold)
     save_baseline(args.out, baseline)
@@ -152,7 +127,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     baseline = load_baseline(args.baseline)
-    labeled = [(strength, _load_run(path, args.window_ms)) for strength, path in args.run]
+    labeled = [(strength, read_series(path, args.window_ms)) for strength, path in args.run]
     data = calibrate(labeled, baseline)
     write_calibration_csv(args.out, data)
     print(f"wrote {len(data.samples)} calibration samples to {args.out}")
@@ -217,14 +192,15 @@ def _read_events_any(path) -> list[DetectionEvent]:
     events indexed by position.
     """
     with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-        first = fh.readline().strip()
-    if first == ",".join(EVENTS_TABLE.header):
+        first = fh.readline()
+    header = header_cells(next(csv.reader([first]), []))
+    if header == EVENTS_TABLE.header:
         return read_events_csv(path)
-    if first == ",".join(CALIBRATION_TABLE.header):
+    if header == CALIBRATION_TABLE.header:
         samples = read_calibration_csv(path).samples
         return [DetectionEvent(i, math.nan, s.x, True) for i, s in enumerate(samples)]
     raise InputError(
-        f"{path}:1: expected an events or calibration CSV header, got {first!r}"
+        f"{path}:1: expected an events or calibration CSV header, got {first.strip()!r}"
     )
 
 

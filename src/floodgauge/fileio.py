@@ -42,6 +42,11 @@ class Table:
     format: Callable[[Any], str]
 
 
+def header_cells(row: Iterable[str]) -> tuple[str, ...]:
+    """A CSV header row as the readers match it: each cell stripped of spaces."""
+    return tuple(cell.strip() for cell in row)
+
+
 def table_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line, fields)`` for every non-blank row after the header.
 
@@ -52,7 +57,7 @@ def table_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int,
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
-            if first is None or tuple(h.strip() for h in first) != header:
+            if first is None or header_cells(first) != header:
                 raise InputError(f"{path}:1: expected header {','.join(header)}")
             for row in reader:
                 if not row:

@@ -187,7 +187,7 @@ def sweep(
     return runs
 
 
-def sidecar_path(csv_path) -> str:
+def _sidecar_path(csv_path) -> str:
     """The metadata sidecar beside a flow CSV: ``run.csv`` -> ``run.meta.json``."""
     root, _ = os.path.splitext(os.fspath(csv_path))
     return root + ".meta.json"
@@ -196,13 +196,24 @@ def sidecar_path(csv_path) -> str:
 def write_series(csv_path, series: FlowRecordSeries) -> None:
     """Write records as flow CSV plus a metadata sidecar JSON."""
     atomic_write_text(csv_path, flow_csv_text(series.columns))
-    write_json(sidecar_path(csv_path), series.metadata)
+    write_json(_sidecar_path(csv_path), series.metadata)
 
 
-def read_series(csv_path) -> FlowRecordSeries:
-    """Read a flow CSV and its metadata sidecar back into a series."""
-    meta_path = sidecar_path(csv_path)
-    if not os.path.exists(meta_path):
-        raise InputError(f"{meta_path}: metadata sidecar not found")
+def read_series(csv_path, window_length_ms: float | None = None) -> FlowRecordSeries:
+    """Read a run's flow CSV into a series; errors name the CSV line or the sidecar.
+
+    Without ``window_length_ms`` the metadata sidecar must exist, and is
+    checked before the CSV is read; it gives the window length and count.
+    With it the sidecar is not read and the run ends at its last record.
+    """
+    meta_path = _sidecar_path(csv_path)
+    # a missing CSV is left for its own open to report, under its own name
+    if window_length_ms is None and os.path.exists(csv_path) and not os.path.exists(meta_path):
+        raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
     columns = read_flow_columns(csv_path)
-    return read_json(meta_path, lambda metadata: FlowRecordSeries(columns, metadata))
+    if window_length_ms is None:
+        return read_json(meta_path, lambda metadata: FlowRecordSeries(columns, metadata))
+    try:
+        return FlowRecordSeries(columns, {"config": {"window_length_ms": window_length_ms}})
+    except InputError as exc:
+        raise InputError(f"{csv_path}: {exc}") from exc

@@ -148,6 +148,17 @@ def test_estimate_accepts_events_csv(workflow, tmp_path):
     assert [e.window_index for e in estimates] == [1]
 
 
+def test_estimate_matches_headers_like_the_table_reader(workflow, tmp_path):
+    base, cal = workflow
+    spaced = base / "spaced.csv"
+    spaced.write_text(cal.read_text().replace("deviation,", "deviation, ", 1))
+    model = base / "lin.json"
+    assert run_cli("fit", "--data", spaced, "--model", "linear", "--out", model) == 0
+    out_path = base / "est.csv"
+    assert run_cli("estimate", "--model", model, "--events", spaced, "--out", out_path) == 0
+    assert len(read_estimates_csv(out_path)) == len(read_calibration_csv(cal).samples)
+
+
 def test_estimate_rejects_unknown_header(tmp_path, capsys):
     bogus = tmp_path / "bogus.csv"
     bogus.write_text("alpha,beta\n1,2\n")
@@ -185,9 +196,16 @@ def test_fit_degree_on_non_polynomial_fails(workflow, capsys):
 
 
 def test_missing_input_file_exits_one(tmp_path, capsys):
-    code = run_cli("baseline", "--flows", tmp_path / "nope.csv", "--out", tmp_path / "b.json")
+    missing = tmp_path / "nope.csv"
+    code = run_cli("baseline", "--flows", missing, "--out", tmp_path / "b.json")
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    # the missing CSV is named, not its sidecar, with or without --window-ms
+    missing_csv = f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert capsys.readouterr().err == missing_csv
+    assert run_cli(
+        "baseline", "--flows", missing, "--out", tmp_path / "b.json", "--window-ms", 200
+    ) == 1
+    assert capsys.readouterr().err == missing_csv
 
 
 def test_usage_errors_exit_two():
@@ -464,7 +482,7 @@ def _unordered_run(tmp_path):
     run = tmp_path / "u.csv"
     run.write_text("window_index,flow_id,bytes\n1,a,5\n0,b,7\n")
     return ["baseline", "--flows", run, "--out", tmp_path / "b.json",
-            "--window-ms", 200], "u.csv"
+            "--window-ms", 200], "u.csv:3"
 
 
 def _bad_baseline(tmp_path):

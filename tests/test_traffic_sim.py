@@ -331,19 +331,25 @@ def test_windowize_accepts_records_in_any_order():
     assert windowize(records, 200.0) == reference_windows(records, 200.0, None)
 
 
-@pytest.mark.parametrize("row, message", [
-    ("-1,a,5", "window_index must be >= 0, got -1"),
-    ("0,,5", "flow_id must be non-empty"),
-    ('0,"a,b",5', "flow_id 'a,b' must not contain commas or newlines"),
-    ('0,"""a",5', "flow_id '\"a' must not start with a double quote"),
-    ("0,a,-5", "negative byte count -5 for flow 'a'"),
+BAD_ROWS = [
+    ("negative-window", "-1,a,5", "window_index must be >= 0, got -1"),
+    ("empty-id", "0,,5", "flow_id must be non-empty"),
+    ("comma-id", '0,"a,b",5', "flow_id 'a,b' must not contain commas or newlines"),
+    ("quote-id", '0,"""a",5', "flow_id '\"a' must not start with a double quote"),
+    ("negative-bytes", "0,a,-5", "negative byte count -5 for flow 'a'"),
     # legit-0000 is the first record, so its id has been checked already
-    ("0,legit-0000,-5", "negative byte count -5 for flow 'legit-0000'"),
-    ("-1,legit-0000,5", "window_index must be >= 0, got -1"),
-    ("x,a,5", "invalid literal for int()"),
-], ids=["negative-window", "empty-id", "comma-id", "quote-id", "negative-bytes",
-        "negative-bytes-known-id", "negative-window-known-id", "non-integer"])
-def test_read_series_checks_every_row(tmp_path, row, message):
+    ("negative-bytes-known-id", "0,legit-0000,-5",
+     "negative byte count -5 for flow 'legit-0000'"),
+    ("negative-window-known-id", "-1,legit-0000,5", "window_index must be >= 0, got -1"),
+    ("non-integer", "x,a,5", "invalid literal for int()"),
+]
+
+
+@pytest.mark.parametrize("row, message, window_length_ms", [
+    pytest.param(row, message, length, id=case if length is None else f"{case}-window-ms")
+    for case, row, message in BAD_ROWS for length in (None, 200.0)
+])
+def test_read_series_checks_every_row(tmp_path, row, message, window_length_ms):
     path = tmp_path / "run.csv"
     write_series(path, simulate(small_config(num_windows=2)))
     lines = path.read_text().splitlines()
@@ -351,11 +357,12 @@ def test_read_series_checks_every_row(tmp_path, row, message):
     lines.insert(2, row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError) as info:
-        read_series(path)
+        read_series(path, window_length_ms)
     assert str(info.value).startswith(f"{path}:3: {message}")
 
 
-def test_read_series_names_the_first_unordered_line(tmp_path):
+@pytest.mark.parametrize("window_length_ms", [None, 200.0])
+def test_read_series_names_the_first_unordered_line(tmp_path, window_length_ms):
     path = tmp_path / "run.csv"
     series = simulate(small_config(num_windows=3))
     write_series(path, series)
@@ -365,4 +372,21 @@ def test_read_series_names_the_first_unordered_line(tmp_path):
     lines.insert(i + 2, "1,a,5")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError, match=rf"^{path}:{i + 3}: records must be ordered"):
+        read_series(path, window_length_ms)
+
+
+def test_read_series_with_window_length_ignores_the_sidecar(tmp_path):
+    path = tmp_path / "run.csv"
+    series = simulate(small_config(num_windows=5))
+    write_series(path, series)
+    # the last window keeps no record, so only the sidecar knows it
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(r for r in rows if not r.startswith("4,")) + "\n")
+    (tmp_path / "run.meta.json").write_text('{"config": []}\n')
+    with pytest.raises(InputError, match="run.meta.json"):
         read_series(path)
+    loaded = read_series(path, 100.0)
+    assert loaded.window_length_ms == 100.0
+    assert loaded.num_windows is None
+    assert len(loaded.windows()) == 4
+    assert loaded.windows()[1].counts == series.windows()[1].counts
