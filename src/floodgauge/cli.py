@@ -79,17 +79,22 @@ def _resolve_seed(value: int | None) -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
+def _positive_float(text: str) -> float:
+    """Parse a finite number above zero, or refuse it as a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _parse_run_arg(text: str) -> tuple[float, str]:
     strength, sep, path = text.partition("=")
     if not sep or not path:
         raise argparse.ArgumentTypeError(f"expected STRENGTH=PATH, got {text!r}")
-    try:
-        value = float(strength)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad strength in {text!r}")
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"strength must be positive, got {strength}")
-    return value, path
+    return _positive_float(strength), path
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -277,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", required=True, help="clean-run flow CSV")
     p.add_argument("--out", required=True, help="baseline JSON to write")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--window-ms", type=float, default=None,
+    p.add_argument("--window-ms", type=_positive_float, default=None,
                    help="window length when the run has no metadata sidecar")
     p.set_defaults(func=_cmd_baseline)
 
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="STRENGTH=PATH", help="labeled attack run; repeat per strength")
     p.add_argument("--baseline", required=True, help="baseline JSON")
     p.add_argument("--out", required=True, help="calibration CSV to write")
-    p.add_argument("--window-ms", type=float, default=None)
+    p.add_argument("--window-ms", type=_positive_float, default=None)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("fit", help="fit one model family to calibration data")

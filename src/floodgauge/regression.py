@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DegenerateDataError, DomainError, InputError
 from .fileio import read_json, write_json
 from .metrics import ResidualSeries
@@ -154,28 +152,30 @@ def _fit_polynomial(xs: list[float], ys: list[float], degree: int) -> tuple[floa
         raise DegenerateDataError(
             f"polynomial degree {degree} needs >= {degree + 1} distinct x values"
         )
-    x = np.asarray(xs, dtype=float)
-    # center and scale before building the Vandermonde basis; raw powers
-    # of nearby x values make the normal equations needlessly ill-conditioned
-    mu = float(x.mean())
-    sigma = float(x.std())
-    z = (x - mu) / sigma
-    v = np.vander(z, degree + 1, increasing=True)
-    q, r = np.linalg.qr(v)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= diag.max() * 1e-13:
-        raise DegenerateDataError(
-            f"polynomial basis is rank deficient for degree {degree}"
-        )
-    beta_z = np.linalg.solve(r, q.T @ np.asarray(ys, dtype=float))
-    # rewrite p(z) with z = (x - mu)/sigma in raw x by Horner's rule on
-    # coefficient arrays; no step drops a zero, so degree + 1 terms remain
-    sub = np.array([-mu / sigma, 1.0 / sigma])
-    coeffs = beta_z[degree:]
-    for k in range(degree - 1, -1, -1):
-        coeffs = np.convolve(coeffs, sub)
-        coeffs[0] += beta_z[k]
-    return tuple(coeffs.tolist())
+    import numpy as np  # here, not at module top: loading the package needs no numpy
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        x = np.asarray(xs, dtype=float)
+        # center and scale before building the Vandermonde basis; raw powers
+        # of nearby x values make the normal equations needlessly ill-conditioned
+        mu = float(x.mean())
+        sigma = float(x.std())
+        z = (x - mu) / sigma
+        v = np.vander(z, degree + 1, increasing=True)
+        q, r = np.linalg.qr(v)
+        diag = np.abs(np.diag(r))
+        if diag.min() <= diag.max() * 1e-13:
+            raise DegenerateDataError(
+                f"polynomial basis is rank deficient for degree {degree}"
+            )
+        beta_z = np.linalg.solve(r, q.T @ np.asarray(ys, dtype=float))
+        # rewrite p(z) with z = (x - mu)/sigma in raw x by Horner's rule on
+        # coefficient arrays; no step drops a zero, so degree + 1 terms remain
+        sub = np.array([-mu / sigma, 1.0 / sigma])
+        coeffs = beta_z[degree:]
+        for k in range(degree - 1, -1, -1):
+            coeffs = np.convolve(coeffs, sub)
+            coeffs[0] += beta_z[k]
+        return tuple(coeffs.tolist())
 
 
 def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
@@ -191,8 +191,7 @@ def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
         if tag == "linear":
             coefficients = _simple_ols(xs, ys)
         elif tag == "polynomial":
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                coefficients = _fit_polynomial(xs, ys, kind.degree)
+            coefficients = _fit_polynomial(xs, ys, kind.degree)
         elif tag == "logarithmic":
             _require_positive(xs, "x", tag)
             intercept, slope = _simple_ols([math.log(x) for x in xs], ys)

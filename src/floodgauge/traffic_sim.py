@@ -14,8 +14,6 @@ import os
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .entropy_core import (
     FlowColumns,
     FlowRecord,
@@ -130,6 +128,7 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
     rate; every zombie sends the same rounded byte volume each window.
     Zero-byte draws produce no record.
     """
+    import numpy as np  # here, not at module top: loading the package needs no numpy
     seed = cfg.seed & _SEED_MASK
     rng = np.random.default_rng(seed)
     lam = _bytes_per_window(cfg.legit_mean_rate_mbps_per_client, cfg.window_length_ms)
@@ -172,6 +171,7 @@ def sweep(
     strength evenly across the zombies. Child runs get independent seeds
     derived from the base seed and the run's position.
     """
+    import numpy as np  # here, not at module top: loading the package needs no numpy
     if base.zombies <= 0:
         raise ConfigError("sweep needs a scenario with zombies > 0")
     runs: list[tuple[float, FlowRecordSeries]] = []

@@ -411,15 +411,20 @@ def test_non_utf8_flow_csv_names_the_line(tmp_path, capsys):
     assert f"error: {flows}:3: not UTF-8 text" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("length", ["nan", "inf"])
+@pytest.mark.parametrize("length", ["nan", "inf", "0", "-200", "abc"])
 def test_non_finite_window_ms_is_refused(tmp_path, capsys, length):
-    clean = simulate_run(tmp_path, "clean.csv", 0.0, 11, zombies=0)
-    baseline = tmp_path / "b.json"
-    assert run_cli(
-        "baseline", "--flows", clean, "--out", baseline, "--window-ms", length
-    ) == 1
-    assert "window_length_ms must be finite and positive" in capsys.readouterr().err
-    assert not baseline.exists()
+    # the flag is refused before any file is read, so the missing CSV is never named
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "out"
+    for argv in (["baseline", "--flows", missing],
+                 ["calibrate", "--run", f"5={missing}", "--baseline", missing]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", out, "--window-ms", length)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --window-ms: expected a finite positive number, got '{length}'" in err
+        assert "missing.csv" not in err
+        assert not out.exists()
 
 
 def test_polynomial_with_zero_leading_coefficient_round_trips(tmp_path):

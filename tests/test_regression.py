@@ -194,6 +194,15 @@ def test_degenerate_data_errors():
         fit(two_distinct, ModelKind("polynomial", 2))
 
 
+def test_polynomial_overflow_is_a_degenerate_data_error():
+    # numpy's floating-point errors are raised, not warned, inside the fit;
+    # under filterwarnings = error a RuntimeWarning would fail this test
+    huge = dataset([1e200, 2e200, 3e200, 4e200], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(DegenerateDataError) as exc:
+        fit(huge, ModelKind("polynomial", 2))
+    assert str(exc.value) == "polynomial fit overflows: overflow encountered in square"
+
+
 def test_predict_domain_checks():
     data = reference_dataset()
     logm = fit(data, ModelKind("logarithmic"))

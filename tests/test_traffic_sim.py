@@ -390,3 +390,12 @@ def test_read_series_with_window_length_ignores_the_sidecar(tmp_path):
     assert loaded.num_windows is None
     assert len(loaded.windows()) == 4
     assert loaded.windows()[1].counts == series.windows()[1].counts
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf, 0.0, -200.0])
+def test_read_series_refuses_a_bad_window_length_naming_the_csv(tmp_path, length):
+    path = tmp_path / "run.csv"
+    write_series(path, simulate(small_config()))
+    message = r"run\.csv: window_length_ms must be finite and positive"
+    with pytest.raises(InputError, match=message):
+        read_series(path, length)
