@@ -19,6 +19,7 @@ from .detector import (
 from .entropy_core import (
     EntropyValue,
     FlowRecord,
+    FlowRecordSeries,
     WindowCounts,
     compute_entropy,
     windowize,
@@ -61,7 +62,7 @@ from .regression import (
     residuals,
     save_model,
 )
-from .traffic_sim import FlowRecordSeries, ScenarioConfig, simulate, sweep
+from .traffic_sim import ScenarioConfig, simulate, sweep
 
 __version__ = "1.0.0"
 

@@ -79,15 +79,24 @@ def _resolve_seed(value: int | None) -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def _positive_float(text: str) -> float:
-    """Parse a finite number above zero, or refuse it as a usage error."""
+def _finite_float(text: str, zero_ok: bool) -> float:
+    """Parse a finite number above zero (or zero too, if ``zero_ok``), or refuse it."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+        what = "number >= 0" if zero_ok else "positive number"
+        raise argparse.ArgumentTypeError(f"expected a finite {what}, got {text!r}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    return _finite_float(text, zero_ok=False)
+
+
+def _non_negative_float(text: str) -> float:
+    return _finite_float(text, zero_ok=True)
 
 
 def _parse_run_arg(text: str) -> tuple[float, str]:
@@ -230,7 +239,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    result = check_reference_reproduction(degree=args.degree)
+    result = check_reference_reproduction()
     rows = [["family", "metric", "computed", "published", "tolerance", "status"]]
     for c in result.checks:
         tol = f"±{c.tolerance:.0%}" if c.tolerance_kind == "rel" else f"±{c.tolerance}"
@@ -281,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="learn a baseline from clean traffic")
     p.add_argument("--flows", required=True, help="clean-run flow CSV")
     p.add_argument("--out", required=True, help="baseline JSON to write")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_non_negative_float, default=DEFAULT_THRESHOLD)
     p.add_argument("--window-ms", type=_positive_float, default=None,
                    help="window length when the run has no metadata sidecar")
     p.set_defaults(func=_cmd_baseline)
@@ -324,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-table2",
                        help="refit the bundled reference sweep and check the published summary")
-    p.add_argument("--degree", type=int, default=2, help="polynomial degree")
     p.add_argument("--out-json", default=None, help="write the check results")
     p.set_defaults(func=_cmd_reproduce)
 

@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter, mul, truediv
+from operator import attrgetter, gt, mul, truediv
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InputError
@@ -119,36 +119,66 @@ def compute_entropy(w: WindowCounts) -> EntropyValue:
     return EntropyValue(value, n)
 
 
-def group_windows(
-    columns: FlowColumns, window_length_ms: float, num_windows: int | None = None
-) -> list[WindowCounts]:
-    """Group columns ordered by window into per-window byte totals.
+class FlowRecordSeries:
+    """Flow records of one run, held as columns, plus the metadata to replay it.
 
-    Bytes for the same (window, flow) pair are summed. The result covers
-    window 0 through the last window seen (or ``num_windows`` when given),
-    with gaps present as empty windows, in ascending order.
+    ``records`` are FlowRecord objects, or FlowColumns whose rows pass their
+    checks, ordered by window. ``metadata["config"]`` gives the window length
+    and count; without a count the run ends at its last record.
     """
-    if not math.isfinite(window_length_ms) or window_length_ms <= 0:
-        raise InputError("window_length_ms must be finite and positive")
-    windows, flows, nbytes = columns
-    last = windows[-1] if windows else -1
-    if num_windows is None:
-        num_windows = last + 1
-    elif num_windows <= last:
-        raise InputError(f"num_windows={num_windows} but records reach window {last}")
-    result = []
-    start = 0
-    for w in range(num_windows):
-        end = bisect_right(windows, w, start)
-        counts = dict(zip(flows[start:end], nbytes[start:end]))
-        if len(counts) < end - start:
-            # a flow repeats within the window: sum its bytes
-            counts = {}
-            for fid, b in zip(flows[start:end], nbytes[start:end]):
-                counts[fid] = counts.get(fid, 0) + b
-        result.append(WindowCounts.build(w, counts, window_length_ms))
-        start = end
-    return result
+
+    def __init__(self, records: Sequence[FlowRecord] | FlowColumns, metadata: dict) -> None:
+        columns = flow_columns(records)
+        windows = columns.window_index
+        if any(map(gt, windows, windows[1:])):
+            raise InputError("records must be ordered by window_index")
+        last = windows[-1] if windows else -1
+        try:
+            config = metadata["config"]
+            length = float(config["window_length_ms"])
+            count = config.get("num_windows")
+            count = None if count is None else int(count)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(
+                f"metadata lacks a valid config.window_length_ms or num_windows: {exc!r}"
+            ) from exc
+        if not math.isfinite(length) or length <= 0:
+            raise InputError("window_length_ms must be finite and positive")
+        if count is not None and count <= last:
+            raise InputError(f"num_windows={count} but records reach window {last}")
+        self.columns = FlowColumns(*map(tuple, columns))
+        self.metadata = metadata
+        self.window_length_ms = length
+        self.num_windows = count
+
+    @property
+    def records(self) -> tuple[FlowRecord, ...]:
+        """The run's records, built anew on each access: hold it to use it twice."""
+        return tuple(map(FlowRecord, *self.columns))
+
+    def windows(self) -> list[WindowCounts]:
+        """The run's per-window byte totals, trailing empty windows included.
+
+        Bytes for the same (window, flow) pair are summed, and windows with
+        no record are present as empty windows, in ascending order.
+        """
+        windows, flows, nbytes = self.columns
+        count = self.num_windows
+        if count is None:
+            count = windows[-1] + 1 if windows else 0
+        result = []
+        start = 0
+        for w in range(count):
+            end = bisect_right(windows, w, start)
+            counts = dict(zip(flows[start:end], nbytes[start:end]))
+            if len(counts) < end - start:
+                # a flow repeats within the window: sum its bytes
+                counts = {}
+                for fid, b in zip(flows[start:end], nbytes[start:end]):
+                    counts[fid] = counts.get(fid, 0) + b
+            result.append(WindowCounts.build(w, counts, self.window_length_ms))
+            start = end
+        return result
 
 
 def windowize(
@@ -156,7 +186,8 @@ def windowize(
 ) -> list[WindowCounts]:
     """Group flow records, in any order, into per-window byte totals."""
     ordered = sorted(records, key=attrgetter("window_index"))
-    return group_windows(flow_columns(ordered), window_length_ms, num_windows)
+    config = {"window_length_ms": window_length_ms, "num_windows": num_windows}
+    return FlowRecordSeries(ordered, {"config": config}).windows()
 
 
 FLOW_TABLE = Table(

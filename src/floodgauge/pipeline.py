@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .detector import Baseline, DetectionEvent, evaluate_windows
-from .entropy_core import compute_entropy
+from .entropy_core import FlowRecordSeries, compute_entropy
 from .errors import ConfigError, DegenerateDataError, DomainError, EmptyRunError, InputError
 from .fileio import (
     Table,
@@ -35,7 +35,6 @@ from .regression import (
     fit,
     predict,
 )
-from .traffic_sim import FlowRecordSeries
 
 logger = logging.getLogger("floodgauge.pipeline")
 
@@ -114,8 +113,9 @@ def compare_models(
 ) -> ModelComparisonReport:
     """Fit every family to the same data and rank them.
 
-    Families whose domain the data violates are skipped with the reason
-    recorded rather than failing the whole comparison. Ranking uses the
+    Families whose domain the data violates, or whose fit or in-sample
+    score is degenerate, are skipped with the reason recorded rather
+    than failing the whole comparison. Ranking uses the
     chosen criterion (eta or r_squared maximised, sse minimised); ties
     keep the earlier family in MODEL_FAMILIES order.
     """
@@ -130,11 +130,12 @@ def compare_models(
         kind = ModelKind(tag, degree if tag == "polynomial" else None)
         try:
             model = fit(data, kind)
+            report = evaluate(data.ys, [predict(model, x) for x in data.xs])
         except (DomainError, DegenerateDataError) as exc:
             skipped[tag] = str(exc)
             continue
         fitted[tag] = model
-        reports[tag] = evaluate(data.ys, [predict(model, x) for x in data.xs])
+        reports[tag] = report
     if not fitted:
         raise DegenerateDataError(
             "no model family could be fit: "

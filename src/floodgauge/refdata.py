@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .metrics import METRICS
 from .pipeline import ModelComparisonReport, compare_models
-from .regression import DEFAULT_POLY_DEGREE, CalibrationDataset
+from .regression import CalibrationDataset
 
 REFERENCE_STRENGTHS_MBPS = tuple(float(v) for v in range(10, 101, 5))
 
@@ -107,13 +107,13 @@ def _check_cell(family: str, metric: str, computed: float) -> MetricCheck:
     return MetricCheck(family, metric, computed, published, kind, tol, ok)
 
 
-def check_reference_reproduction(degree: int = DEFAULT_POLY_DEGREE) -> ReproductionResult:
+def check_reference_reproduction() -> ReproductionResult:
     """Refit all families to the bundled sweep and compare to the summary.
 
     Every family/metric cell is checked at its tolerance, and the family
     ranked best by eta must match the published winner.
     """
-    comparison = compare_models(reference_dataset(), degree=degree)
+    comparison = compare_models(reference_dataset())
     checks: list[MetricCheck] = []
     for family in REFERENCE_SUMMARY:
         if family not in comparison.reports:

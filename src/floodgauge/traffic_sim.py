@@ -9,20 +9,11 @@ strength from a base configuration.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
-from .entropy_core import (
-    FlowColumns,
-    FlowRecord,
-    WindowCounts,
-    flow_columns,
-    flow_csv_text,
-    group_windows,
-    read_flow_columns,
-)
+from .entropy_core import FlowColumns, FlowRecordSeries, flow_csv_text, read_flow_columns
 from .errors import ConfigError, InputError
 from .fileio import atomic_write_text, read_json, write_json
 
@@ -79,48 +70,6 @@ class ScenarioConfig:
         return self.zombies * self.attack_rate_mbps_per_zombie
 
 
-class FlowRecordSeries:
-    """Flow records of one run, held as columns, plus the metadata to replay it.
-
-    ``records`` are FlowRecord objects, or FlowColumns whose rows pass their
-    checks, ordered by window. ``metadata["config"]`` gives the window length
-    and count; without a count the run ends at its last record.
-    """
-
-    def __init__(self, records: Sequence[FlowRecord] | FlowColumns, metadata: dict) -> None:
-        columns = flow_columns(records)
-        windows = columns.window_index
-        if any(map(operator.gt, windows, windows[1:])):
-            raise InputError("records must be ordered by window_index")
-        last = windows[-1] if windows else -1
-        try:
-            config = metadata["config"]
-            length = float(config["window_length_ms"])
-            count = config.get("num_windows")
-            count = None if count is None else int(count)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(
-                f"metadata lacks a valid config.window_length_ms or num_windows: {exc!r}"
-            ) from exc
-        if not math.isfinite(length) or length <= 0:
-            raise InputError("window_length_ms must be finite and positive")
-        if count is not None and count <= last:
-            raise InputError(f"num_windows={count} but records reach window {last}")
-        self.columns = FlowColumns(*map(tuple, columns))
-        self.metadata = metadata
-        self.window_length_ms = length
-        self.num_windows = count
-
-    @property
-    def records(self) -> tuple[FlowRecord, ...]:
-        """The run's records, built anew on each access: hold it to use it twice."""
-        return tuple(map(FlowRecord, *self.columns))
-
-    def windows(self) -> list[WindowCounts]:
-        """The run's per-window byte totals, trailing empty windows included."""
-        return group_windows(self.columns, self.window_length_ms, self.num_windows)
-
-
 def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
     """Generate one run of per-window flow byte counts.
 
@@ -146,9 +95,6 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
         np.char.mod(LEGIT_PREFIX + "%04d", np.arange(cfg.legit_clients)),
         np.char.mod(ZOMBIE_PREFIX + "%04d", np.arange(cfg.zombies)),
     ]).astype(object)
-    # draws and zombie volumes are never negative, so only the ids need checks
-    for fid in flow_ids:
-        FlowRecord(0, fid, 0)
     columns = FlowColumns(
         windows.tolist(), flow_ids[flows].tolist(), volumes[windows, flows].tolist()
     )

@@ -1,24 +1,44 @@
-"""The traced benchmark run wraps package functions by module attribute.
+"""The benchmark reaches package code by module attribute.
 
-perfbench/tracing.py names each target as ``module.function``; if a
-refactor renames or removes one, the traced run fails. This checks the
-names without running the benchmark.
+perfbench/tracing.py names each target as ``module.function``, and
+perfbench/workloads.py calls ``module.attr`` on the floodgauge modules it
+imports; if a refactor renames or moves one of these, the benchmark
+fails. This checks the names without running the benchmark.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def load_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return sorted(module.TARGETS)
+
+
+def workload_attributes():
+    """Every ``module.attr`` workloads.py reads from a module it imports from floodgauge."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "floodgauge"
+        for alias in node.names
+    }
+    return sorted({
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    })
 
 
 @pytest.mark.parametrize("target", load_targets())
@@ -26,3 +46,10 @@ def test_trace_target_is_a_package_function(target):
     module_name, attr = target.split(".")
     module = importlib.import_module(f"floodgauge.{module_name}")
     assert callable(getattr(module, attr, None)), f"floodgauge.{target} is gone"
+
+
+@pytest.mark.parametrize("name", workload_attributes())
+def test_workload_attribute_resolves(name):
+    module_name, attr = name.split(".")
+    module = importlib.import_module(f"floodgauge.{module_name}")
+    assert hasattr(module, attr), f"floodgauge.{name} is gone"

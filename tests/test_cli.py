@@ -258,10 +258,12 @@ def test_reproduce_command_json_output(tmp_path):
     assert len(payload["checks"]) == 40
 
 
-def test_reproduce_with_wrong_degree_fails(capsys):
-    # degree 1 duplicates the linear family and misses the published cells
-    assert run_cli("reproduce-table2", "--degree", 1) == 1
-    assert "FAIL" in capsys.readouterr().out
+def test_reproduce_has_no_degree_flag(capsys):
+    # only the default degree reproduces the published table
+    with pytest.raises(SystemExit) as exc:
+        run_cli("reproduce-table2", "--degree", 2)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree 2" in capsys.readouterr().err
 
 
 def test_parser_covers_all_commands():
@@ -427,6 +429,27 @@ def test_non_finite_window_ms_is_refused(tmp_path, capsys, length):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "abc"])
+def test_bad_threshold_is_refused(tmp_path, capsys, threshold):
+    # the flag is refused before any file is read, so the missing CSV is never named
+    out = tmp_path / "b.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("baseline", "--flows", tmp_path / "missing.csv", "--out", out,
+                "--threshold", threshold)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --threshold: expected a finite number >= 0, got '{threshold}'" in err
+    assert "missing.csv" not in err
+    assert not out.exists()
+
+
+def test_zero_threshold_is_accepted(tmp_path):
+    clean = simulate_run(tmp_path, "clean.csv", 0.0, 11, zombies=0)
+    out = tmp_path / "zero.json"
+    assert run_cli("baseline", "--flows", clean, "--out", out, "--threshold", 0) == 0
+    assert load_baseline(out).threshold == 0.0
+
+
 def test_polynomial_with_zero_leading_coefficient_round_trips(tmp_path):
     sym = tmp_path / "sym.csv"
     sym.write_text("deviation,strength_mbps\n-1.0,1.0\n0.0,0.0\n1.0,1.0\n")
@@ -435,6 +458,20 @@ def test_polynomial_with_zero_leading_coefficient_round_trips(tmp_path):
         "fit", "--data", sym, "--model", "polynomial", "--degree", 1, "--out", model
     ) == 0
     assert run_cli("estimate", "--model", model, "--events", sym) == 0
+
+
+def test_compare_skips_a_family_whose_in_sample_score_overflows(tmp_path, capsys):
+    # exponential fits, but its prediction at x=0.1 leaves the float range
+    data = tmp_path / "cal.csv"
+    rows = ["0.1,1e-300"] * 5 + ["0.2,1e150"] * 5 + ["0.3,1e150"]
+    data.write_text("deviation,strength_mbps\n" + "\n".join(rows) + "\n")
+    assert run_cli("compare", "--data", data) == 0
+    out = capsys.readouterr().out
+    assert "exponential: skipped (exponential model overflows the float range at x=0.1)" in out
+    assert [line.split()[0] for line in out.splitlines()[1:4]] == [
+        "linear", "polynomial", "logarithmic"
+    ]
+    assert "best model by eta: polynomial (degree 2)" in out
 
 
 OVERFLOW_DATA = {

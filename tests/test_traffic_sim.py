@@ -331,6 +331,15 @@ def test_windowize_accepts_records_in_any_order():
     assert windowize(records, 200.0) == reference_windows(records, 200.0, None)
 
 
+def test_flow_record_series_is_one_class_under_every_name():
+    import floodgauge
+    from floodgauge import entropy_core, traffic_sim
+
+    assert entropy_core.FlowRecordSeries.__module__ == "floodgauge.entropy_core"
+    assert traffic_sim.FlowRecordSeries is entropy_core.FlowRecordSeries
+    assert floodgauge.FlowRecordSeries is entropy_core.FlowRecordSeries
+
+
 BAD_ROWS = [
     ("negative-window", "-1,a,5", "window_index must be >= 0, got -1"),
     ("empty-id", "0,,5", "flow_id must be non-empty"),
