@@ -18,6 +18,7 @@ from .fileio import (
     atomic_write_text,
     format_flag,
     format_float,
+    json_number,
     parse_flag,
     read_json,
     read_table,
@@ -93,7 +94,9 @@ def save_baseline(path, baseline: Baseline) -> None:
 
 def load_baseline(path) -> Baseline:
     return read_json(path, lambda obj: Baseline(
-        float(obj["h_n"]), float(obj["threshold"]), int(obj["training_windows"])
+        float(obj["h_n"]),
+        float(obj["threshold"]),
+        json_number(obj["training_windows"], whole=True),
     ))
 
 

@@ -7,15 +7,16 @@ window's traffic is across flows, in bits.
 
 from __future__ import annotations
 
+import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter, gt, mul, truediv
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InputError
-from .fileio import Table, read_table, table_rows
+from .fileio import Table, header_cells, json_number, read_table, table_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,10 +136,10 @@ class FlowRecordSeries:
         last = windows[-1] if windows else -1
         try:
             config = metadata["config"]
-            length = float(config["window_length_ms"])
+            length = json_number(config["window_length_ms"])
             count = config.get("num_windows")
-            count = None if count is None else int(count)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            count = None if count is None else json_number(count, whole=True)
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(
                 f"metadata lacks a valid config.window_length_ms or num_windows: {exc!r}"
             ) from exc
@@ -205,9 +206,48 @@ def read_flow_csv(path) -> list[FlowRecord]:
 def read_flow_columns(path) -> FlowColumns:
     """Read a run's flow CSV, ordered by window, into columns; errors name file and line.
 
-    FlowRecord's rules are checked on each row with a new flow id or a
-    number out of order or negative; a flow's rows share one id string.
+    The file is parsed a block of lines and a column at a time; a file the
+    blocks cannot prove plain and valid (csv quoting, CRLF, a blank or bad
+    line) goes to the row loop, which reads the csv dialect or names the line.
+    A flow's rows share one id string.
     """
+    try:
+        return _read_flow_blocks(path)
+    except (ValueError, InputError):
+        return _read_flow_rows(path)
+
+
+def _read_flow_blocks(path) -> FlowColumns:
+    """The flow CSV split on commas and newlines; ValueError where csv.reader might differ."""
+    windows, flows, nbytes = [], [], []
+    ids: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        if header_cells(fh.readline().split(",")) != FLOW_TABLE.header:
+            raise ValueError("not the flow CSV header")
+        while text := fh.read(1 << 16) + fh.readline():
+            text = text if text.endswith("\n") else text + "\n"
+            # every "\n" starts a field; with none in an id or byte field,
+            # the count leaves each line three fields, the first its window
+            fields = text.replace("\n", ",\n").split(",")
+            id_col, byte_col = fields[1::3], fields[2::3]
+            if len(fields) != 3 * text.count("\n") + 1 or "\n" in "".join(id_col + byte_col):
+                raise ValueError("a line without three fields")
+            if '"' in text or "\r" in text or "\0" in text or len(text) > csv.field_size_limit():
+                raise ValueError("csv quoting, a CR, a NUL or a field past the csv limit")
+            w, b = list(map(int, fields[0:-1:3])), list(map(int, byte_col))
+            if w[0] < (windows[-1] if windows else 0) or any(map(gt, w, w[1:])) or min(b) < 0:
+                raise ValueError("a window out of order or a negative number")
+            known = len(ids)
+            flows += map(ids.setdefault, id_col, id_col)
+            for fid in islice(ids, known, None):
+                FlowRecord(0, fid, 0)
+            windows += w
+            nbytes += b
+    return FlowColumns(windows, flows, nbytes)
+
+
+def _read_flow_rows(path) -> FlowColumns:
+    """csv.reader rows; FlowRecord checks a row with a new id or a number out of order or < 0."""
     windows, flows, nbytes = [], [], []
     ids: dict[str, str] = {}
     last = 0

@@ -111,6 +111,16 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def json_number(value: Any, whole: bool = False) -> float | int:
+    """A JSON number as float, or as int when ``whole``.
+
+    A bool, a string or, when ``whole``, a fraction is a ValueError, not coerced.
+    """
+    if isinstance(value, (bool, str)) or (whole and value != int(value)):
+        raise ValueError(f"expected a {'whole ' if whole else ''}number, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def write_json(path: str | Path, obj: object) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -127,7 +137,7 @@ def read_json(path: str | Path, parse: Callable[[Any], Any]) -> Any:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return parse(obj)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InputError(f"{path}: missing or ill-typed field: {exc!r}") from exc
     except FloodgaugeError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

@@ -85,6 +85,20 @@ def test_baseline_counts_trailing_empty_windows(tmp_path, capsys):
     assert "over 11 windows" in capsys.readouterr().out
 
 
+def test_out_of_range_json_numbers_name_their_file(workflow, capsys):
+    tmp_path, _ = workflow
+    baseline = tmp_path / "b2.json"
+    baseline.write_text('{"h_n": 1.0, "threshold": 0.1, "training_windows": 1e400}\n')
+    run = tmp_path / "atk05.csv"
+    args = ["calibrate", "--baseline", baseline, "--out", tmp_path / "c2.csv", "--run", f"5={run}"]
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {baseline}: missing or ill-typed field: ")
+    sidecar = tmp_path / "atk05.meta.json"
+    sidecar.write_text(sidecar.read_text().replace('"num_windows": 12', '"num_windows": 1e400'))
+    assert run_cli("baseline", "--flows", run, "--out", tmp_path / "b3.json") == 1
+    assert capsys.readouterr().err.startswith(f"error: {sidecar}: ")
+
+
 def test_full_workflow(workflow, capsys):
     tmp_path, cal = workflow
     data = read_calibration_csv(cal)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from floodgauge.detector import (
@@ -110,6 +112,20 @@ def test_baseline_load_rejects_malformed_file(tmp_path):
     path.write_text('{"h_n": 1.0}\n')
     with pytest.raises(InputError, match=str(path)):
         load_baseline(path)
+
+
+@pytest.mark.parametrize("value", ["1e400", "12.5", '"12"', "true"])
+def test_baseline_load_refuses_a_training_count_it_would_coerce(tmp_path, value):
+    path = tmp_path / "baseline.json"
+    path.write_text(f'{{"h_n": 1.0, "threshold": 0.1, "training_windows": {value}}}\n')
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: missing or ill-typed"):
+        load_baseline(path)
+
+
+def test_baseline_load_accepts_a_whole_float_training_count(tmp_path):
+    path = tmp_path / "baseline.json"
+    path.write_text('{"h_n": 1.0, "threshold": 0.1, "training_windows": 12.0}\n')
+    assert load_baseline(path) == Baseline(1.0, 0.1, 12)
 
 
 def test_events_csv_round_trip(tmp_path):

@@ -2,14 +2,17 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from floodgauge.entropy_core import (
     FlowRecord,
     WindowCounts,
+    _read_flow_blocks,
+    _read_flow_rows,
     compute_entropy,
     flow_csv_text,
+    read_flow_columns,
     read_flow_csv,
     windowize,
 )
@@ -189,3 +192,72 @@ def test_build_drops_non_positive_counts_and_copies():
     assert w.counts == {"a": 5, "d": 1}
     with pytest.raises(InputError, match="must all be positive"):
         WindowCounts(0, {"a": 5, "b": 0}, 5, 200.0)
+
+
+# every character the csv rules or the column parser treat apart, plus fillers
+CSV_ALPHABET = ',\n\r"\0 -_0159azé'
+csv_cells = st.one_of(
+    st.sampled_from(["0", "1", " 2", "-1", "a", "é", "1_0", '"3"', "", " "]),
+    st.text(CSV_ALPHABET, max_size=4),
+)
+flow_rows = st.tuples(
+    st.integers(0, 3), st.sampled_from(["a", "b", "é", " a", "legit-0001"]), st.integers(0, 99)
+).map("%s,%s,%s".__mod__)
+# files are well-formed rows plus at most one odd line and one odd line end,
+# so about a quarter of them load and the rest exercise each refusal
+odd_lines = st.one_of(
+    st.lists(csv_cells, min_size=1, max_size=4).map(",".join),
+    st.text(CSV_ALPHABET, max_size=8),
+)
+
+
+def read_outcome(read, path):
+    try:
+        return "read", read(path)
+    except Exception as exc:
+        return "refused", type(exc), str(exc)
+
+
+@settings(
+    max_examples=300,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    header=st.sampled_from(
+        ["window_index,flow_id,bytes", " window_index , flow_id ,bytes ", "window_index,flow"]
+    ),
+    lines=st.lists(flow_rows, max_size=30),
+    ordered=st.booleans(),
+    odd_line=st.one_of(st.none(), st.tuples(st.integers(0, 30), odd_lines)),
+    odd_end=st.one_of(st.none(), st.tuples(st.integers(0, 30), st.sampled_from(["\r\n", "\r"]))),
+    last_newline=st.booleans(),
+    bad_byte=st.one_of(st.none(), st.integers(0, 400)),
+)
+def test_block_reader_agrees_with_the_row_loop(
+    tmp_path, header, lines, ordered, odd_line, odd_end, last_newline, bad_byte
+):
+    if ordered:
+        lines.sort()
+    if odd_line is not None:
+        lines.insert(*odd_line)
+    ends = ["\n"] * len(lines)
+    if odd_end is not None and odd_end[0] < len(lines):
+        ends[odd_end[0]] = odd_end[1]
+    text = header + "\n" + "".join(map(str.__add__, lines, ends))
+    if not last_newline:
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    if bad_byte is not None and bad_byte < len(data):
+        data = data[:bad_byte] + b"\xff" + data[bad_byte:]
+    path = tmp_path / "flows.csv"
+    path.write_bytes(data)
+    rows = read_outcome(_read_flow_rows, path)
+    blocks = read_outcome(_read_flow_blocks, path)
+    if blocks[0] == "read":
+        assert blocks == rows
+    assert read_outcome(read_flow_columns, path) == rows
+    if rows[0] == "read":
+        # every row of a flow carries the one id string
+        flows = rows[1].flow_id
+        assert len(set(map(id, flows))) == len(set(flows))

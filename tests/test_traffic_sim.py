@@ -1,4 +1,6 @@
 import math
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -408,3 +410,96 @@ def test_read_series_refuses_a_bad_window_length_naming_the_csv(tmp_path, length
     message = r"run\.csv: window_length_ms must be finite and positive"
     with pytest.raises(InputError, match=message):
         read_series(path, length)
+
+
+def _quote_ids(row):
+    w, fid, b = row.split(",")
+    return f'{w},"{fid}",{b}'
+
+
+def _quote_numbers(row):
+    w, fid, b = row.split(",")
+    return f'"{w}",{fid},"{b}"'
+
+
+# text only the csv rules split: each loads through the row loop as the plain file
+CSV_VARIANTS = [
+    ("crlf", lambda head, rows: "\r\n".join([head, *rows]) + "\r\n", None),
+    ("quoted-ids", lambda head, rows: "\n".join([head, *map(_quote_ids, rows)]) + "\n", None),
+    ("quoted-numbers",
+     lambda head, rows: "\n".join([head, *map(_quote_numbers, rows)]) + "\n", None),
+    ("blank-lines", lambda head, rows: "\n".join([head, *rows[:4], "", "", *rows[4:]]) + "\n\n",
+     None),
+    ("no-final-newline", lambda head, rows: "\n".join([head, *rows]), None),
+    ("header-only", lambda head, rows: head + "\r\n", 0),
+    ("spaced-header", lambda head, rows: "\n".join([" window_index , flow_id,bytes ", *rows]),
+     None),
+]
+
+
+@pytest.mark.parametrize("make_text, keep", [
+    pytest.param(make_text, keep, id=case) for case, make_text, keep in CSV_VARIANTS
+])
+def test_read_series_loads_what_only_the_csv_rules_split(tmp_path, make_text, keep):
+    plain, variant = tmp_path / "plain.csv", tmp_path / "variant.csv"
+    write_series(plain, simulate(small_config(num_windows=3)))
+    head, *rows = plain.read_text().splitlines()
+    rows = rows[:keep]
+    plain.write_text("\n".join([head, *rows]) + "\n")
+    variant.write_bytes(make_text(head, rows).encode())
+    shutil.copy(tmp_path / "plain.meta.json", tmp_path / "variant.meta.json")
+    expected = read_series(plain)
+    assert len(expected.columns.bytes) == len(rows)
+    loaded = read_series(variant)
+    assert loaded.columns == expected.columns
+    assert loaded.windows() == expected.windows()
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("x,a,5", "invalid literal for int()"),
+    ("{w},legit-0000,-5", "negative byte count -5 for flow 'legit-0000'"),
+    ("0,legit-0000,5", "records must be ordered by window_index"),
+    ('{w},"a",5,6', "expected 3 fields"),
+])
+def test_read_series_names_a_bad_line_past_the_first_block(tmp_path, bad_row, message):
+    path = tmp_path / "run.csv"
+    series = simulate(ScenarioConfig())
+    write_series(path, series)
+    lines = path.read_text().splitlines()
+    at = 20000
+    assert len("\n".join(lines[:at])) > 1 << 16
+    # the row lands on line at + 1, inside the window of its neighbours
+    lines.insert(at, bad_row.format(w=series.columns.window_index[at - 1]))
+    path.write_text("\n".join(lines) + "\n")
+    message = rf"^{re.escape(str(path))}:{at + 1}: {re.escape(message)}"
+    with pytest.raises(InputError, match=message):
+        read_series(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_windows", "6.9"),
+    ("num_windows", '"6"'),
+    ("num_windows", "true"),
+    ("num_windows", "1e400"),
+    ("window_length_ms", "true"),
+    ("window_length_ms", '"200"'),
+])
+def test_read_series_refuses_sidecar_values_it_would_coerce(tmp_path, field, value):
+    path, meta = tmp_path / "run.csv", tmp_path / "run.meta.json"
+    write_series(path, simulate(small_config()))
+    text, replaced = re.subn(rf'"{field}": [^,\n]+', f'"{field}": {value}', meta.read_text())
+    assert replaced == 1
+    meta.write_text(text)
+    message = rf"^{re.escape(str(meta))}: metadata lacks a valid config"
+    with pytest.raises(InputError, match=message):
+        read_series(path)
+
+
+def test_read_series_accepts_whole_float_and_int_sidecar_values(tmp_path):
+    path, meta = tmp_path / "run.csv", tmp_path / "run.meta.json"
+    write_series(path, simulate(small_config()))
+    text = meta.read_text().replace('"num_windows": 6', '"num_windows": 6.0')
+    meta.write_text(text.replace('"window_length_ms": 200.0', '"window_length_ms": 200'))
+    loaded = read_series(path)
+    assert (loaded.num_windows, loaded.window_length_ms) == (6, 200.0)
+    assert type(loaded.num_windows) is int
