@@ -207,7 +207,10 @@ def _read_events_any(path) -> list[DetectionEvent]:
     """
     with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         first = fh.readline()
-    header = header_cells(next(csv.reader([first]), []))
+    try:
+        header = header_cells(next(csv.reader([first]), []))
+    except csv.Error as exc:
+        raise InputError(f"{path}:1: {exc}") from exc
     if header == EVENTS_TABLE.header:
         return read_events_csv(path)
     if header == CALIBRATION_TABLE.header:

@@ -94,8 +94,8 @@ def save_baseline(path, baseline: Baseline) -> None:
 
 def load_baseline(path) -> Baseline:
     return read_json(path, lambda obj: Baseline(
-        float(obj["h_n"]),
-        float(obj["threshold"]),
+        json_number(obj["h_n"]),
+        json_number(obj["threshold"]),
         json_number(obj["training_windows"], whole=True),
     ))
 

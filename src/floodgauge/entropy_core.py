@@ -16,7 +16,7 @@ from operator import attrgetter, gt, mul, truediv
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InputError
-from .fileio import Table, header_cells, json_number, read_table, table_rows
+from .fileio import header_cells, json_number, table_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,16 +191,13 @@ def windowize(
     return FlowRecordSeries(ordered, {"config": config}).windows()
 
 
-FLOW_TABLE = Table(
-    ("window_index", "flow_id", "bytes"),
-    lambda row: FlowRecord(int(row[0]), row[1], int(row[2])),
-    lambda r: f"{r.window_index},{r.flow_id},{r.bytes}",
-)
+FLOW_HEADER = ("window_index", "flow_id", "bytes")
 
 
 def read_flow_csv(path) -> list[FlowRecord]:
-    """Read flow records from CSV with header window_index,flow_id,bytes."""
-    return read_table(path, FLOW_TABLE)
+    """read_flow_columns as records; kept only because perfbench/tracing.TARGETS
+    and tests/test_benchmark_contract.py name it."""
+    return list(map(FlowRecord, *read_flow_columns(path)))
 
 
 def read_flow_columns(path) -> FlowColumns:
@@ -222,7 +219,7 @@ def _read_flow_blocks(path) -> FlowColumns:
     windows, flows, nbytes = [], [], []
     ids: dict[str, str] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        if header_cells(fh.readline().split(",")) != FLOW_TABLE.header:
+        if header_cells(fh.readline().split(",")) != FLOW_HEADER:
             raise ValueError("not the flow CSV header")
         while text := fh.read(1 << 16) + fh.readline():
             text = text if text.endswith("\n") else text + "\n"
@@ -251,7 +248,7 @@ def _read_flow_rows(path) -> FlowColumns:
     windows, flows, nbytes = [], [], []
     ids: dict[str, str] = {}
     last = 0
-    for line, (w, fid, b) in table_rows(path, FLOW_TABLE.header):
+    for line, (w, fid, b) in table_rows(path, FLOW_HEADER):
         try:
             w, b = int(w), int(b)
             if w < last or b < 0 or fid not in ids:
@@ -269,6 +266,6 @@ def _read_flow_rows(path) -> FlowColumns:
 
 def flow_csv_text(records: Sequence[FlowRecord] | FlowColumns) -> str:
     """Render records, or their columns, as CSV text (header included)."""
-    lines = [",".join(FLOW_TABLE.header)]
+    lines = [",".join(FLOW_HEADER)]
     lines.extend(map("%s,%s,%s".__mod__, zip(*flow_columns(records))))
     return "\n".join(lines) + "\n"

@@ -50,8 +50,8 @@ def header_cells(row: Iterable[str]) -> tuple[str, ...]:
 def table_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line, fields)`` for every non-blank row after the header.
 
-    A wrong header or field count, or text that is not UTF-8, is an
-    InputError that names file and line.
+    A wrong header or field count, a field past the csv size limit, or text
+    that is not UTF-8, is an InputError that names file and line.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -65,6 +65,8 @@ def table_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int,
                 if len(row) != len(header):
                     raise InputError(f"{path}:{reader.line_num}: expected {len(header)} fields")
                 yield reader.line_num, row
+    except csv.Error as exc:
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError:
         # the reader decodes ahead in chunks, so find the bad byte's line anew
         data = Path(path).read_bytes()

@@ -220,10 +220,7 @@ def comparison_to_dict(report: ModelComparisonReport) -> dict:
         models[tag] = entry
     return {
         "criterion": report.selection_criterion,
-        "best_model": {
-            "tag": report.best_model.tag,
-            "degree": report.best_model.degree,
-        },
+        "best_model": {"tag": report.best_model.tag, "degree": report.best_model.degree},
         "models": models,
     }
 

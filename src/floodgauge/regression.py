@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DegenerateDataError, DomainError, InputError
-from .fileio import read_json, write_json
+from .fileio import json_number, read_json, write_json
 from .metrics import ResidualSeries
 
 MODEL_FAMILIES = ("linear", "polynomial", "logarithmic", "power", "exponential")
@@ -261,8 +261,9 @@ def save_model(path, model: FittedModel) -> None:
 
 def load_model(path) -> FittedModel:
     return read_json(path, lambda obj: FittedModel(
-        ModelKind(obj["kind"], obj.get("degree")),
-        tuple(float(c) for c in obj["coefficients"]),
+        ModelKind(obj["kind"], None if obj.get("degree") is None
+                  else json_number(obj["degree"], whole=True)),
+        tuple(map(json_number, obj["coefficients"])),
         obj["fit_method"],
         obj["trained_on"],
     ))

@@ -188,6 +188,10 @@ def test_estimate_rejects_unknown_header(tmp_path, capsys):
     assert f"error: {bogus}:1: expected an events or calibration CSV header" in (
         capsys.readouterr().err
     )
+    # a header cell past the csv field limit
+    bogus.write_text("x" * 140_000 + ",strength_mbps\n0.2,10.0\n")
+    assert run_cli("estimate", "--model", model, "--events", bogus) == 1
+    assert f"error: {bogus}:1: field larger than field limit" in capsys.readouterr().err
 
 
 def test_fit_polynomial_degree_flag(workflow):

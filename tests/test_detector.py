@@ -114,10 +114,14 @@ def test_baseline_load_rejects_malformed_file(tmp_path):
         load_baseline(path)
 
 
-@pytest.mark.parametrize("value", ["1e400", "12.5", '"12"', "true"])
-def test_baseline_load_refuses_a_training_count_it_would_coerce(tmp_path, value):
+@pytest.mark.parametrize("field, value", [
+    *(pytest.param("training_windows", v, id=v) for v in ["1e400", "12.5", '"12"', "true"]),
+    *(pytest.param(f, v, id=f"{f}-{v}") for f in ["h_n", "threshold"] for v in ['"0.5"', "true"]),
+])
+def test_baseline_load_refuses_a_training_count_it_would_coerce(tmp_path, field, value):
     path = tmp_path / "baseline.json"
-    path.write_text(f'{{"h_n": 1.0, "threshold": 0.1, "training_windows": {value}}}\n')
+    fields = {"h_n": "1.0", "threshold": "0.1", "training_windows": "12", field: value}
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n")
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: missing or ill-typed"):
         load_baseline(path)
 

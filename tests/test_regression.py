@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,33 @@ def test_load_model_rejects_malformed_files(tmp_path):
         )
         with pytest.raises(InputError, match=rf"{path}: .* must be finite"):
             load_model(path)
+
+
+@pytest.mark.parametrize("degree, coefficients", [
+    ("true", "[1.5, 2.0]"),
+    ("1", '["1.5", 2.0]'),
+    ("1", "[1.5, true]"),
+    ("1", '"12"'),
+])
+def test_load_model_refuses_values_it_would_coerce(tmp_path, degree, coefficients):
+    path = tmp_path / "model.json"
+    path.write_text(
+        f'{{"kind": "polynomial", "degree": {degree}, "coefficients": {coefficients},'
+        ' "fit_method": "raw_ols", "trained_on": "x"}\n'
+    )
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: missing or ill-typed"):
+        load_model(path)
+
+
+def test_load_model_accepts_a_whole_float_degree_and_int_coefficients(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(
+        '{"kind": "polynomial", "degree": 2.0, "coefficients": [1, 0, 2],'
+        ' "fit_method": "raw_ols", "trained_on": "x"}\n'
+    )
+    model = load_model(path)
+    assert model.kind == ModelKind("polynomial", 2) and type(model.kind.degree) is int
+    assert model.coefficients == (1.0, 0.0, 2.0)
 
 
 def test_exact_line_is_interpolated():

@@ -1,4 +1,8 @@
-"""The five CSV formats share one reader and one writer; check each spec."""
+"""The four Table CSV formats share one reader and one writer; check each spec.
+
+The flow CSV has its own reader and writer; tests/test_entropy_core.py and
+tests/test_traffic_sim.py check it.
+"""
 
 import math
 import re
@@ -8,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from floodgauge.detector import EVENTS_TABLE, DetectionEvent
-from floodgauge.entropy_core import FLOW_TABLE, FlowRecord
+from floodgauge.entropy_core import FlowRecord
 from floodgauge.errors import InputError
 from floodgauge.fileio import read_table, table_text
 from floodgauge.metrics import METRICS, REPORT_TABLE, metric_values
@@ -31,13 +35,6 @@ def report_rows():
 
 # (id, table, rows, header line, a malformed data row)
 CASES = [
-    (
-        "flow",
-        FLOW_TABLE,
-        [FlowRecord(0, "a", 5), FlowRecord(1, "bc", 7)],
-        "window_index,flow_id,bytes",
-        "1,b,-3",
-    ),
     (
         "events",
         EVENTS_TABLE,
@@ -118,12 +115,8 @@ def test_reference_summary_follows_the_metric_registry():
 finite = st.floats(allow_nan=False, allow_infinity=False)
 no_nan = st.floats(allow_nan=False)
 index = st.integers(min_value=0, max_value=10**12)
-flow_id = st.text(min_size=1).filter(
-    lambda s: not (set(s) & {",", "\n", "\r"}) and not s.startswith('"')
-)
 
 OBJECTS = {
-    "flow": st.builds(FlowRecord, index, flow_id, st.integers(0, 10**15)),
     "events": st.builds(DetectionEvent, index, no_nan, no_nan, st.booleans()),
     "calibration": st.builds(CalibrationSample, finite, finite),
     "estimates": st.builds(StrengthEstimate, index, no_nan, no_nan, st.booleans()),

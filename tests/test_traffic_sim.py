@@ -8,14 +8,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from floodgauge.entropy_core import (
-    FLOW_TABLE,
     FlowRecord,
     WindowCounts,
     flow_csv_text,
+    read_flow_csv,
     windowize,
 )
 from floodgauge.errors import ConfigError, InputError
-from floodgauge.fileio import table_text
 from floodgauge.traffic_sim import (
     GENERATOR_NAME,
     FlowRecordSeries,
@@ -321,7 +320,8 @@ def test_columnar_series_matches_the_record_path(tmp_path, rows, trailing):
     path = tmp_path / "run.csv"
     write_series(path, series)
     text = path.read_text(encoding="utf-8")
-    assert text == flow_csv_text(records) == table_text(FLOW_TABLE, records)
+    assert text == flow_csv_text(records)
+    assert text.split("\n", 1)[0] == "window_index,flow_id,bytes"
     loaded = read_series(path)
     assert loaded.columns == series.columns
     assert loaded.metadata == series.metadata
@@ -353,6 +353,7 @@ BAD_ROWS = [
      "negative byte count -5 for flow 'legit-0000'"),
     ("negative-window-known-id", "-1,legit-0000,5", "window_index must be >= 0, got -1"),
     ("non-integer", "x,a,5", "invalid literal for int()"),
+    ("long-id", f"0,{'a' * 140_000},5", "field larger than field limit"),
 ]
 
 
@@ -372,8 +373,12 @@ def test_read_series_checks_every_row(tmp_path, row, message, window_length_ms):
     assert str(info.value).startswith(f"{path}:3: {message}")
 
 
-@pytest.mark.parametrize("window_length_ms", [None, 200.0])
-def test_read_series_names_the_first_unordered_line(tmp_path, window_length_ms):
+@pytest.mark.parametrize("read", [
+    pytest.param(read_series, id="None"),
+    pytest.param(lambda path: read_series(path, 200.0), id="200.0"),
+    pytest.param(read_flow_csv, id="read_flow_csv"),
+])
+def test_read_series_names_the_first_unordered_line(tmp_path, read):
     path = tmp_path / "run.csv"
     series = simulate(small_config(num_windows=3))
     write_series(path, series)
@@ -383,7 +388,7 @@ def test_read_series_names_the_first_unordered_line(tmp_path, window_length_ms):
     lines.insert(i + 2, "1,a,5")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError, match=rf"^{path}:{i + 3}: records must be ordered"):
-        read_series(path, window_length_ms)
+        read(path)
 
 
 def test_read_series_with_window_length_ignores_the_sidecar(tmp_path):
