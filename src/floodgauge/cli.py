@@ -28,7 +28,6 @@ from .detector import (
     read_events_csv,
     save_baseline,
 )
-from .entropy_core import compute_entropy
 from .errors import ConfigError, FloodgaugeError, InputError
 from .fileio import atomic_write_text, format_flag, header_cells, write_json
 from .metrics import METRICS, evaluate, metric_values, report_to_dict
@@ -129,8 +128,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     series = read_series(args.flows, args.window_ms)
-    entropies = [compute_entropy(w) for w in series.windows()]
-    baseline = build_baseline(entropies, threshold=args.threshold)
+    baseline = build_baseline(series.entropies(), threshold=args.threshold)
     save_baseline(args.out, baseline)
     print(
         f"baseline h_n={baseline.h_n:.4f} bits over {baseline.training_windows} "

@@ -12,8 +12,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import attrgetter, gt, mul, truediv
-from typing import Mapping, NamedTuple, Sequence
+from operator import attrgetter, mul, truediv
+from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .fileio import header_cells, json_number, table_rows
@@ -109,15 +109,36 @@ def compute_entropy(w: WindowCounts) -> EntropyValue:
     Returns -sum(p_i * log2(p_i)) with p_i the flow's share of the window's
     bytes. Empty and single-flow windows return 0.
     """
-    n = w.flow_count
+    return _entropy(w.counts.values(), w.total)
+
+
+def _entropy(counts: Collection[int], total: int) -> EntropyValue:
+    """compute_entropy of positive byte counts summing to total, in any order.
+
+    fsum is correctly rounded, so the order of the counts cannot move a bit.
+    """
+    n = len(counts)
     if n <= 1:
         return EntropyValue(0.0, n)
-    s = float(w.total)
-    shares = list(map(truediv, w.counts.values(), repeat(s)))
+    s = float(total)
+    shares = list(map(truediv, counts, repeat(s)))
     value = -math.fsum(map(mul, shares, map(math.log2, shares)))
     # clip float residue so 0 <= value <= log2(n) holds exactly
     value = min(max(value, 0.0), math.log2(n))
     return EntropyValue(value, n)
+
+
+# entries per chunk of an order check: small enough that no whole column is copied
+_ORDER_CHUNK = 4096
+
+
+def _is_ordered(column: Sequence[int]) -> bool:
+    """Whether the column never decreases; chunks overlap by one entry."""
+    for i in range(0, len(column), _ORDER_CHUNK):
+        chunk = list(column[i:i + _ORDER_CHUNK + 1])
+        if chunk != sorted(chunk):
+            return False
+    return True
 
 
 class FlowRecordSeries:
@@ -131,7 +152,7 @@ class FlowRecordSeries:
     def __init__(self, records: Sequence[FlowRecord] | FlowColumns, metadata: dict) -> None:
         columns = flow_columns(records)
         windows = columns.window_index
-        if any(map(gt, windows, windows[1:])):
+        if not _is_ordered(windows):
             raise InputError("records must be ordered by window_index")
         last = windows[-1] if windows else -1
         try:
@@ -163,23 +184,35 @@ class FlowRecordSeries:
         Bytes for the same (window, flow) pair are summed, and windows with
         no record are present as empty windows, in ascending order.
         """
+        length = self.window_length_ms
+        return [
+            WindowCounts(w, dict(zip(fids, counts)), sum(counts), length)
+            for w, fids, counts in self._walk()
+        ]
+
+    def entropies(self) -> list[EntropyValue]:
+        """compute_entropy of each of windows(), bit for bit, without building them."""
+        return [_entropy(counts, sum(counts)) for _, _, counts in self._walk()]
+
+    def _walk(self) -> Iterator[tuple[int, Collection[str], Collection[int]]]:
+        """Each window's index, flows and positive byte totals, in window order."""
         windows, flows, nbytes = self.columns
         count = self.num_windows
         if count is None:
             count = windows[-1] + 1 if windows else 0
-        result = []
         start = 0
         for w in range(count):
             end = bisect_right(windows, w, start)
-            counts = dict(zip(flows[start:end], nbytes[start:end]))
-            if len(counts) < end - start:
-                # a flow repeats within the window: sum its bytes
-                counts = {}
-                for fid, b in zip(flows[start:end], nbytes[start:end]):
-                    counts[fid] = counts.get(fid, 0) + b
-            result.append(WindowCounts.build(w, counts, self.window_length_ms))
+            fids, counts = flows[start:end], nbytes[start:end]
+            if len(set(fids)) < end - start or 0 in counts:
+                # a flow repeats or sends nothing: sum its bytes, drop zeros
+                summed: dict[str, int] = {}
+                for fid, b in zip(fids, counts):
+                    summed[fid] = summed.get(fid, 0) + b
+                summed = {fid: c for fid, c in summed.items() if c > 0}
+                fids, counts = summed.keys(), summed.values()
+            yield w, fids, counts
             start = end
-        return result
 
 
 def windowize(
@@ -232,7 +265,7 @@ def _read_flow_blocks(path) -> FlowColumns:
             if '"' in text or "\r" in text or "\0" in text or len(text) > csv.field_size_limit():
                 raise ValueError("csv quoting, a CR, a NUL or a field past the csv limit")
             w, b = list(map(int, fields[0:-1:3])), list(map(int, byte_col))
-            if w[0] < (windows[-1] if windows else 0) or any(map(gt, w, w[1:])) or min(b) < 0:
+            if w[0] < (windows[-1] if windows else 0) or not _is_ordered(w) or min(b) < 0:
                 raise ValueError("a window out of order or a negative number")
             known = len(ids)
             flows += map(ids.setdefault, id_col, id_col)

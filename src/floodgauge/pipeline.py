@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .detector import Baseline, DetectionEvent, evaluate_windows
-from .entropy_core import FlowRecordSeries, compute_entropy
+from .entropy_core import FlowRecordSeries
 from .errors import ConfigError, DegenerateDataError, DomainError, EmptyRunError, InputError
 from .fileio import (
     Table,
@@ -67,11 +67,10 @@ class ModelComparisonReport:
 
 
 def run_events(series: FlowRecordSeries, baseline: Baseline) -> list[DetectionEvent]:
-    """Windowize a run, compute entropies, and score every window."""
-    windows = series.windows()
-    if not windows:
+    """Compute each window's entropy and score every window."""
+    entropies = series.entropies()
+    if not entropies:
         raise EmptyRunError("run contains no windows")
-    entropies = [compute_entropy(w) for w in windows]
     return evaluate_windows(entropies, baseline)
 
 

@@ -69,6 +69,30 @@ class ScenarioConfig:
         """Aggregate attack rate over all zombies."""
         return self.zombies * self.attack_rate_mbps_per_zombie
 
+    @property
+    def peak_strength_mbps(self) -> float:
+        """Aggregate attack rate at which window entropy peaks: zombies as fast as clients."""
+        return self.zombies * self.legit_mean_rate_mbps_per_client
+
+
+def expected_deviation(cfg: ScenarioConfig, baseline_h: float | None = None) -> float:
+    """Closed-form mean deviation of a run's windows from a baseline, in bits.
+
+    Poisson noise aside, a window holds N legit flows of r bytes and Z zombie
+    flows of a bytes, so its entropy is log2 T - (N r log2 r + Z a log2 a) / T
+    with T = N r + Z a. The baseline defaults to a clean run's, log2 N.
+    """
+    r = _bytes_per_window(cfg.legit_mean_rate_mbps_per_client, cfg.window_length_ms)
+    a = round(_bytes_per_window(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms))
+
+    def entropy(zombies: int) -> float:
+        groups = [(cfg.legit_clients, r), (zombies, a)]
+        t = math.fsum(n * b for n, b in groups)
+        spread = math.fsum(n * b * math.log2(b) for n, b in groups if n * b)
+        return math.log2(t) - spread / t if t else 0.0
+
+    return entropy(cfg.zombies) - (entropy(0) if baseline_h is None else baseline_h)
+
 
 def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
     """Generate one run of per-window flow byte counts.
@@ -91,10 +115,10 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
         np.full((cfg.num_windows, cfg.zombies), zombie_bytes, dtype=np.int64),
     ])
     windows, flows = np.nonzero(volumes)
-    flow_ids = np.concatenate([
-        np.char.mod(LEGIT_PREFIX + "%04d", np.arange(cfg.legit_clients)),
-        np.char.mod(ZOMBIE_PREFIX + "%04d", np.arange(cfg.zombies)),
-    ]).astype(object)
+    flow_ids = np.array(
+        [f"{LEGIT_PREFIX}{i:04d}" for i in range(cfg.legit_clients)]
+        + [f"{ZOMBIE_PREFIX}{i:04d}" for i in range(cfg.zombies)], dtype=object
+    )
     columns = FlowColumns(
         windows.tolist(), flow_ids[flows].tolist(), volumes[windows, flows].tolist()
     )

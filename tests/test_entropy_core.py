@@ -5,9 +5,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from floodgauge.detector import Baseline
 from floodgauge.entropy_core import (
+    _ORDER_CHUNK,
     FlowRecord,
+    FlowRecordSeries,
     WindowCounts,
+    _is_ordered,
     _read_flow_blocks,
     _read_flow_rows,
     compute_entropy,
@@ -16,8 +20,9 @@ from floodgauge.entropy_core import (
     read_flow_csv,
     windowize,
 )
-from floodgauge.errors import InputError
+from floodgauge.errors import EmptyRunError, InputError
 from floodgauge.fileio import atomic_write_text
+from floodgauge.pipeline import run_events
 
 
 def counts(window_index=0, window_length_ms=200.0, **flows):
@@ -180,6 +185,44 @@ def test_entropy_is_bit_identical_to_the_per_term_sum(volumes):
     expected = -math.fsum((c / s) * math.log2(c / s) for c in volumes)
     expected = min(max(expected, 0.0), math.log2(len(volumes)))
     assert compute_entropy(w).value == expected
+
+
+# a window is a few rows over a few ids, so (window, flow) pairs repeat,
+# zero-byte rows occur, and empty and single-flow windows are common
+window_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "legit-0001"]),
+        st.one_of(st.sampled_from([0, 1, 2**53]), st.integers(0, 10**9)),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, database=None)
+@given(st.lists(window_rows, max_size=8), st.one_of(st.none(), st.integers(0, 3)))
+def test_entropies_are_bit_identical_to_compute_entropy_of_windows(per_window, trailing):
+    records = [FlowRecord(w, fid, b) for w, rows in enumerate(per_window) for fid, b in rows]
+    last = records[-1].window_index if records else -1
+    config = {"window_length_ms": 200.0}
+    if trailing is not None:
+        config["num_windows"] = last + 1 + trailing
+    series = FlowRecordSeries(records, {"config": config})
+    fused = [(e.value.hex(), e.flow_count) for e in series.entropies()]
+    assert fused == [(e.value.hex(), e.flow_count) for e in map(compute_entropy, series.windows())]
+    if not fused:
+        with pytest.raises(EmptyRunError, match="no windows"):
+            run_events(series, Baseline(h_n=1.0, threshold=0.1, training_windows=5))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, _ORDER_CHUNK, _ORDER_CHUNK + 1, 3 * _ORDER_CHUNK + 5])
+def test_order_check_sees_a_step_down_anywhere(size):
+    column = [i // 3 for i in range(size)]
+    assert _is_ordered(column) and _is_ordered(tuple(column))
+    # every position where one chunk ends and the next begins, and the ends
+    spots = {1, size - 1} | {k * _ORDER_CHUNK + d for k in range(1, 4) for d in (-1, 0, 1)}
+    for i in sorted(j for j in spots if 0 < j < size):
+        stepped = column[:i] + [column[i - 1] - 1] + column[i + 1:]
+        assert not _is_ordered(stepped), i
 
 
 def test_build_drops_non_positive_counts_and_copies():

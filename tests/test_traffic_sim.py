@@ -19,6 +19,8 @@ from floodgauge.traffic_sim import (
     GENERATOR_NAME,
     FlowRecordSeries,
     ScenarioConfig,
+    _bytes_per_window,
+    expected_deviation,
     read_series,
     simulate,
     sweep,
@@ -245,6 +247,56 @@ def test_config_validation():
 def test_aggregate_strength_property():
     cfg = small_config(zombies=100, attack_rate_mbps_per_zombie=0.4)
     assert cfg.attack_strength_mbps == 40.0
+    assert cfg.peak_strength_mbps == 100.0
+
+
+def test_deviation_oracle_peaks_at_the_peak_strength():
+    cfg = small_config(legit_clients=60, zombies=10)
+    at = lambda strength: expected_deviation(
+        small_config(legit_clients=60, zombies=10, attack_rate_mbps_per_zombie=strength / 10)
+    )
+    # zombies as fast as clients make 70 equal flows
+    assert cfg.peak_strength_mbps == 10.0
+    assert at(10.0) == pytest.approx(math.log2(70 / 60), abs=1e-12)
+    assert at(9.0) < at(10.0) > at(11.0)
+    # by default the deviation is back to 0 at 400 Mbps, four times the peak
+    assert expected_deviation(ScenarioConfig(attack_rate_mbps_per_zombie=4.0)) == pytest.approx(
+        0.0, abs=1e-12
+    )
+    assert expected_deviation(cfg, baseline_h=0.0) == pytest.approx(
+        expected_deviation(cfg) + math.log2(60), abs=1e-12
+    )
+
+
+@settings(max_examples=40, database=None, deadline=None)
+@given(
+    legit=st.integers(2, 120),
+    zombies=st.integers(1, 60),
+    legit_rate=st.sampled_from([0.05, 0.2, 1.0]),
+    speed=st.one_of(st.just(1.0), st.floats(0.05, 20.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mean_deviation_matches_the_closed_form(legit, zombies, legit_rate, speed, seed):
+    cfg = small_config(
+        legit_clients=legit, zombies=zombies, legit_mean_rate_mbps_per_client=legit_rate,
+        attack_rate_mbps_per_zombie=speed * legit_rate, num_windows=20, seed=seed,
+    )
+    clean = small_config(
+        legit_clients=legit, zombies=0, legit_mean_rate_mbps_per_client=legit_rate,
+        num_windows=20, seed=seed + 1,
+    )
+    mean = lambda run: math.fsum(e.value for e in run.entropies()) / run.num_windows
+    error = mean(simulate(cfg)) - mean(simulate(clean)) - expected_deviation(cfg)
+    # Poisson(lam) legit volumes bias a run's mean entropy low by at most
+    # 1 / (2 lam ln 2) and spread an attack window's, to first order, with
+    # standard deviation sqrt(N / lam) * p * |log2 p + H| (p = lam / T, H the
+    # window's entropy): allow twice the bias and six deviations of the mean
+    lam = _bytes_per_window(legit_rate, cfg.window_length_ms)
+    a = round(_bytes_per_window(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms))
+    p = lam / (legit * lam + zombies * a)
+    sigma = math.sqrt(legit / lam) * p * abs(math.log2(p) + expected_deviation(cfg, 0.0))
+    tolerance = 1 / (lam * math.log(2)) + 6 * sigma / math.sqrt(cfg.num_windows)
+    assert abs(error) <= tolerance
 
 
 def test_series_round_trip(tmp_path):
