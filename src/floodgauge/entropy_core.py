@@ -204,8 +204,9 @@ class FlowRecordSeries:
         for w in range(count):
             end = bisect_right(windows, w, start)
             fids, counts = flows[start:end], nbytes[start:end]
-            if len(set(fids)) < end - start or 0 in counts:
-                # a flow repeats or sends nothing: sum its bytes, drop zeros
+            if len(set(fids)) < end - start or min(counts, default=1) <= 0:
+                # a flow repeats or a count is not positive: sum, then drop
+                # what is not positive, as WindowCounts.build does
                 summed: dict[str, int] = {}
                 for fid, b in zip(fids, counts):
                     summed[fid] = summed.get(fid, 0) + b

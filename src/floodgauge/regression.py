@@ -92,15 +92,15 @@ class CalibrationDataset:
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "CalibrationDataset":
         return cls(tuple(CalibrationSample(float(x), float(y)) for x, y in pairs))
 
+    @property
+    def xs(self) -> list[float]:
+        return [s.x for s in self.samples]
+
+    @property
+    def ys(self) -> list[float]:
+        return [s.y for s in self.samples]
+
     # cached_property writes the instance __dict__, so it works on a frozen dataclass
-    @cached_property
-    def xs(self) -> tuple[float, ...]:
-        return tuple(s.x for s in self.samples)
-
-    @cached_property
-    def ys(self) -> tuple[float, ...]:
-        return tuple(s.y for s in self.samples)
-
     @cached_property
     def _digest(self) -> str:
         text = "\n".join(f"{s.x!r},{s.y!r}" for s in self.samples)
@@ -153,7 +153,7 @@ def _require_positive(values: Sequence[float], axis: str, family: str) -> None:
             )
 
 
-def _fit_polynomial(xs: Sequence[float], ys: Sequence[float], degree: int) -> tuple[float, ...]:
+def _fit_polynomial(xs: list[float], ys: list[float], degree: int) -> tuple[float, ...]:
     if len(set(xs)) < degree + 1:
         raise DegenerateDataError(
             f"polynomial degree {degree} needs >= {degree + 1} distinct x values"

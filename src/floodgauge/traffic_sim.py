@@ -75,12 +75,12 @@ class ScenarioConfig:
         return self.zombies * self.legit_mean_rate_mbps_per_client
 
 
-def expected_deviation(cfg: ScenarioConfig, baseline_h: float | None = None) -> float:
-    """Closed-form mean deviation of a run's windows from a baseline, in bits.
+def expected_deviation(cfg: ScenarioConfig) -> float:
+    """Closed-form mean deviation of a run's windows from a clean run's, in bits.
 
     Poisson noise aside, a window holds N legit flows of r bytes and Z zombie
     flows of a bytes, so its entropy is log2 T - (N r log2 r + Z a log2 a) / T
-    with T = N r + Z a. The baseline defaults to a clean run's, log2 N.
+    with T = N r + Z a; a clean run's is log2 N.
     """
     r = _bytes_per_window(cfg.legit_mean_rate_mbps_per_client, cfg.window_length_ms)
     a = round(_bytes_per_window(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms))
@@ -91,7 +91,7 @@ def expected_deviation(cfg: ScenarioConfig, baseline_h: float | None = None) -> 
         spread = math.fsum(n * b * math.log2(b) for n, b in groups if n * b)
         return math.log2(t) - spread / t if t else 0.0
 
-    return entropy(cfg.zombies) - (entropy(0) if baseline_h is None else baseline_h)
+    return entropy(cfg.zombies) - entropy(0)
 
 
 def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from floodgauge.detector import Baseline
 from floodgauge.entropy_core import (
     _ORDER_CHUNK,
+    FlowColumns,
     FlowRecord,
     FlowRecordSeries,
     WindowCounts,
@@ -188,11 +189,12 @@ def test_entropy_is_bit_identical_to_the_per_term_sum(volumes):
 
 
 # a window is a few rows over a few ids, so (window, flow) pairs repeat,
-# zero-byte rows occur, and empty and single-flow windows are common
+# zero-byte rows occur, and empty and single-flow windows are common; the
+# columns go in unchecked, so a negative count is dropped like a zero one
 window_rows = st.lists(
     st.tuples(
         st.sampled_from(["a", "b", "c", "legit-0001"]),
-        st.one_of(st.sampled_from([0, 1, 2**53]), st.integers(0, 10**9)),
+        st.one_of(st.sampled_from([0, 1, -1, 2**53]), st.integers(-5, 10**9)),
     ),
     max_size=6,
 )
@@ -201,14 +203,20 @@ window_rows = st.lists(
 @settings(max_examples=300, database=None)
 @given(st.lists(window_rows, max_size=8), st.one_of(st.none(), st.integers(0, 3)))
 def test_entropies_are_bit_identical_to_compute_entropy_of_windows(per_window, trailing):
-    records = [FlowRecord(w, fid, b) for w, rows in enumerate(per_window) for fid, b in rows]
-    last = records[-1].window_index if records else -1
+    rows = [(w, fid, b) for w, window in enumerate(per_window) for fid, b in window]
+    last = rows[-1][0] if rows else -1
     config = {"window_length_ms": 200.0}
     if trailing is not None:
         config["num_windows"] = last + 1 + trailing
-    series = FlowRecordSeries(records, {"config": config})
+    columns = FlowColumns(*zip(*rows)) if rows else FlowColumns((), (), ())
+    series = FlowRecordSeries(columns, {"config": config})
+    summed = [{} for _ in range(config.get("num_windows", last + 1))]
+    for w, fid, b in rows:
+        summed[w][fid] = summed[w].get(fid, 0) + b
+    expected = [WindowCounts.build(w, counts, 200.0) for w, counts in enumerate(summed)]
+    assert series.windows() == expected
     fused = [(e.value.hex(), e.flow_count) for e in series.entropies()]
-    assert fused == [(e.value.hex(), e.flow_count) for e in map(compute_entropy, series.windows())]
+    assert fused == [(e.value.hex(), e.flow_count) for e in map(compute_entropy, expected)]
     if not fused:
         with pytest.raises(EmptyRunError, match="no windows"):
             run_events(series, Baseline(h_n=1.0, threshold=0.1, training_windows=5))

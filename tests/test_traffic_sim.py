@@ -263,9 +263,6 @@ def test_deviation_oracle_peaks_at_the_peak_strength():
     assert expected_deviation(ScenarioConfig(attack_rate_mbps_per_zombie=4.0)) == pytest.approx(
         0.0, abs=1e-12
     )
-    assert expected_deviation(cfg, baseline_h=0.0) == pytest.approx(
-        expected_deviation(cfg) + math.log2(60), abs=1e-12
-    )
 
 
 @settings(max_examples=40, database=None, deadline=None)
@@ -294,7 +291,8 @@ def test_mean_deviation_matches_the_closed_form(legit, zombies, legit_rate, spee
     lam = _bytes_per_window(legit_rate, cfg.window_length_ms)
     a = round(_bytes_per_window(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms))
     p = lam / (legit * lam + zombies * a)
-    sigma = math.sqrt(legit / lam) * p * abs(math.log2(p) + expected_deviation(cfg, 0.0))
+    h = expected_deviation(cfg) + math.log2(legit)  # a clean window's entropy is log2 N
+    sigma = math.sqrt(legit / lam) * p * abs(math.log2(p) + h)
     tolerance = 1 / (lam * math.log(2)) + 6 * sigma / math.sqrt(cfg.num_windows)
     assert abs(error) <= tolerance
 
