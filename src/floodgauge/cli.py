@@ -45,6 +45,7 @@ from .pipeline import (
 )
 from .refdata import check_reference_reproduction
 from .regression import (
+    MAX_POLY_DEGREE,
     MODEL_FAMILIES,
     ModelKind,
     fit as fit_model,
@@ -96,6 +97,19 @@ def _positive_float(text: str) -> float:
 
 def _non_negative_float(text: str) -> float:
     return _finite_float(text, zero_ok=True)
+
+
+def _poly_degree(text: str) -> int:
+    """Parse a polynomial degree in 1..MAX_POLY_DEGREE, or refuse it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= MAX_POLY_DEGREE:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number in 1..{MAX_POLY_DEGREE}, got {text!r}"
+        )
+    return value
 
 
 def _parse_run_arg(text: str) -> tuple[float, str]:
@@ -307,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one model family to calibration data")
     p.add_argument("--data", required=True, help="calibration CSV")
     p.add_argument("--model", required=True, choices=MODEL_FAMILIES)
-    p.add_argument("--degree", type=int, default=None, help="polynomial degree")
+    p.add_argument("--degree", type=_poly_degree, default=None, help="polynomial degree")
     p.add_argument("--out", required=True, help="model JSON to write")
     p.set_defaults(func=_cmd_fit)
 
@@ -319,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="fit and rank all model families")
     p.add_argument("--data", required=True, help="calibration CSV")
-    p.add_argument("--degree", type=int, default=None, help="polynomial degree")
+    p.add_argument("--degree", type=_poly_degree, default=None, help="polynomial degree")
     p.add_argument("--criterion", choices=SELECTION_CRITERIA, default="eta")
     p.add_argument("--out-csv", default=None, help="write the metric table")
     p.add_argument("--out-json", default=None, help="write the full comparison")

@@ -11,7 +11,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import groupby, repeat
 from operator import attrgetter, mul, truediv
 from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
 
@@ -248,31 +248,43 @@ def read_flow_columns(path) -> FlowColumns:
         return _read_flow_rows(path)
 
 
+class _FlowIds(dict):
+    """Flow id bytes to one checked str: a new id is decoded and checked once."""
+
+    def __missing__(self, key: bytes) -> str:
+        fid = self[key] = FlowRecord(0, key.decode("utf-8"), 0).flow_id
+        return fid
+
+
 def _read_flow_blocks(path) -> FlowColumns:
     """The flow CSV split on commas and newlines; ValueError where csv.reader might differ."""
     windows, flows, nbytes = [], [], []
-    ids: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        if header_cells(fh.readline().split(",")) != FLOW_HEADER:
+    ids = _FlowIds()
+    last = 0
+    with open(path, "rb") as fh:
+        if header_cells(fh.readline().decode("utf-8").split(",")) != FLOW_HEADER:
             raise ValueError("not the flow CSV header")
-        while text := fh.read(1 << 16) + fh.readline():
-            text = text if text.endswith("\n") else text + "\n"
-            # every "\n" starts a field; with none in an id or byte field,
-            # the count leaves each line three fields, the first its window
-            fields = text.replace("\n", ",\n").split(",")
-            id_col, byte_col = fields[1::3], fields[2::3]
-            if len(fields) != 3 * text.count("\n") + 1 or "\n" in "".join(id_col + byte_col):
+        while data := fh.read(1 << 16) + fh.readline():
+            data = data if data.endswith(b"\n") else data + b"\n"
+            # every b"\n" starts a field, so a field holds at most one; with
+            # one in each line-start field, each line has three fields
+            fields = data.replace(b"\n", b",\n").split(b",")
+            lines = data.count(b"\n")
+            if len(fields) != 3 * lines + 1 or b"".join(fields[3::3]).count(b"\n") != lines:
                 raise ValueError("a line without three fields")
-            if '"' in text or "\r" in text or "\0" in text or len(text) > csv.field_size_limit():
+            if b'"' in data or b"\r" in data or b"\0" in data or len(data) > csv.field_size_limit():
                 raise ValueError("csv quoting, a CR, a NUL or a field past the csv limit")
-            w, b = list(map(int, fields[0:-1:3])), list(map(int, byte_col))
-            if w[0] < (windows[-1] if windows else 0) or not _is_ordered(w) or min(b) < 0:
-                raise ValueError("a window out of order or a negative number")
-            known = len(ids)
-            flows += map(ids.setdefault, id_col, id_col)
-            for fid in islice(ids, known, None):
-                FlowRecord(0, fid, 0)
-            windows += w
+            # rows come ordered by window: parse and order-check each run once
+            for field, run in groupby(fields[0:-1:3]):
+                w = int(field)
+                if w < last:
+                    raise ValueError("a window out of order or negative")
+                last = w
+                windows += repeat(w, len(list(run)))
+            b = list(map(int, fields[2::3]))
+            if min(b) < 0:
+                raise ValueError("a negative byte count")
+            flows += map(ids.__getitem__, fields[1::3])
             nbytes += b
     return FlowColumns(windows, flows, nbytes)
 

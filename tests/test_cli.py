@@ -447,6 +447,21 @@ def test_non_finite_window_ms_is_refused(tmp_path, capsys, length):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("degree", ["0", "7", "-1"])
+def test_bad_degree_is_refused(tmp_path, capsys, degree):
+    # the flag is refused before any file is read, so the missing CSV is never named
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "m.json"
+    for argv in (["fit", "--model", "polynomial", "--out", out], ["compare"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--data", missing, "--degree", degree)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --degree: expected a whole number in 1..6, got '{degree}'" in err
+        assert "missing.csv" not in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "abc"])
 def test_bad_threshold_is_refused(tmp_path, capsys, threshold):
     # the flag is refused before any file is read, so the missing CSV is never named

@@ -1,10 +1,12 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from floodgauge import entropy_core
 from floodgauge.detector import Baseline
 from floodgauge.entropy_core import (
     _ORDER_CHUNK,
@@ -24,6 +26,7 @@ from floodgauge.entropy_core import (
 from floodgauge.errors import EmptyRunError, InputError
 from floodgauge.fileio import atomic_write_text
 from floodgauge.pipeline import run_events
+from floodgauge.traffic_sim import ScenarioConfig, simulate, write_series
 
 
 def counts(window_index=0, window_length_ms=200.0, **flows):
@@ -245,14 +248,20 @@ def test_build_drops_non_positive_counts_and_copies():
         WindowCounts(0, {"a": 5, "b": 0}, 5, 200.0)
 
 
-# every character the csv rules or the column parser treat apart, plus fillers
-CSV_ALPHABET = ',\n\r"\0 -_0159azé'
+# every character the csv rules or the column parser treat apart, plus fillers;
+# int() of str takes Unicode digits and whitespace that int() of bytes refuses
+CSV_ALPHABET = ',\n\r"\0 -_0159azé٣３\u00a0\x1c+7'
 csv_cells = st.one_of(
-    st.sampled_from(["0", "1", " 2", "-1", "a", "é", "1_0", '"3"', "", " "]),
+    st.sampled_from([
+        "0", "1", " 2", "-1", "a", "é", "1_0", '"3"', "", " ",
+        "٣", "３", "\u00a02", "\x1c2", "007", "+1",
+    ]),
     st.text(CSV_ALPHABET, max_size=4),
 )
 flow_rows = st.tuples(
-    st.integers(0, 3), st.sampled_from(["a", "b", "é", " a", "legit-0001"]), st.integers(0, 99)
+    st.integers(0, 3),
+    st.sampled_from(["a", "b", "é", " a", "legit-0001", "𝄞"]),
+    st.integers(0, 99),
 ).map("%s,%s,%s".__mod__)
 # files are well-formed rows plus at most one odd line and one odd line end,
 # so about a quarter of them load and the rest exercise each refusal
@@ -307,8 +316,55 @@ def test_block_reader_agrees_with_the_row_loop(
     blocks = read_outcome(_read_flow_blocks, path)
     if blocks[0] == "read":
         assert blocks == rows
+        assert_one_id_string_per_flow(blocks[1])
     assert read_outcome(read_flow_columns, path) == rows
     if rows[0] == "read":
-        # every row of a flow carries the one id string
-        flows = rows[1].flow_id
-        assert len(set(map(id, flows))) == len(set(flows))
+        assert_one_id_string_per_flow(rows[1])
+
+
+def assert_one_id_string_per_flow(columns):
+    # every row of a flow carries the one id string
+    flows = columns.flow_id
+    assert len(set(map(id, flows))) == len(set(flows))
+
+
+def multi_block_capture():
+    """About 240 KB: 40 windows of 300 flows, and 5 flows new at window 20."""
+    rng = random.Random(14)
+    lines = ["window_index,flow_id,bytes"]
+    for w in range(40):
+        flows = [f"flux-é-{i:03d}" for i in range(300)]
+        flows += [f"nouveau-𝄞-{i}" for i in range(5)] if w >= 20 else []
+        lines += (f"{w},{fid},{rng.randrange(1, 50_000)}" for fid in flows)
+    return "\n".join(lines) + "\n"
+
+
+def test_multi_block_files_stay_on_the_block_path(tmp_path, monkeypatch):
+    capture = tmp_path / "capture.csv"
+    capture.write_text(multi_block_capture(), encoding="utf-8")
+    simulated = tmp_path / "simulated.csv"
+    write_series(simulated, simulate(ScenarioConfig(legit_clients=100, zombies=20, num_windows=100)))
+    expected = {path: _read_flow_rows(path) for path in (capture, simulated)}
+
+    def no_row_loop(path):
+        raise AssertionError(f"{path} fell back to the row loop")
+
+    monkeypatch.setattr(entropy_core, "_read_flow_rows", no_row_loop)
+    for path, rows in expected.items():
+        assert path.stat().st_size > 3 * (1 << 16)
+        columns = read_flow_columns(path)
+        assert columns == rows
+        assert_one_id_string_per_flow(columns)
+    assert set(expected[capture].flow_id[-5:]) == {f"nouveau-𝄞-{i}" for i in range(5)}
+
+
+@pytest.mark.parametrize("rows, message", [
+    # seven fields make two lines of three, but the line breaks fall elsewhere
+    ("0,1\n2,3,4,5\n", ":2: expected 3 fields"),
+    ("-1,a,5\n", ":2: window_index must be >= 0, got -1"),
+])
+def test_lines_the_blocks_would_misread_are_refused_by_line(tmp_path, rows, message):
+    path = tmp_path / "flows.csv"
+    path.write_text("window_index,flow_id,bytes\n" + rows)
+    with pytest.raises(InputError, match=re.escape(message) + "$"):
+        read_flow_columns(path)
