@@ -12,7 +12,6 @@ stderr), 2 on usage errors (argparse).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import os
@@ -25,11 +24,10 @@ from .detector import (
     DetectionEvent,
     build_baseline,
     load_baseline,
-    read_events_csv,
     save_baseline,
 )
-from .errors import ConfigError, FloodgaugeError, InputError
-from .fileio import atomic_write_text, format_flag, header_cells, write_json
+from .errors import ConfigError, FloodgaugeError
+from .fileio import atomic_write_text, format_flag, read_table, write_json
 from .metrics import METRICS, evaluate, metric_values, report_to_dict
 from .pipeline import (
     CALIBRATION_TABLE,
@@ -120,15 +118,10 @@ def _parse_run_arg(text: str) -> tuple[float, str]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = ScenarioConfig(
-        legit_clients=args.legit_clients,
-        zombies=args.zombies,
-        attack_rate_mbps_per_zombie=args.attack_rate,
-        legit_mean_rate_mbps_per_client=args.legit_rate,
-        window_length_ms=args.window_ms,
-        num_windows=args.windows,
-        seed=_resolve_seed(args.seed),
-    )
+    # a flag left out is absent from args, so ScenarioConfig's default holds
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScenarioConfig)
+             if f.name in args}
+    cfg = ScenarioConfig(**{**given, "seed": _resolve_seed(args.seed)})
     series = simulate(cfg)
     write_series(args.out, series)
     print(
@@ -211,31 +204,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_events_any(path) -> list[DetectionEvent]:
-    """Read detection events, accepting a calibration CSV as well.
-
-    Calibration rows carry only deviations, so they become flagged
-    events indexed by position.
-    """
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-        first = fh.readline()
-    try:
-        header = header_cells(next(csv.reader([first]), []))
-    except csv.Error as exc:
-        raise InputError(f"{path}:1: {exc}") from exc
-    if header == EVENTS_TABLE.header:
-        return read_events_csv(path)
-    if header == CALIBRATION_TABLE.header:
-        samples = read_calibration_csv(path).samples
-        return [DetectionEvent(i, math.nan, s.x, True) for i, s in enumerate(samples)]
-    raise InputError(
-        f"{path}:1: expected an events or calibration CSV header, got {first.strip()!r}"
-    )
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    events = _read_events_any(args.events)
+    # calibration rows carry only deviations: each becomes a flagged event at its position
+    events = [r if isinstance(r, DetectionEvent) else DetectionEvent(i, math.nan, r.x, True)
+              for i, r in enumerate(read_table(args.events, EVENTS_TABLE, CALIBRATION_TABLE))]
     estimates = estimate_strength(model, events)
     if estimates:
         rows = [["window", "deviation", "estimate_mbps", "clamped"]]
@@ -289,15 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate a synthetic traffic run")
+    # ScenarioConfig holds the defaults; dest names its fields, metavar keeps the flag's name
+    p = sub.add_parser("simulate", help="generate a synthetic traffic run",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="flow CSV to write (plus .meta.json)")
-    p.add_argument("--legit-clients", type=int, default=400)
-    p.add_argument("--zombies", type=int, default=100)
-    p.add_argument("--attack-rate", type=float, default=0.1,
-                   help="Mbps per zombie (0 disables the attack)")
-    p.add_argument("--legit-rate", type=float, default=1.0, help="mean Mbps per legit client")
-    p.add_argument("--window-ms", type=float, default=200.0)
-    p.add_argument("--windows", type=int, default=50)
+    p.add_argument("--legit-clients", type=int)
+    p.add_argument("--zombies", type=int)
+    p.add_argument("--attack-rate", type=float, dest="attack_rate_mbps_per_zombie",
+                   metavar="ATTACK_RATE", help="Mbps per zombie (0 disables the attack)")
+    p.add_argument("--legit-rate", type=float, dest="legit_mean_rate_mbps_per_client",
+                   metavar="LEGIT_RATE", help="mean Mbps per legit client")
+    p.add_argument("--window-ms", type=float, dest="window_length_ms", metavar="WINDOW_MS")
+    p.add_argument("--windows", type=int, dest="num_windows", metavar="WINDOWS")
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
     p.set_defaults(func=_cmd_simulate)

@@ -20,6 +20,7 @@ from .fileio import (
     format_float,
     json_number,
     parse_flag,
+    parse_index,
     read_json,
     read_table,
     table_text,
@@ -103,7 +104,8 @@ def load_baseline(path) -> Baseline:
 EVENTS_TABLE = Table(
     ("window_index", "h_c", "deviation", "attack_flag"),
     lambda row: DetectionEvent(
-        int(row[0]), float(row[1]), float(row[2]), parse_flag(row[3], "attack_flag")
+        parse_index(row[0], "window_index"), float(row[1]), float(row[2]),
+        parse_flag(row[3], "attack_flag"),
     ),
     lambda e: f"{e.window_index},{format_float(e.h_c)},{format_float(e.deviation)},"
     f"{format_flag(e.attack_flag)}",

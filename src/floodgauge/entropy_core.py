@@ -294,7 +294,7 @@ def _read_flow_rows(path) -> FlowColumns:
     windows, flows, nbytes = [], [], []
     ids: dict[str, str] = {}
     last = 0
-    for line, (w, fid, b) in table_rows(path, FLOW_HEADER):
+    for line, _, (w, fid, b) in table_rows(path, FLOW_HEADER):
         try:
             w, b = int(w), int(b)
             if w < last or b < 0 or fid not in ids:

@@ -28,6 +28,13 @@ def parse_flag(text: str, name: str) -> bool:
     return text == "true"
 
 
+def parse_index(text: str, name: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Table:
     """One CSV format: its header, a row parser and a row formatter.
@@ -47,24 +54,26 @@ def header_cells(row: Iterable[str]) -> tuple[str, ...]:
     return tuple(cell.strip() for cell in row)
 
 
-def table_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line, fields)`` for every non-blank row after the header.
+def table_rows(path: str | Path, *headers: tuple) -> Iterator[tuple[int, tuple, list[str]]]:
+    """Yield ``(line, header, fields)`` for every non-blank row after the header.
 
-    A wrong header or field count, a field past the csv size limit, or text
-    that is not UTF-8, is an InputError that names file and line.
+    ``header`` is the one of ``headers`` that the file starts with. Any other
+    header, a wrong field count, a field past the csv size limit, or text that
+    is not UTF-8, is an InputError that names file and line.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            first = next(reader, None)
-            if first is None or header_cells(first) != header:
-                raise InputError(f"{path}:1: expected header {','.join(header)}")
+            header = header_cells(next(reader, ()))
+            if header not in headers:
+                expected = " or ".join(map(",".join, headers))
+                raise InputError(f"{path}:1: expected header {expected}")
             for row in reader:
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise InputError(f"{path}:{reader.line_num}: expected {len(header)} fields")
-                yield reader.line_num, row
+                yield reader.line_num, header, row
     except csv.Error as exc:
         raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError:
@@ -78,12 +87,13 @@ def table_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int,
         raise
 
 
-def read_table(path: str | Path, table: Table) -> list:
-    """Parse every row after the header; errors name file and line."""
+def read_table(path: str | Path, *tables: Table) -> list:
+    """Parse each row with the table whose header the file has; errors name file and line."""
+    parsers = {table.header: table.parse for table in tables}
     rows = []
-    for line, row in table_rows(path, table.header):
+    for line, header, row in table_rows(path, *parsers):
         try:
-            rows.append(table.parse(row))
+            rows.append(parsers[header](row))
         except (ValueError, InputError) as exc:
             raise InputError(f"{path}:{line}: {exc}") from exc
     return rows

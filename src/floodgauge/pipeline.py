@@ -22,6 +22,7 @@ from .fileio import (
     format_flag,
     format_float,
     parse_flag,
+    parse_index,
     read_table,
     table_text,
 )
@@ -187,7 +188,8 @@ CALIBRATION_TABLE = Table(
 ESTIMATES_TABLE = Table(
     ("window_index", "deviation", "estimate_mbps", "clamped"),
     lambda row: StrengthEstimate(
-        int(row[0]), float(row[1]), float(row[2]), parse_flag(row[3], "clamped")
+        parse_index(row[0], "window_index"), float(row[1]), float(row[2]),
+        parse_flag(row[3], "clamped"),
     ),
     lambda e: f"{e.window_index},{format_float(e.deviation)},"
     f"{format_float(e.estimated_strength_mbps)},{format_flag(e.clamped)}",

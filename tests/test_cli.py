@@ -182,16 +182,59 @@ def test_estimate_rejects_unknown_header(tmp_path, capsys):
         ' "fit_method": "raw_ols", "trained_on": "x"}\n'
     )
     assert run_cli("estimate", "--model", model, "--events", bogus) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {bogus}:1: expected header "
+        "window_index,h_c,deviation,attack_flag or deviation,strength_mbps\n"
+    )
     bogus.write_bytes(b"deviation\xff,strength_mbps\n0.2,10.0\n")
     assert run_cli("estimate", "--model", model, "--events", bogus) == 1
-    assert f"error: {bogus}:1: expected an events or calibration CSV header" in (
-        capsys.readouterr().err
-    )
+    assert f"error: {bogus}:1: not UTF-8 text: invalid start byte" in capsys.readouterr().err
     # a header cell past the csv field limit
     bogus.write_text("x" * 140_000 + ",strength_mbps\n0.2,10.0\n")
     assert run_cli("estimate", "--model", model, "--events", bogus) == 1
     assert f"error: {bogus}:1: field larger than field limit" in capsys.readouterr().err
+
+
+LINEAR_MODEL = (
+    '{"kind": "linear", "degree": null, "coefficients": [0.0, 100.0],'
+    ' "fit_method": "raw_ols", "trained_on": "x"}\n'
+)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_estimate_reads_calibration_and_events_csv_alike(tmp_path, capsys, n):
+    model = tmp_path / "m.json"
+    model.write_text(LINEAR_MODEL)
+    deviations = [0.12, 0.2, 0.31][:n]
+    cal = tmp_path / "cal.csv"
+    cal.write_text(
+        "deviation,strength_mbps\n" + "".join(f"{x},{10 * x}\n" for x in deviations)
+    )
+    events = tmp_path / "events.csv"
+    events.write_text("window_index,h_c,deviation,attack_flag\n" + "".join(
+        f"{i},8.9,{x},true\n" for i, x in enumerate(deviations)
+    ))
+    out = tmp_path / "est.csv"
+    seen = []
+    for path in (cal, events):
+        assert run_cli("estimate", "--model", model, "--events", path, "--out", out) == 0
+        seen.append((out.read_bytes(), capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert [e.deviation for e in read_estimates_csv(out)] == deviations
+    assert f"estimated {n} flagged windows" in seen[0][1].out
+
+
+def test_estimate_refuses_a_negative_window_index(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(LINEAR_MODEL)
+    events = tmp_path / "neg.csv"
+    events.write_text(
+        "window_index,h_c,deviation,attack_flag\n0,1.0,0.15,true\n-3,1.0,0.25,true\n"
+    )
+    out = tmp_path / "est.csv"
+    assert run_cli("estimate", "--model", model, "--events", events, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {events}:3: window_index must be >= 0, got -3\n"
+    assert not out.exists()
 
 
 def test_fit_polynomial_degree_flag(workflow):

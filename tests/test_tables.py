@@ -101,6 +101,28 @@ def test_bad_row_names_file_and_line(tmp_path, table, rows, header, bad_row):
         read_table(path, table)
 
 
+def test_the_header_picks_one_of_several_tables(tmp_path):
+    tables = [case[1] for case in CASES]
+    path = tmp_path / "t.csv"
+    for table, rows in ((case[1], case[2]) for case in CASES):
+        text = table_text(table, rows)
+        path.write_text(text, encoding="utf-8")
+        assert table_text(table, read_table(path, *tables)) == text
+    path.write_text("alpha,beta\n1,2\n", encoding="utf-8")
+    expected = f"{path}:1: expected header {' or '.join(case[3] for case in CASES)}"
+    with pytest.raises(InputError, match=f"^{re.escape(expected)}$"):
+        read_table(path, *tables)
+
+
+@pytest.mark.parametrize("table", [EVENTS_TABLE, ESTIMATES_TABLE], ids=["events", "estimates"])
+def test_a_negative_window_index_is_refused(tmp_path, table):
+    path = tmp_path / "t.csv"
+    path.write_text(f"{','.join(table.header)}\n0,1.0,0.2,true\n-3,1.0,0.2,true\n")
+    where = re.escape(str(path))
+    with pytest.raises(InputError, match=rf"^{where}:3: window_index must be >= 0, got -3$"):
+        read_table(path, table)
+
+
 def test_flow_ids_that_would_not_read_back_are_rejected():
     with pytest.raises(InputError):
         FlowRecord(0, '"quoted"', 1)
