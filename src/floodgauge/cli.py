@@ -26,7 +26,7 @@ from .detector import (
     load_baseline,
     save_baseline,
 )
-from .errors import ConfigError, FloodgaugeError
+from .errors import ConfigError, FloodgaugeError, InputError
 from .fileio import atomic_write_text, format_flag, read_table, write_json
 from .metrics import METRICS, evaluate, metric_values, report_to_dict
 from .pipeline import (
@@ -146,7 +146,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     baseline = load_baseline(args.baseline)
-    labeled = [(strength, read_series(path, args.window_ms)) for strength, path in args.run]
+    labeled = ((strength, read_series(path, args.window_ms)) for strength, path in args.run)
     data = calibrate(labeled, baseline)
     write_calibration_csv(args.out, data)
     print(f"wrote {len(data.samples)} calibration samples to {args.out}")
@@ -209,6 +209,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     # calibration rows carry only deviations: each becomes a flagged event at its position
     events = [r if isinstance(r, DetectionEvent) else DetectionEvent(i, math.nan, r.x, True)
               for i, r in enumerate(read_table(args.events, EVENTS_TABLE, CALIBRATION_TABLE))]
+    # the detector writes each window once, in order; anything else is hand-made or corrupt
+    for prev, event in zip(events, events[1:]):
+        if event.window_index <= prev.window_index:
+            raise InputError(f"{args.events}: window_index {event.window_index} follows "
+                             f"{prev.window_index}; window indices must increase")
     estimates = estimate_strength(model, events)
     if estimates:
         rows = [["window", "deviation", "estimate_mbps", "clamped"]]

@@ -22,7 +22,6 @@ from .fileio import (
     parse_flag,
     parse_index,
     read_json,
-    read_table,
     table_text,
     write_json,
 )
@@ -114,7 +113,3 @@ EVENTS_TABLE = Table(
 
 def write_events_csv(path, events: Sequence[DetectionEvent]) -> None:
     atomic_write_text(path, table_text(EVENTS_TABLE, events))
-
-
-def read_events_csv(path) -> list[DetectionEvent]:
-    return read_table(path, EVENTS_TABLE)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .detector import Baseline, DetectionEvent, evaluate_windows
 from .entropy_core import FlowRecordSeries
@@ -76,13 +76,15 @@ def run_events(series: FlowRecordSeries, baseline: Baseline) -> list[DetectionEv
 
 
 def calibrate(
-    labeled_runs: Sequence[tuple[float, FlowRecordSeries]], baseline: Baseline
+    labeled_runs: Iterable[tuple[float, FlowRecordSeries]], baseline: Baseline
 ) -> CalibrationDataset:
     """Build (deviation, strength) samples from labeled attack runs.
 
     Each run's deviation is the mean over its flagged windows; a run
     with no flagged window cannot contribute a sample and aborts the
-    calibration. Samples come back sorted by strength.
+    calibration. The runs are iterated once and none is kept, so a lazy
+    ``sweep`` or generator holds one run at a time. Samples come back
+    sorted by strength.
     """
     samples = []
     for strength, series in labeled_runs:
@@ -228,7 +230,3 @@ def comparison_to_dict(report: ModelComparisonReport) -> dict:
 
 def write_estimates_csv(path, estimates: Sequence[StrengthEstimate]) -> None:
     atomic_write_text(path, table_text(ESTIMATES_TABLE, estimates))
-
-
-def read_estimates_csv(path) -> list[StrengthEstimate]:
-    return read_table(path, ESTIMATES_TABLE)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
 
 from .entropy_core import FlowColumns, FlowRecordSeries, flow_csv_text, read_flow_columns
 from .errors import ConfigError, InputError
@@ -132,19 +132,36 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
     return FlowRecordSeries(columns, metadata)
 
 
+class _SweepRuns(Sequence):
+    """A sweep's ``(strength, series)`` runs; each read simulates its run anew."""
+
+    def __init__(self, configs: tuple[tuple[float, ScenarioConfig], ...]) -> None:
+        self._configs = configs
+
+    def __len__(self) -> int:
+        return len(self._configs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _SweepRuns(self._configs[index])
+        strength, cfg = self._configs[index]
+        return strength, simulate(cfg)
+
+
 def sweep(
     base: ScenarioConfig, strengths_mbps: Sequence[float]
-) -> list[tuple[float, FlowRecordSeries]]:
-    """Simulate one run per aggregate attack strength.
+) -> Sequence[tuple[float, FlowRecordSeries]]:
+    """One run per aggregate attack strength, simulated each time it is read.
 
     Each run keeps the base scenario but divides the requested aggregate
     strength evenly across the zombies. Child runs get independent seeds
-    derived from the base seed and the run's position.
+    derived from the base seed and the run's position. Every strength is
+    checked here, but no run is kept: hold ``list(runs)`` to reuse them.
     """
     import numpy as np  # here, not at module top: loading the package needs no numpy
     if base.zombies <= 0:
         raise ConfigError("sweep needs a scenario with zombies > 0")
-    runs: list[tuple[float, FlowRecordSeries]] = []
+    configs = []
     for i, strength in enumerate(strengths_mbps):
         if not math.isfinite(strength) or strength <= 0:
             raise ConfigError(f"sweep strengths must be positive, got {strength}")
@@ -153,8 +170,8 @@ def sweep(
         cfg = replace(
             base, attack_rate_mbps_per_zombie=strength / base.zombies, seed=child_seed
         )
-        runs.append((float(strength), simulate(cfg)))
-    return runs
+        configs.append((float(strength), cfg))
+    return _SweepRuns(tuple(configs))
 
 
 def _sidecar_path(csv_path) -> str:

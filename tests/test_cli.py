@@ -1,12 +1,15 @@
 import json
+import weakref
 
 import pytest
 
+from floodgauge import cli
 from floodgauge.cli import build_parser, main
 from floodgauge.detector import load_baseline
+from floodgauge.fileio import read_table
 from floodgauge.pipeline import (
+    ESTIMATES_TABLE,
     read_calibration_csv,
-    read_estimates_csv,
     write_calibration_csv,
 )
 from floodgauge.refdata import reference_dataset
@@ -48,6 +51,30 @@ def workflow(tmp_path):
         args += ["--run", f"{strength}={path}"]
     assert run_cli(*args) == 0
     return tmp_path, cal
+
+
+def test_calibrate_reads_one_run_at_a_time(tmp_path, monkeypatch):
+    clean = simulate_run(tmp_path, "clean.csv", 0.0, 11, zombies=0)
+    baseline = tmp_path / "baseline.json"
+    assert run_cli("baseline", "--flows", clean, "--out", baseline) == 0
+    args = ["calibrate", "--baseline", baseline, "--out", tmp_path / "cal.csv"]
+    for strength, rate, seed in ((5.0, 0.5, 21), (12.0, 1.2, 22), (20.0, 2.0, 23)):
+        path = simulate_run(tmp_path, f"atk{seed}.csv", rate, seed)
+        args += ["--run", f"{strength}={path}"]
+    alive = weakref.WeakSet()
+    peak = 0
+
+    def tracked(path, window_ms, real=cli.read_series):
+        nonlocal peak
+        series = real(path, window_ms)
+        alive.add(series)
+        peak = max(peak, len(alive))
+        return series
+
+    monkeypatch.setattr(cli, "read_series", tracked)
+    assert run_cli(*args) == 0
+    assert len(read_calibration_csv(tmp_path / "cal.csv").samples) == 3
+    assert peak <= 2
 
 
 def test_simulate_writes_flow_csv_and_sidecar(tmp_path, capsys):
@@ -140,7 +167,7 @@ def test_full_workflow(workflow, capsys):
         )
         == 0
     )
-    estimates = read_estimates_csv(est_csv)
+    estimates = read_table(est_csv, ESTIMATES_TABLE)
     assert len(estimates) == 3
     out = capsys.readouterr().out
     assert "estimated 3 flagged windows" in out
@@ -158,7 +185,7 @@ def test_estimate_accepts_events_csv(workflow, tmp_path):
     )
     out_path = base / "est.csv"
     assert run_cli("estimate", "--model", model_path, "--events", events_path, "--out", out_path) == 0
-    estimates = read_estimates_csv(out_path)
+    estimates = read_table(out_path, ESTIMATES_TABLE)
     assert [e.window_index for e in estimates] == [1]
 
 
@@ -170,7 +197,7 @@ def test_estimate_matches_headers_like_the_table_reader(workflow, tmp_path):
     assert run_cli("fit", "--data", spaced, "--model", "linear", "--out", model) == 0
     out_path = base / "est.csv"
     assert run_cli("estimate", "--model", model, "--events", spaced, "--out", out_path) == 0
-    assert len(read_estimates_csv(out_path)) == len(read_calibration_csv(cal).samples)
+    assert len(read_table(out_path, ESTIMATES_TABLE)) == len(read_calibration_csv(cal).samples)
 
 
 def test_estimate_rejects_unknown_header(tmp_path, capsys):
@@ -220,7 +247,7 @@ def test_estimate_reads_calibration_and_events_csv_alike(tmp_path, capsys, n):
         assert run_cli("estimate", "--model", model, "--events", path, "--out", out) == 0
         seen.append((out.read_bytes(), capsys.readouterr()))
     assert seen[0] == seen[1]
-    assert [e.deviation for e in read_estimates_csv(out)] == deviations
+    assert [e.deviation for e in read_table(out, ESTIMATES_TABLE)] == deviations
     assert f"estimated {n} flagged windows" in seen[0][1].out
 
 
@@ -352,7 +379,7 @@ def test_fixture_estimate_round_trip_keeps_all_rows(tmp_path):
     assert run_cli("fit", "--data", cal, "--model", "linear", "--out", model_path) == 0
     est_csv = tmp_path / "est.csv"
     assert run_cli("estimate", "--model", model_path, "--events", cal, "--out", est_csv) == 0
-    assert len(read_estimates_csv(est_csv)) == 19
+    assert len(read_table(est_csv, ESTIMATES_TABLE)) == 19
 
 
 def test_same_seed_produces_byte_identical_outputs(tmp_path):
@@ -619,6 +646,26 @@ def test_load_errors_name_their_file(tmp_path, capsys, make):
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / name}: ")
 
 
+def test_estimate_refuses_window_indices_that_do_not_increase(tmp_path, capsys):
+    model = tmp_path / "linear.json"
+    model.write_text(json.dumps({
+        "kind": "linear", "degree": None, "coefficients": [0.0, 100.0],
+        "fit_method": "raw_ols", "trained_on": "synthetic",
+        "created_at": "2000-01-01T00:00:00+00:00",
+    }))
+    events = tmp_path / "events.csv"
+    events.write_text(
+        "window_index,h_c,deviation,attack_flag\n"
+        "5,8.0,0.15,true\n5,8.1,0.25,true\n2,8.05,0.2,true\n"
+    )
+    out = tmp_path / "estimates.csv"
+    assert run_cli("estimate", "--model", model, "--events", events, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {events}: window_index 5 follows 5; window indices must increase\n"
+    )
+    assert not out.exists()
+
+
 def test_tiny_strengths_keep_a_defined_correlation(tmp_path, capsys):
     data = tmp_path / "tiny.csv"
     data.write_text("deviation,strength_mbps\n0.1,1e-150\n0.2,2e-150\n0.3,3e-150\n")
@@ -641,7 +688,7 @@ def test_model_overflow_skips_the_window_or_fails_evaluate(tmp_path, capsys, cap
     )
     out = tmp_path / "estimates.csv"
     assert run_cli("estimate", "--model", model, "--events", events, "--out", out) == 0
-    assert [e.window_index for e in read_estimates_csv(out)] == [1]
+    assert [e.window_index for e in read_table(out, ESTIMATES_TABLE)] == [1]
     assert "window 0 skipped: exponential model overflows" in caplog.text
     capsys.readouterr()
     data = tmp_path / "cal.csv"

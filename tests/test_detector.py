@@ -3,18 +3,19 @@ import re
 import pytest
 
 from floodgauge.detector import (
+    EVENTS_TABLE,
     Baseline,
     DetectionEvent,
     build_baseline,
     evaluate_window,
     evaluate_windows,
     load_baseline,
-    read_events_csv,
     save_baseline,
     write_events_csv,
 )
 from floodgauge.entropy_core import EntropyValue
 from floodgauge.errors import InputError, InsufficientBaselineError
+from floodgauge.fileio import read_table
 
 
 def ev(value):
@@ -139,7 +140,7 @@ def test_events_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "events.csv"
     write_events_csv(path, events)
-    assert read_events_csv(path) == events
+    assert read_table(path, EVENTS_TABLE) == events
     lines = path.read_text().splitlines()
     assert lines[0] == "window_index,h_c,deviation,attack_flag"
     assert lines[1].endswith(",false")
@@ -150,7 +151,7 @@ def test_events_csv_errors_name_file_and_line(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("window_index,h_c,deviation,attack_flag\n0,8.0,0.2,yes\n")
     with pytest.raises(InputError, match=rf"{path}:2"):
-        read_events_csv(path)
+        read_table(path, EVENTS_TABLE)
     path.write_text("bad header\n")
     with pytest.raises(InputError, match=rf"{path}:1"):
-        read_events_csv(path)
+        read_table(path, EVENTS_TABLE)

@@ -1,8 +1,10 @@
 import logging
 import math
+import weakref
 
 import pytest
 
+from floodgauge import traffic_sim
 from floodgauge.detector import Baseline, DetectionEvent, build_baseline
 from floodgauge.entropy_core import FlowRecord, compute_entropy, windowize
 from floodgauge.errors import (
@@ -12,17 +14,18 @@ from floodgauge.errors import (
     InputError,
 )
 from floodgauge.pipeline import (
+    ESTIMATES_TABLE,
     calibrate,
     compare_models,
     comparison_to_csv,
     comparison_to_dict,
     estimate_strength,
     read_calibration_csv,
-    read_estimates_csv,
     run_events,
     write_calibration_csv,
     write_estimates_csv,
 )
+from floodgauge.fileio import read_table
 from floodgauge.refdata import reference_dataset
 from floodgauge.regression import (
     CalibrationDataset,
@@ -112,6 +115,25 @@ def test_calibrate_builds_sorted_samples():
     assert all(s.x > 0.1 for s in data.samples)
     xs = [s.x for s in data.samples]
     assert xs == sorted(xs)
+
+
+def test_calibrate_holds_one_sweep_run_at_a_time(monkeypatch):
+    base = small_base()
+    baseline = clean_baseline(base)
+    alive = weakref.WeakSet()
+    peak = 0
+
+    def tracked(cfg, real=traffic_sim.simulate):
+        nonlocal peak
+        series = real(cfg)
+        alive.add(series)
+        peak = max(peak, len(alive))
+        return series
+
+    monkeypatch.setattr(traffic_sim, "simulate", tracked)
+    data = calibrate(sweep(base, [1.5, 3.0, 4.5, 6.0, 7.5, 9.0]), baseline)
+    assert [s.y for s in data.samples] == [1.5, 3.0, 4.5, 6.0, 7.5, 9.0]
+    assert peak <= 2
 
 
 def test_calibrate_rejects_runs_without_flags():
@@ -236,7 +258,7 @@ def test_estimates_csv_round_trip(tmp_path):
     estimates = estimate_strength(model, events)
     path = tmp_path / "estimates.csv"
     write_estimates_csv(path, estimates)
-    assert read_estimates_csv(path) == estimates
+    assert read_table(path, ESTIMATES_TABLE) == estimates
     lines = path.read_text().splitlines()
     assert lines[0] == "window_index,deviation,estimate_mbps,clamped"
     assert lines[2].endswith(",true")

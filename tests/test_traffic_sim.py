@@ -14,6 +14,7 @@ from floodgauge.entropy_core import (
     read_flow_csv,
     windowize,
 )
+from floodgauge import traffic_sim
 from floodgauge.errors import ConfigError, InputError
 from floodgauge.traffic_sim import (
     GENERATOR_NAME,
@@ -215,6 +216,31 @@ def test_sweep_runs_get_distinct_deterministic_seeds():
     assert seeds == [series.metadata["seed"] for _, series in second]
     for (_, a), (_, b) in zip(first, second):
         assert a.records == b.records
+
+
+def test_sweep_checks_every_strength_before_simulating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(traffic_sim, "simulate", calls.append)
+    with pytest.raises(ConfigError):
+        sweep(small_config(), [10.0, 0.0])
+    assert calls == []
+
+
+def test_sweep_is_a_sequence_that_simulates_each_read():
+    runs = sweep(small_config(), [10.0, 20.0, 30.0])
+    assert len(runs) == 3
+    last, again = runs[-1], runs[len(runs) - 1]
+    assert last[0] == again[0] == 30.0
+    assert last[1].columns == again[1].columns
+    assert last[1].metadata["seed"] == again[1].metadata["seed"]
+    tail = runs[1:]
+    assert len(tail) == 2
+    assert [s for s, _ in tail] == [20.0, 30.0]
+    assert tail[0][1].columns == runs[1][1].columns
+    assert tail[0][1].metadata["seed"] == runs[1][1].metadata["seed"]
+    assert runs[0][1].metadata["seed"] != runs[1][1].metadata["seed"]
+    with pytest.raises(IndexError):
+        runs[3]
 
 
 def test_sweep_rejects_bad_inputs():
