@@ -26,7 +26,7 @@ from .detector import (
     load_baseline,
     save_baseline,
 )
-from .errors import ConfigError, FloodgaugeError, InputError
+from .errors import ConfigError, EmptyRunError, FloodgaugeError, InputError
 from .fileio import atomic_write_text, format_flag, read_table, write_json
 from .metrics import METRICS, evaluate, metric_values, report_to_dict
 from .pipeline import (
@@ -125,7 +125,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     series = simulate(cfg)
     write_series(args.out, series)
     print(
-        f"wrote {len(series.columns.bytes)} flow records over {cfg.num_windows} windows "
+        f"wrote {series.record_count} flow records over {cfg.num_windows} windows "
         f"to {args.out} (seed {series.metadata['seed']})"
     )
     if cfg.zombies > 0 and cfg.attack_rate_mbps_per_zombie > 0:
@@ -146,8 +146,17 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     baseline = load_baseline(args.baseline)
-    labeled = ((strength, read_series(path, args.window_ms)) for strength, path in args.run)
-    data = calibrate(labeled, baseline)
+    path = None  # the --run file calibrate read last
+
+    def labeled():
+        nonlocal path
+        for strength, path in args.run:
+            yield strength, read_series(path, args.window_ms)
+
+    try:
+        data = calibrate(labeled(), baseline)
+    except EmptyRunError as exc:
+        raise EmptyRunError(f"{path}: {exc}") from exc
     write_calibration_csv(args.out, data)
     print(f"wrote {len(data.samples)} calibration samples to {args.out}")
     return 0

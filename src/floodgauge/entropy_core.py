@@ -11,9 +11,9 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, mul, truediv
-from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .fileio import header_cells, json_number, table_rows
@@ -142,19 +142,52 @@ def _is_ordered(column: Sequence[int]) -> bool:
 
 
 class FlowRecordSeries:
-    """Flow records of one run, held as columns, plus the metadata to replay it.
+    """Flow records of one run, held per window, plus the metadata to replay it.
 
     ``records`` are FlowRecord objects, or FlowColumns whose rows pass their
     checks, ordered by window. ``metadata["config"]`` gives the window length
-    and count; without a count the run ends at its last record.
+    and count; without a count the run ends at its last record. Each window
+    keeps its rows, flows and byte counts, in input order.
     """
 
     def __init__(self, records: Sequence[FlowRecord] | FlowColumns, metadata: dict) -> None:
-        columns = flow_columns(records)
-        windows = columns.window_index
+        windows, flows, nbytes = flow_columns(records)
         if not _is_ordered(windows):
             raise InputError("records must be ordered by window_index")
-        last = windows[-1] if windows else -1
+        if windows and windows[0] < 0:
+            raise InputError(f"window_index must be >= 0, got {windows[0]}")
+        rows, start = [], 0
+        for w in range(windows[-1] + 1 if windows else 0):
+            end = bisect_right(windows, w, start)
+            rows.append((flows[start:end], nbytes[start:end]))
+            start = end
+        self._store(rows, metadata, plain=False)
+
+    @classmethod
+    def from_volumes(
+        cls, flow_ids: Sequence[str], rows: Iterable[Sequence[int]], metadata: dict
+    ) -> "FlowRecordSeries":
+        """A run from each window's count per flow, ids distinct and valid; 0 is no record."""
+        flow_ids = tuple(flow_ids)
+        if len(set(flow_ids)) < len(flow_ids):
+            raise InputError("flow ids must be distinct")
+        windows = []
+        for counts in rows:
+            if len(counts) != len(flow_ids) or min(counts, default=0) < 0:
+                raise InputError(f"window {len(windows)} needs one count >= 0 per flow")
+            if all(counts):  # every flow sent: the windows share one id tuple
+                windows.append((flow_ids, tuple(counts)))
+            else:
+                windows.append((tuple(compress(flow_ids, counts)), tuple(filter(None, counts))))
+        series = cls.__new__(cls)
+        series._store(windows, metadata, plain=True)
+        return series
+
+    def _store(self, rows: list, metadata: dict, plain: bool) -> None:
+        """Check the metadata and keep each window's (flows, counts); plain ones need no sum."""
+        last = len(rows) - 1
+        while last >= 0 and not rows[last][0]:
+            last -= 1
         try:
             config = metadata["config"]
             length = json_number(config["window_length_ms"])
@@ -168,10 +201,27 @@ class FlowRecordSeries:
             raise InputError("window_length_ms must be finite and positive")
         if count is not None and count <= last:
             raise InputError(f"num_windows={count} but records reach window {last}")
-        self.columns = FlowColumns(*map(tuple, columns))
+        stored = last + 1 if count is None else count
+        self._rows = rows[:stored] + [((), ())] * (stored - len(rows))
+        self._plain = plain
         self.metadata = metadata
         self.window_length_ms = length
         self.num_windows = count
+
+    @property
+    def columns(self) -> FlowColumns:
+        """The run's rows as columns, built anew on each access: hold it to use it twice."""
+        rows = self._rows
+        return FlowColumns(
+            tuple(chain.from_iterable(repeat(w, len(f)) for w, (f, _) in enumerate(rows))),
+            tuple(chain.from_iterable(f for f, _ in rows)),
+            tuple(chain.from_iterable(c for _, c in rows)),
+        )
+
+    @property
+    def record_count(self) -> int:
+        """Number of rows in the run, counted without building them."""
+        return sum(len(f) for f, _ in self._rows)
 
     @property
     def records(self) -> tuple[FlowRecord, ...]:
@@ -196,15 +246,8 @@ class FlowRecordSeries:
 
     def _walk(self) -> Iterator[tuple[int, Collection[str], Collection[int]]]:
         """Each window's index, flows and positive byte totals, in window order."""
-        windows, flows, nbytes = self.columns
-        count = self.num_windows
-        if count is None:
-            count = windows[-1] + 1 if windows else 0
-        start = 0
-        for w in range(count):
-            end = bisect_right(windows, w, start)
-            fids, counts = flows[start:end], nbytes[start:end]
-            if len(set(fids)) < end - start or min(counts, default=1) <= 0:
+        for w, (fids, counts) in enumerate(self._rows):
+            if not self._plain and (len(set(fids)) < len(fids) or min(counts, default=1) <= 0):
                 # a flow repeats or a count is not positive: sum, then drop
                 # what is not positive, as WindowCounts.build does
                 summed: dict[str, int] = {}
@@ -213,7 +256,6 @@ class FlowRecordSeries:
                 summed = {fid: c for fid, c in summed.items() if c > 0}
                 fids, counts = summed.keys(), summed.values()
             yield w, fids, counts
-            start = end
 
 
 def windowize(

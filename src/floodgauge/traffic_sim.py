@@ -8,12 +8,13 @@ strength from a base configuration.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
-from .entropy_core import FlowColumns, FlowRecordSeries, flow_csv_text, read_flow_columns
+from .entropy_core import FlowRecordSeries, flow_csv_text, read_flow_columns
 from .errors import ConfigError, InputError
 from .fileio import atomic_write_text, read_json, write_json
 
@@ -94,6 +95,13 @@ def expected_deviation(cfg: ScenarioConfig) -> float:
     return entropy(cfg.zombies) - entropy(0)
 
 
+@functools.lru_cache(maxsize=8)
+def _flow_ids(legit_clients: int, zombies: int) -> tuple[str, ...]:
+    """A run's flow ids, legit clients first."""
+    legit = [f"{LEGIT_PREFIX}{i:04d}" for i in range(legit_clients)]
+    return tuple(legit + [f"{ZOMBIE_PREFIX}{i:04d}" for i in range(zombies)])
+
+
 def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
     """Generate one run of per-window flow byte counts.
 
@@ -108,28 +116,19 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
     zombie_bytes = round(
         _bytes_per_window(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms)
     )
-    # one column per flow, legit clients first; row-major nonzero keeps
-    # records in window order, then flow order, and skips zero volumes
+    # one column per flow, legit clients first
     volumes = np.hstack([
         rng.poisson(lam, size=(cfg.num_windows, cfg.legit_clients)),
         np.full((cfg.num_windows, cfg.zombies), zombie_bytes, dtype=np.int64),
     ])
-    windows, flows = np.nonzero(volumes)
-    flow_ids = np.array(
-        [f"{LEGIT_PREFIX}{i:04d}" for i in range(cfg.legit_clients)]
-        + [f"{ZOMBIE_PREFIX}{i:04d}" for i in range(cfg.zombies)], dtype=object
-    )
-    columns = FlowColumns(
-        windows.tolist(), flow_ids[flows].tolist(), volumes[windows, flows].tolist()
-    )
-
     metadata = {
         "config": asdict(cfg),
         "generator": GENERATOR_NAME,
         "seed": seed,
         "flow_labels": {"legit": LEGIT_PREFIX, "zombie": ZOMBIE_PREFIX},
     }
-    return FlowRecordSeries(columns, metadata)
+    flow_ids = _flow_ids(cfg.legit_clients, cfg.zombies)
+    return FlowRecordSeries.from_volumes(flow_ids, volumes.tolist(), metadata)
 
 
 class _SweepRuns(Sequence):

@@ -77,6 +77,30 @@ def test_calibrate_reads_one_run_at_a_time(tmp_path, monkeypatch):
     assert peak <= 2
 
 
+def test_calibrate_names_the_run_that_flagged_no_window(tmp_path, capsys):
+    clean = simulate_run(tmp_path, "clean.csv", 0.0, 11, zombies=0)
+    baseline = tmp_path / "baseline.json"
+    assert run_cli("baseline", "--flows", clean, "--out", baseline) == 0
+    attack = simulate_run(tmp_path, "a.csv", 0.5, 21)
+    quiet = simulate_run(tmp_path, "q.csv", 0.0, 22)
+    capsys.readouterr()
+    assert run_cli("calibrate", "--baseline", baseline, "--out", tmp_path / "cal.csv",
+                   "--run", f"5={attack}", "--run", f"7={quiet}") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {quiet}: run at 7.0 Mbps produced no flagged windows\n"
+
+
+def test_simulate_counts_the_records_it_writes(tmp_path, capsys):
+    path = tmp_path / "sparse.csv"
+    assert run_cli(
+        "simulate", "--out", path, "--legit-clients", 6, "--zombies", 0,
+        "--legit-rate", 0.00001, "--windows", 8, "--seed", 3,
+    ) == 0
+    rows = len(path.read_text().splitlines()) - 1
+    assert 0 < rows < 6 * 8  # some draws are zero
+    assert capsys.readouterr().out.startswith(f"wrote {rows} flow records over 8 windows ")
+
+
 def test_simulate_writes_flow_csv_and_sidecar(tmp_path, capsys):
     path = simulate_run(tmp_path, "run.csv", 0.5, 3)
     assert path.exists()

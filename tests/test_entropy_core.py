@@ -225,6 +225,44 @@ def test_entropies_are_bit_identical_to_compute_entropy_of_windows(per_window, t
             run_events(series, Baseline(h_n=1.0, threshold=0.1, training_windows=5))
 
 
+def test_from_volumes_drops_zero_counts_and_keeps_the_window_count():
+    config = {"window_length_ms": 200.0}
+    ids, rows = ["a", "b", "c"], [[3, 0, 5], [0, 0, 0], [0, 7, 0], [0, 0, 0]]
+    series = FlowRecordSeries.from_volumes(ids, rows, {"config": config})
+    expected = FlowColumns((0, 0, 2), ("a", "c", "b"), (3, 5, 7))
+    assert series.columns == expected
+    assert series.record_count == 3
+    # without a count the run ends at its last record, as for columns
+    assert series.windows() == FlowRecordSeries(expected, {"config": config}).windows()
+    assert len(series.windows()) == 3
+    counted = {"config": dict(config, num_windows=5)}
+    assert len(FlowRecordSeries.from_volumes(ids, rows, counted).windows()) == 5
+    with pytest.raises(InputError, match="num_windows=2 but records reach window 2"):
+        FlowRecordSeries.from_volumes(ids, rows, {"config": dict(config, num_windows=2)})
+
+
+def test_columns_with_a_negative_window_are_refused():
+    # the split starts at window 0, so such a row would land in window 0
+    columns = FlowColumns((-1, 0), ("a", "b"), (1, 2))
+    with pytest.raises(InputError, match="window_index must be >= 0, got -1"):
+        FlowRecordSeries(columns, {"config": {"window_length_ms": 200.0}})
+
+
+@pytest.mark.parametrize(
+    "flow_ids, rows, message",
+    [
+        (["a", "b", "a"], [[1, 2, 3]], "distinct"),
+        (["a", "b"], [[1, 2], [4, -1]], "window 1 needs one count >= 0 per flow"),
+        (["a", "b"], [[1, 2], [4]], "window 1 needs one count >= 0 per flow"),
+        (["a", "b"], [[1, 2, 3]], "window 0 needs one count >= 0 per flow"),
+    ],
+    ids=["repeated-id", "negative-count", "short-row", "long-row"],
+)
+def test_from_volumes_refuses_bad_rows(flow_ids, rows, message):
+    with pytest.raises(InputError, match=message):
+        FlowRecordSeries.from_volumes(flow_ids, rows, {"config": {"window_length_ms": 200.0}})
+
+
 @pytest.mark.parametrize("size", [0, 1, 2, _ORDER_CHUNK, _ORDER_CHUNK + 1, 3 * _ORDER_CHUNK + 5])
 def test_order_check_sees_a_step_down_anywhere(size):
     column = [i // 3 for i in range(size)]

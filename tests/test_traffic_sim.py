@@ -323,6 +323,44 @@ def test_mean_deviation_matches_the_closed_form(legit, zombies, legit_rate, spee
     assert abs(error) <= tolerance
 
 
+@settings(
+    max_examples=60,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    legit=st.integers(0, 6),
+    zombies=st.integers(0, 3),
+    # 1e-5 Mbps is a quarter byte per window, so most draws are zero, and
+    # a zombie rounds to zero bytes and sends nothing
+    legit_rate=st.sampled_from([1e-5, 0.0005, 1.0]),
+    attack_rate=st.sampled_from([0.0, 1e-5, 0.1]),
+    windows=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_volume_rows_and_columns_make_the_same_series(
+    tmp_path, legit, zombies, legit_rate, attack_rate, windows, seed
+):
+    cfg = small_config(
+        legit_clients=legit, zombies=zombies, legit_mean_rate_mbps_per_client=legit_rate,
+        attack_rate_mbps_per_zombie=attack_rate, num_windows=windows, seed=seed,
+    )
+    simulated = simulate(cfg)
+    path = tmp_path / "run.csv"
+    write_series(path, simulated)
+    text = path.read_text(encoding="utf-8")
+    hexes = lambda run: [(e.value.hex(), e.flow_count) for e in run.entropies()]
+    for series in (FlowRecordSeries(simulated.columns, simulated.metadata), read_series(path)):
+        assert series.columns == simulated.columns
+        assert series.records == simulated.records
+        assert series.record_count == simulated.record_count == len(text.splitlines()) - 1
+        assert series.windows() == simulated.windows()
+        assert hexes(series) == hexes(simulated)
+        write_series(tmp_path / "again.csv", series)
+        assert (tmp_path / "again.csv").read_text(encoding="utf-8") == text
+
+
 def test_series_round_trip(tmp_path):
     series = simulate(small_config())
     path = tmp_path / "run.csv"
