@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, mul, truediv
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .fileio import header_cells, json_number, table_rows
@@ -128,17 +127,17 @@ def _entropy(counts: Collection[int], total: int) -> EntropyValue:
     return EntropyValue(value, n)
 
 
-# entries per chunk of an order check: small enough that no whole column is copied
-_ORDER_CHUNK = 4096
-
-
-def _is_ordered(column: Sequence[int]) -> bool:
-    """Whether the column never decreases; chunks overlap by one entry."""
-    for i in range(0, len(column), _ORDER_CHUNK):
-        chunk = list(column[i:i + _ORDER_CHUNK + 1])
-        if chunk != sorted(chunk):
-            return False
-    return True
+def _positive_totals(row: tuple) -> tuple:
+    """A window's (flows, counts) summed per flow, what is not positive dropped as in
+    WindowCounts.build; the row itself when no flow repeats and every count is positive."""
+    fids, counts = row
+    if len(set(fids)) == len(fids) and min(counts, default=1) > 0:
+        return row
+    summed: dict[str, int] = {}
+    for fid, b in zip(fids, counts):
+        summed[fid] = summed.get(fid, 0) + b
+    summed = {fid: c for fid, c in summed.items() if c > 0}
+    return tuple(summed), tuple(summed.values())
 
 
 class FlowRecordSeries:
@@ -147,47 +146,41 @@ class FlowRecordSeries:
     ``records`` are FlowRecord objects, or FlowColumns whose rows pass their
     checks, ordered by window. ``metadata["config"]`` gives the window length
     and count; without a count the run ends at its last record. Each window
-    keeps its rows, flows and byte counts, in input order.
+    keeps its rows as given, in input order, and its per-flow positive totals.
     """
 
     def __init__(self, records: Sequence[FlowRecord] | FlowColumns, metadata: dict) -> None:
+        self._check(metadata)
         windows, flows, nbytes = flow_columns(records)
-        if not _is_ordered(windows):
-            raise InputError("records must be ordered by window_index")
-        if windows and windows[0] < 0:
-            raise InputError(f"window_index must be >= 0, got {windows[0]}")
-        rows, start = [], 0
-        for w in range(windows[-1] + 1 if windows else 0):
-            end = bisect_right(windows, w, start)
-            rows.append((flows[start:end], nbytes[start:end]))
-            start = end
-        self._store(rows, metadata, plain=False)
+        rows, end = [], 0
+        for w, run in groupby(windows):
+            start, end = end, end + len(list(run))
+            self._add(rows, w, flows[start:end], nbytes[start:end])
+        self._keep(rows, summed=False)
 
     @classmethod
     def from_volumes(
         cls, flow_ids: Sequence[str], rows: Iterable[Sequence[int]], metadata: dict
     ) -> "FlowRecordSeries":
         """A run from each window's count per flow, ids distinct and valid; 0 is no record."""
-        flow_ids = tuple(flow_ids)
-        if len(set(flow_ids)) < len(flow_ids):
+        series = cls.__new__(cls)
+        series._check(metadata)
+        ids = tuple(flow_ids)
+        if len(set(ids)) < len(ids):
             raise InputError("flow ids must be distinct")
         windows = []
-        for counts in rows:
-            if len(counts) != len(flow_ids) or min(counts, default=0) < 0:
-                raise InputError(f"window {len(windows)} needs one count >= 0 per flow")
-            if all(counts):  # every flow sent: the windows share one id tuple
-                windows.append((flow_ids, tuple(counts)))
-            else:
-                windows.append((tuple(compress(flow_ids, counts)), tuple(filter(None, counts))))
-        series = cls.__new__(cls)
-        series._store(windows, metadata, plain=True)
+        for w, counts in enumerate(rows):
+            if len(counts) != len(ids) or min(counts, default=0) < 0:
+                raise InputError(f"window {w} needs one count >= 0 per flow")
+            if ids and all(counts):  # every flow sent: the windows share one id tuple
+                series._add(windows, w, ids, tuple(counts))
+            elif any(counts):
+                series._add(windows, w, tuple(compress(ids, counts)), tuple(filter(None, counts)))
+        series._keep(windows, summed=True)
         return series
 
-    def _store(self, rows: list, metadata: dict, plain: bool) -> None:
-        """Check the metadata and keep each window's (flows, counts); plain ones need no sum."""
-        last = len(rows) - 1
-        while last >= 0 and not rows[last][0]:
-            last -= 1
+    def _check(self, metadata: dict) -> None:
+        """Keep the metadata, refusing a bad window length or count."""
         try:
             config = metadata["config"]
             length = json_number(config["window_length_ms"])
@@ -199,14 +192,25 @@ class FlowRecordSeries:
             ) from exc
         if not math.isfinite(length) or length <= 0:
             raise InputError("window_length_ms must be finite and positive")
-        if count is not None and count <= last:
-            raise InputError(f"num_windows={count} but records reach window {last}")
-        stored = last + 1 if count is None else count
-        self._rows = rows[:stored] + [((), ())] * (stored - len(rows))
-        self._plain = plain
         self.metadata = metadata
         self.window_length_ms = length
         self.num_windows = count
+
+    def _add(self, rows: list, w: int, flows: Sequence[str], counts: Sequence[int]) -> None:
+        """Append window w after empty ones; refuse a step down or a window past the count."""
+        if w < len(rows):  # a step down, or a negative first window
+            raise InputError("records must be ordered by window_index" if rows
+                             else f"window_index must be >= 0, got {w}")
+        if self.num_windows is not None and w >= self.num_windows:
+            raise InputError(f"num_windows={self.num_windows} but records reach window {w}")
+        rows += repeat(((), ()), w - len(rows))
+        rows.append((flows, counts))
+
+    def _keep(self, rows: list, summed: bool) -> None:
+        """Keep the rows, padded with empty windows to the count, and their positive totals."""
+        rows += repeat(((), ()), (self.num_windows or 0) - len(rows))
+        self._rows = rows
+        self._totals = rows if summed else list(map(_positive_totals, rows))
 
     @property
     def columns(self) -> FlowColumns:
@@ -237,25 +241,12 @@ class FlowRecordSeries:
         length = self.window_length_ms
         return [
             WindowCounts(w, dict(zip(fids, counts)), sum(counts), length)
-            for w, fids, counts in self._walk()
+            for w, (fids, counts) in enumerate(self._totals)
         ]
 
     def entropies(self) -> list[EntropyValue]:
         """compute_entropy of each of windows(), bit for bit, without building them."""
-        return [_entropy(counts, sum(counts)) for _, _, counts in self._walk()]
-
-    def _walk(self) -> Iterator[tuple[int, Collection[str], Collection[int]]]:
-        """Each window's index, flows and positive byte totals, in window order."""
-        for w, (fids, counts) in enumerate(self._rows):
-            if not self._plain and (len(set(fids)) < len(fids) or min(counts, default=1) <= 0):
-                # a flow repeats or a count is not positive: sum, then drop
-                # what is not positive, as WindowCounts.build does
-                summed: dict[str, int] = {}
-                for fid, b in zip(fids, counts):
-                    summed[fid] = summed.get(fid, 0) + b
-                summed = {fid: c for fid, c in summed.items() if c > 0}
-                fids, counts = summed.keys(), summed.values()
-            yield w, fids, counts
+        return [_entropy(counts, sum(counts)) for _, counts in self._totals]
 
 
 def windowize(

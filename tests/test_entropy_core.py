@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from floodgauge import entropy_core
 from floodgauge.detector import Baseline
 from floodgauge.entropy_core import (
-    _ORDER_CHUNK,
     FlowColumns,
     FlowRecord,
     FlowRecordSeries,
     WindowCounts,
-    _is_ordered,
     _read_flow_blocks,
     _read_flow_rows,
     compute_entropy,
@@ -239,6 +237,16 @@ def test_from_volumes_drops_zero_counts_and_keeps_the_window_count():
     assert len(FlowRecordSeries.from_volumes(ids, rows, counted).windows()) == 5
     with pytest.raises(InputError, match="num_windows=2 but records reach window 2"):
         FlowRecordSeries.from_volumes(ids, rows, {"config": dict(config, num_windows=2)})
+    # empty rows past the count are no records: accepted, and the run keeps the count
+    padded = FlowRecordSeries.from_volumes(ids, rows + [[0, 0, 0]] * 3, counted)
+    assert padded.columns == expected and len(padded.windows()) == 5
+    assert len(padded.entropies()) == 5
+    with pytest.raises(InputError, match="num_windows=5 but records reach window 6"):
+        FlowRecordSeries.from_volumes(ids, rows + [[0, 0, 0], [0, 0, 0], [0, 1, 0]], counted)
+    # columns are refused at the first row past the count
+    past = FlowColumns((0, 2, 5, 9), ("a", "b", "a", "c"), (1, 2, 3, 4))
+    with pytest.raises(InputError, match="num_windows=5 but records reach window 5"):
+        FlowRecordSeries(past, counted)
 
 
 def test_columns_with_a_negative_window_are_refused():
@@ -263,15 +271,27 @@ def test_from_volumes_refuses_bad_rows(flow_ids, rows, message):
         FlowRecordSeries.from_volumes(flow_ids, rows, {"config": {"window_length_ms": 200.0}})
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, _ORDER_CHUNK, _ORDER_CHUNK + 1, 3 * _ORDER_CHUNK + 5])
+def series_of_windows(column):
+    ids = [f"f{i}" for i in range(len(column))]
+    columns = FlowColumns(column, ids, [1] * len(column))
+    return FlowRecordSeries(columns, {"config": {"window_length_ms": 200.0}})
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 4096, 4097, 12293])
 def test_order_check_sees_a_step_down_anywhere(size):
     column = [i // 3 for i in range(size)]
-    assert _is_ordered(column) and _is_ordered(tuple(column))
-    # every position where one chunk ends and the next begins, and the ends
-    spots = {1, size - 1} | {k * _ORDER_CHUNK + d for k in range(1, 4) for d in (-1, 0, 1)}
+    assert len(series_of_windows(column).windows()) == (column[-1] + 1 if column else 0)
+    assert series_of_windows(tuple(column)).columns.window_index == tuple(column)
+    # the ends, and each side of every 4096th entry, where a chunked check would split
+    spots = {1, size - 1} | {k * 4096 + d for k in range(1, 4) for d in (-1, 0, 1)}
     for i in sorted(j for j in spots if 0 < j < size):
         stepped = column[:i] + [column[i - 1] - 1] + column[i + 1:]
-        assert not _is_ordered(stepped), i
+        with pytest.raises(InputError, match="records must be ordered by window_index"):
+            series_of_windows(stepped)
+    with pytest.raises(InputError, match="records must be ordered by window_index"):
+        series_of_windows([0, -1])
+    with pytest.raises(InputError, match="window_index must be >= 0, got -1"):
+        series_of_windows([-1, 0])
 
 
 def test_build_drops_non_positive_counts_and_copies():

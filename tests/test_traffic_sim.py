@@ -1,6 +1,7 @@
 import math
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -612,6 +613,21 @@ def test_read_series_refuses_sidecar_values_it_would_coerce(tmp_path, field, val
     message = rf"^{re.escape(str(meta))}: metadata lacks a valid config"
     with pytest.raises(InputError, match=message):
         read_series(path)
+
+
+def test_read_series_refuses_a_row_past_the_sidecar_count_at_that_row(tmp_path):
+    # the split stops at the row past the count: it builds no window up to 10**6
+    path, meta = tmp_path / "run.csv", tmp_path / "run.meta.json"
+    path.write_text("window_index,flow_id,bytes\n0,a,5\n1000000,b,7\n")
+    meta.write_text('{"config": {"window_length_ms": 200.0, "num_windows": 3}}\n')
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="num_windows=3 but records reach window 1000000"):
+            read_series(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_read_series_accepts_whole_float_and_int_sidecar_values(tmp_path):
