@@ -112,19 +112,62 @@ def compute_entropy(w: WindowCounts) -> EntropyValue:
 
 
 def _entropy(counts: Collection[int], total: int) -> EntropyValue:
-    """compute_entropy of positive byte counts summing to total, in any order.
+    """compute_entropy of positive byte counts summing to total, in any order."""
+    return _share_entropy(list(map(truediv, counts, repeat(float(total)))))
 
-    fsum is correctly rounded, so the order of the counts cannot move a bit.
+
+def _share_entropy(shares: list[float]) -> EntropyValue:
+    """Entropy of a window's positive byte shares, in any order.
+
+    fsum is correctly rounded, so the order of the shares cannot move a bit.
     """
-    n = len(counts)
+    n = len(shares)
     if n <= 1:
         return EntropyValue(0.0, n)
-    s = float(total)
-    shares = list(map(truediv, counts, repeat(s)))
     value = -math.fsum(map(mul, shares, map(math.log2, shares)))
     # clip float residue so 0 <= value <= log2(n) holds exactly
     value = min(max(value, 0.0), math.log2(n))
     return EntropyValue(value, n)
+
+
+def _volume_entropies(volumes) -> list[EntropyValue]:
+    """_entropy of each row of a count matrix, with one numpy division for every share.
+
+    numpy's int64 / float64 is the same correctly rounded division as int / float,
+    and the row totals become floats once, as float(sum(counts)) does.
+    """
+    import numpy as np
+    if int(volumes.max(initial=0)) * volumes.shape[1] < 1 << 63:  # no int64 row sum wraps
+        totals = volumes.sum(axis=1).astype(np.float64)
+    else:
+        totals = np.array([float(sum(row)) for row in volumes.tolist()])
+    # an empty window divides its zeros by 1, not by 0
+    shares = volumes / np.maximum(totals, 1.0)[:, None]
+    full = volumes.all(axis=1).tolist()  # rows with no zero count to drop
+    return [_share_entropy(row if every else list(filter(None, row)))
+            for row, every in zip(shares.tolist(), full)]
+
+
+def _count_matrix(rows, width: int):
+    """rows as an int64 matrix, one row per window; InputError names the first window
+    whose row is not ``width`` counts >= 0, and refuses what int64 cannot hold exactly."""
+    import numpy as np
+    if isinstance(rows, np.ndarray):
+        bad = len(rows) if rows.ndim == 2 and rows.shape[1] == width else 0
+    else:
+        rows = list(rows)
+        bad = next((w for w, counts in enumerate(rows) if len(counts) != width), len(rows))
+    try:
+        matrix = np.array(rows[:bad]).reshape(bad, width)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"window counts must be integers: {exc}") from exc
+    if matrix.size and (matrix.dtype.kind not in "iu" or int(matrix.max()) >= 1 << 63):
+        raise InputError(f"window counts must be integers that int64 holds, got {matrix.dtype}")
+    if matrix.size and matrix.min() < 0:  # the first window with a negative count
+        bad = int((matrix < 0).any(axis=1).argmax())
+    if bad < len(rows):
+        raise InputError(f"window {bad} needs one count >= 0 per flow")
+    return matrix.astype(np.int64, copy=False)
 
 
 def _positive_totals(row: tuple) -> tuple:
@@ -147,36 +190,50 @@ class FlowRecordSeries:
     checks, ordered by window. ``metadata["config"]`` gives the window length
     and count; without a count the run ends at its last record. Each window
     keeps its rows as given, in input order, and its per-flow positive totals.
+    A run from ``from_volumes`` keeps its count matrix instead.
     """
+
+    _volumes = None  # from_volumes' int64 counts, one row per window and one column per flow
 
     def __init__(self, records: Sequence[FlowRecord] | FlowColumns, metadata: dict) -> None:
         self._check(metadata)
         windows, flows, nbytes = flow_columns(records)
         rows, end = [], 0
         for w, run in groupby(windows):
+            if w < len(rows):  # a step down, or a negative first window
+                raise InputError("records must be ordered by window_index" if rows
+                                 else f"window_index must be >= 0, got {w}")
+            self._within_count(w)
             start, end = end, end + len(list(run))
-            self._add(rows, w, flows[start:end], nbytes[start:end])
-        self._keep(rows, summed=False)
+            rows += repeat(((), ()), w - len(rows))
+            rows.append((flows[start:end], nbytes[start:end]))
+        rows += repeat(((), ()), (self.num_windows or 0) - len(rows))
+        self._rows = rows
+        self._totals = list(map(_positive_totals, rows))
 
     @classmethod
     def from_volumes(
         cls, flow_ids: Sequence[str], rows: Iterable[Sequence[int]], metadata: dict
     ) -> "FlowRecordSeries":
-        """A run from each window's count per flow, ids distinct and valid; 0 is no record."""
+        """A run from each window's count per flow, ids distinct and valid; 0 is no record.
+
+        ``rows`` are sequences of counts or a 2-D integer array; the run keeps
+        them as an int64 matrix and builds no per-window rows.
+        """
+        import numpy as np  # here, not at module top: reading a run needs no numpy
         series = cls.__new__(cls)
         series._check(metadata)
         ids = tuple(flow_ids)
         if len(set(ids)) < len(ids):
             raise InputError("flow ids must be distinct")
-        windows = []
-        for w, counts in enumerate(rows):
-            if len(counts) != len(ids) or min(counts, default=0) < 0:
-                raise InputError(f"window {w} needs one count >= 0 per flow")
-            if ids and all(counts):  # every flow sent: the windows share one id tuple
-                series._add(windows, w, ids, tuple(counts))
-            elif any(counts):
-                series._add(windows, w, tuple(compress(ids, counts)), tuple(filter(None, counts)))
-        series._keep(windows, summed=True)
+        volumes = _count_matrix(rows, len(ids))
+        sent = np.flatnonzero(volumes.any(axis=1))
+        last = int(sent[-1]) if len(sent) else -1
+        series._within_count(last)
+        count = last + 1 if series.num_windows is None else series.num_windows
+        if len(volumes) != count:  # drop trailing empty windows, or pad to the count
+            volumes = np.pad(volumes[:count], ((0, max(count - len(volumes), 0)), (0, 0)))
+        series._ids, series._volumes = ids, volumes
         return series
 
     def _check(self, metadata: dict) -> None:
@@ -196,26 +253,23 @@ class FlowRecordSeries:
         self.window_length_ms = length
         self.num_windows = count
 
-    def _add(self, rows: list, w: int, flows: Sequence[str], counts: Sequence[int]) -> None:
-        """Append window w after empty ones; refuse a step down or a window past the count."""
-        if w < len(rows):  # a step down, or a negative first window
-            raise InputError("records must be ordered by window_index" if rows
-                             else f"window_index must be >= 0, got {w}")
+    def _within_count(self, w: int) -> None:
+        """Refuse a record in window w past the window count."""
         if self.num_windows is not None and w >= self.num_windows:
             raise InputError(f"num_windows={self.num_windows} but records reach window {w}")
-        rows += repeat(((), ()), w - len(rows))
-        rows.append((flows, counts))
 
-    def _keep(self, rows: list, summed: bool) -> None:
-        """Keep the rows, padded with empty windows to the count, and their positive totals."""
-        rows += repeat(((), ()), (self.num_windows or 0) - len(rows))
-        self._rows = rows
-        self._totals = rows if summed else list(map(_positive_totals, rows))
+    def _per_window(self, summed: bool) -> list:
+        """Each window's (flow ids, counts): its rows as given, or its per-flow positive
+        totals; a count matrix's rows are both, built anew on each call."""
+        if self._volumes is None:
+            return self._totals if summed else self._rows
+        ids = self._ids
+        return [(tuple(compress(ids, c)), tuple(filter(None, c))) for c in self._volumes.tolist()]
 
     @property
     def columns(self) -> FlowColumns:
         """The run's rows as columns, built anew on each access: hold it to use it twice."""
-        rows = self._rows
+        rows = self._per_window(summed=False)
         return FlowColumns(
             tuple(chain.from_iterable(repeat(w, len(f)) for w, (f, _) in enumerate(rows))),
             tuple(chain.from_iterable(f for f, _ in rows)),
@@ -225,6 +279,9 @@ class FlowRecordSeries:
     @property
     def record_count(self) -> int:
         """Number of rows in the run, counted without building them."""
+        if self._volumes is not None:
+            import numpy as np
+            return int(np.count_nonzero(self._volumes))
         return sum(len(f) for f, _ in self._rows)
 
     @property
@@ -241,11 +298,13 @@ class FlowRecordSeries:
         length = self.window_length_ms
         return [
             WindowCounts(w, dict(zip(fids, counts)), sum(counts), length)
-            for w, (fids, counts) in enumerate(self._totals)
+            for w, (fids, counts) in enumerate(self._per_window(summed=True))
         ]
 
     def entropies(self) -> list[EntropyValue]:
         """compute_entropy of each of windows(), bit for bit, without building them."""
+        if self._volumes is not None:
+            return _volume_entropies(self._volumes)
         return [_entropy(counts, sum(counts)) for _, counts in self._totals]
 
 

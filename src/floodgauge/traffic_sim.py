@@ -128,7 +128,7 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
         "flow_labels": {"legit": LEGIT_PREFIX, "zombie": ZOMBIE_PREFIX},
     }
     flow_ids = _flow_ids(cfg.legit_clients, cfg.zombies)
-    return FlowRecordSeries.from_volumes(flow_ids, volumes.tolist(), metadata)
+    return FlowRecordSeries.from_volumes(flow_ids, volumes, metadata)
 
 
 class _SweepRuns(Sequence):

@@ -1,7 +1,9 @@
 import math
 import random
 import re
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -269,6 +271,81 @@ def test_columns_with_a_negative_window_are_refused():
 def test_from_volumes_refuses_bad_rows(flow_ids, rows, message):
     with pytest.raises(InputError, match=message):
         FlowRecordSeries.from_volumes(flow_ids, rows, {"config": {"window_length_ms": 200.0}})
+
+
+def entropy_hexes(series):
+    return [(e.value.hex(), e.flow_count) for e in series.entropies()]
+
+
+def test_count_matrix_rows_past_int64_sum_as_python_ints():
+    # 2,048 counts of 2**53 - 1 sum past 2**63, where an int64 row sum wraps
+    big = 2**53 - 1
+    ids = [f"f{i:04d}" for i in range(2048)]
+    matrix = np.full((4, 2048), big, dtype=np.int64)
+    matrix[1, ::3] = 0
+    matrix[2] -= np.arange(2048, dtype=np.int64) * 123_456_789
+    matrix[3] = 0
+    series = FlowRecordSeries.from_volumes(ids, matrix, {"config": {"window_length_ms": 200.0}})
+    read = FlowRecordSeries(series.columns, series.metadata)
+    assert series.record_count == read.record_count == int(np.count_nonzero(matrix))
+    assert series.windows() == read.windows()
+    assert entropy_hexes(series) == entropy_hexes(read)
+    assert [e.flow_count for e in series.entropies()] == [2048, 1365, 2048]
+
+
+def test_empty_windows_of_a_count_matrix_divide_no_zero_by_zero():
+    counted = {"config": {"window_length_ms": 200.0, "num_windows": 5}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = FlowRecordSeries.from_volumes(
+            ["a", "b"], np.array([[0, 0], [3, 0], [0, 0], [2, 6]]), counted)
+        entropies = series.entropies()
+        flowless = FlowRecordSeries.from_volumes([], np.zeros((3, 0), np.int64), counted)
+        assert [(e.value, e.flow_count) for e in flowless.entropies()] == [(0.0, 0)] * 5
+    assert [(e.value, e.flow_count) for e in entropies[:3] + entropies[4:]] == [
+        (0.0, 0), (0.0, 1), (0.0, 0), (0.0, 0)]
+    assert entropy_hexes(series) == entropy_hexes(FlowRecordSeries(series.columns, counted))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64, np.int64])
+def test_from_volumes_takes_any_integer_array_as_its_rows(dtype):
+    config = {"config": {"window_length_ms": 200.0}}
+    rows = [[3, 0, 5], [0, 0, 0], [0, 7, 0], [0, 0, 0]]
+    from_rows = FlowRecordSeries.from_volumes("abc", rows, config)
+    from_array = FlowRecordSeries.from_volumes("abc", np.array(rows, dtype=dtype), config)
+    assert from_array.columns == from_rows.columns == FlowColumns((0, 0, 2), tuple("acb"), (3, 5, 7))
+    assert all(type(b) is int for b in from_array.columns.bytes)
+    assert from_array.windows() == from_rows.windows()
+    assert entropy_hexes(from_array) == entropy_hexes(from_rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[1.0, 2.0]]),
+        [[1, 2.5]],
+        [[1, 2**63]],
+        np.array([[1, 2**63]], dtype=np.uint64),
+        [[1, 2**64]],
+        [["1", "2"]],
+        [[1, [2]]],
+    ],
+    ids=["float-array", "float", "2**63", "uint64-2**63", "2**64", "str", "nested"],
+)
+def test_from_volumes_refuses_counts_that_are_not_int64(rows):
+    with pytest.raises(InputError, match="window counts must be integers"):
+        FlowRecordSeries.from_volumes(["a", "b"], rows, {"config": {"window_length_ms": 200.0}})
+
+
+def test_from_volumes_names_the_first_bad_window_of_an_array():
+    config = {"config": {"window_length_ms": 200.0}}
+    with pytest.raises(InputError, match="window 2 needs one count >= 0 per flow"):
+        FlowRecordSeries.from_volumes("ab", np.array([[1, 2], [0, 0], [3, -1], [-1, 0]]), config)
+    with pytest.raises(InputError, match="window 0 needs one count >= 0 per flow"):
+        FlowRecordSeries.from_volumes("ab", np.zeros((2, 3), np.int64), config)
+    # a negative count before a short row is named first
+    with pytest.raises(InputError, match="window 0 needs one count >= 0 per flow"):
+        FlowRecordSeries.from_volumes("ab", [[1, -2], [3]], config)
 
 
 def series_of_windows(column):

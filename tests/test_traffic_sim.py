@@ -362,6 +362,46 @@ def test_volume_rows_and_columns_make_the_same_series(
         assert (tmp_path / "again.csv").read_text(encoding="utf-8") == text
 
 
+def series_view(series):
+    """What a series shows: rows, windows and entropies by value hex and flow count."""
+    return (
+        series.num_windows, series.window_length_ms, series.columns, series.records,
+        series.record_count, series.windows(),
+        [(e.value.hex(), e.flow_count) for e in series.entropies()],
+    )
+
+
+@settings(max_examples=80, database=None, deadline=None)
+@given(
+    legit=st.sampled_from([0, 1, 2, 9, 40]),
+    zombies=st.sampled_from([0, 1, 3]),
+    # 1e-5 Mbps is a quarter byte per window: most windows hold no flow or one
+    legit_rate=st.sampled_from([1e-5, 1e-4, 0.0005, 1.0]),
+    attack_rate=st.sampled_from([0.0, 1e-5, 0.1, 3.0]),
+    windows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_simulated_count_matrix_shows_what_its_columns_show(
+    legit, zombies, legit_rate, attack_rate, windows, seed
+):
+    cfg = small_config(
+        legit_clients=legit, zombies=zombies, legit_mean_rate_mbps_per_client=legit_rate,
+        attack_rate_mbps_per_zombie=attack_rate, num_windows=windows, seed=seed,
+    )
+    simulated = simulate(cfg)
+    view = series_view(simulated)
+    assert view == series_view(FlowRecordSeries(simulated.columns, simulated.metadata))
+    # the run's volume matrix once more, as list rows and as an array
+    ids = traffic_sim._flow_ids(legit, zombies)
+    matrix = np.zeros((windows, len(ids)), np.int64)
+    column = {fid: i for i, fid in enumerate(ids)}
+    for w, fid, b in zip(*simulated.columns):
+        matrix[w, column[fid]] = b
+    from_rows = FlowRecordSeries.from_volumes(ids, matrix.tolist(), simulated.metadata)
+    from_array = FlowRecordSeries.from_volumes(ids, matrix, simulated.metadata)
+    assert series_view(from_rows) == series_view(from_array) == view
+
+
 def test_series_round_trip(tmp_path):
     series = simulate(small_config())
     path = tmp_path / "run.csv"
