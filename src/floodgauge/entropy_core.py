@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, mul, truediv
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .fileio import header_cells, json_number, table_rows
@@ -48,6 +48,10 @@ class FlowColumns(NamedTuple):
     window_index: Sequence[int]
     flow_id: Sequence[str]
     bytes: Sequence[int]
+
+
+# one window's (window_index, flow ids, counts), its records in input order
+WindowRow = tuple[int, Sequence[str], Sequence[int]]
 
 
 def flow_columns(records: Sequence[FlowRecord] | FlowColumns) -> FlowColumns:
@@ -170,17 +174,39 @@ def _count_matrix(rows, width: int):
     return matrix.astype(np.int64, copy=False)
 
 
-def _positive_totals(row: tuple) -> tuple:
+def run_config(metadata: dict) -> tuple[float, int | None]:
+    """``metadata["config"]``'s window length and count, None if it has none."""
+    try:
+        config = metadata["config"]
+        length = json_number(config["window_length_ms"])
+        count = config.get("num_windows")
+        count = None if count is None else json_number(count, whole=True)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(
+            f"metadata lacks a valid config.window_length_ms or num_windows: {exc!r}"
+        ) from exc
+    if not math.isfinite(length) or length <= 0:
+        raise InputError("window_length_ms must be finite and positive")
+    return length, count
+
+
+def _summed_positive(fids: Sequence[str], counts: Sequence[int]) -> tuple:
     """A window's (flows, counts) summed per flow, what is not positive dropped as in
-    WindowCounts.build; the row itself when no flow repeats and every count is positive."""
-    fids, counts = row
-    if len(set(fids)) == len(fids) and min(counts, default=1) > 0:
-        return row
+    WindowCounts.build."""
     summed: dict[str, int] = {}
     for fid, b in zip(fids, counts):
         summed[fid] = summed.get(fid, 0) + b
     summed = {fid: c for fid, c in summed.items() if c > 0}
     return tuple(summed), tuple(summed.values())
+
+
+def _window_rows(columns: FlowColumns) -> Iterator[WindowRow]:
+    """Each run of equal window_index in the columns as one (window, flow ids, counts) row."""
+    windows, flows, nbytes = columns
+    end = 0
+    for w, run in groupby(windows):
+        start, end = end, end + len(list(run))
+        yield w, flows[start:end], nbytes[start:end]
 
 
 class FlowRecordSeries:
@@ -190,26 +216,50 @@ class FlowRecordSeries:
     checks, ordered by window. ``metadata["config"]`` gives the window length
     and count; without a count the run ends at its last record. Each window
     keeps its rows as given, in input order, and its per-flow positive totals.
-    A run from ``from_volumes`` keeps its count matrix instead.
+    ``from_rows`` takes the windows ready split, and a run from
+    ``from_volumes`` keeps its count matrix instead.
     """
 
     _volumes = None  # from_volumes' int64 counts, one row per window and one column per flow
 
     def __init__(self, records: Sequence[FlowRecord] | FlowColumns, metadata: dict) -> None:
+        self._take_rows(_window_rows(flow_columns(records)), metadata)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[WindowRow], metadata: dict) -> "FlowRecordSeries":
+        """A run from one ``(window_index, flow_ids, counts)`` row per window with records.
+
+        Rows come in window order, ids valid and counts >= 0, as ``read_flow_windows``
+        gives them; a row that reuses the previous row's id tuple is not checked for a
+        repeated id again.
+        """
+        series = cls.__new__(cls)
+        series._take_rows(rows, metadata)
+        return series
+
+    def _take_rows(self, rows: Iterable[WindowRow], metadata: dict) -> None:
+        """Keep each window's row and its positive totals; a gap in the windows, and the
+        windows after the last row up to the count, are empty."""
         self._check(metadata)
-        windows, flows, nbytes = flow_columns(records)
-        rows, end = [], 0
-        for w, run in groupby(windows):
-            if w < len(rows):  # a step down, or a negative first window
-                raise InputError("records must be ordered by window_index" if rows
+        kept, totals = [], []
+        distinct = None  # the last id tuple found to hold no id twice
+        for w, fids, counts in rows:
+            if w < len(kept):  # a step down, or a negative first window
+                raise InputError("records must be ordered by window_index" if kept
                                  else f"window_index must be >= 0, got {w}")
             self._within_count(w)
-            start, end = end, end + len(list(run))
-            rows += repeat(((), ()), w - len(rows))
-            rows.append((flows[start:end], nbytes[start:end]))
-        rows += repeat(((), ()), (self.num_windows or 0) - len(rows))
-        self._rows = rows
-        self._totals = list(map(_positive_totals, rows))
+            gap = [((), ())] * (w - len(kept))
+            kept += gap
+            totals += gap
+            row = (fids, counts)
+            kept.append(row)
+            if fids is not distinct and len(set(fids)) == len(fids):
+                distinct = fids
+            positive = fids is distinct and min(counts, default=1) > 0
+            totals.append(row if positive else _summed_positive(fids, counts))
+        gap = [((), ())] * ((self.num_windows or 0) - len(kept))
+        self._rows = kept + gap
+        self._totals = totals + gap
 
     @classmethod
     def from_volumes(
@@ -238,20 +288,8 @@ class FlowRecordSeries:
 
     def _check(self, metadata: dict) -> None:
         """Keep the metadata, refusing a bad window length or count."""
-        try:
-            config = metadata["config"]
-            length = json_number(config["window_length_ms"])
-            count = config.get("num_windows")
-            count = None if count is None else json_number(count, whole=True)
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(
-                f"metadata lacks a valid config.window_length_ms or num_windows: {exc!r}"
-            ) from exc
-        if not math.isfinite(length) or length <= 0:
-            raise InputError("window_length_ms must be finite and positive")
+        self.window_length_ms, self.num_windows = run_config(metadata)
         self.metadata = metadata
-        self.window_length_ms = length
-        self.num_windows = count
 
     def _within_count(self, w: int) -> None:
         """Refuse a record in window w past the window count."""
@@ -327,7 +365,22 @@ def read_flow_csv(path) -> list[FlowRecord]:
 
 
 def read_flow_columns(path) -> FlowColumns:
-    """Read a run's flow CSV, ordered by window, into columns; errors name file and line.
+    """read_flow_windows flattened into columns, one entry per row of the file."""
+    return _flat_columns(read_flow_windows(path))
+
+
+def _flat_columns(rows: Sequence[WindowRow]) -> FlowColumns:
+    """(window, flow ids, counts) rows as three list columns."""
+    return FlowColumns(
+        list(chain.from_iterable(repeat(w, len(f)) for w, f, _ in rows)),
+        list(chain.from_iterable(f for _, f, _ in rows)),
+        list(chain.from_iterable(c for _, _, c in rows)),
+    )
+
+
+def read_flow_windows(path) -> list[WindowRow]:
+    """Read a run's flow CSV, ordered by window, into one (window, flow ids, counts)
+    row per window with records; errors name file and line.
 
     The file is parsed a block of lines and a column at a time; a file the
     blocks cannot prove plain and valid (csv quoting, CRLF, a blank or bad
@@ -337,7 +390,7 @@ def read_flow_columns(path) -> FlowColumns:
     try:
         return _read_flow_blocks(path)
     except (ValueError, InputError):
-        return _read_flow_rows(path)
+        return list(_window_rows(_read_flow_rows(path)))
 
 
 class _FlowIds(dict):
@@ -348,11 +401,24 @@ class _FlowIds(dict):
         return fid
 
 
-def _read_flow_blocks(path) -> FlowColumns:
-    """The flow CSV split on commas and newlines; ValueError where csv.reader might differ."""
-    windows, flows, nbytes = [], [], []
+def _read_flow_blocks(path) -> list[tuple[int, tuple[str, ...], list[int]]]:
+    """_block_windows with each window's ids decoded and checked, as one tuple of the
+    flow's shared id strings; a window listing the previous window's id bytes reuses
+    its tuple."""
+    rows = []
     ids = _FlowIds()
-    last = 0
+    last_keys, fids = None, ()
+    for w, keys, counts in _block_windows(path):
+        if keys != last_keys:
+            last_keys, fids = keys, tuple(map(ids.__getitem__, keys))
+        rows.append((w, fids, counts))
+    return rows
+
+
+def _block_windows(path) -> Iterator[tuple[int, list[bytes], list[int]]]:
+    """The flow CSV split on commas and newlines into (window, id bytes, counts), one per
+    window with rows; ValueError where csv.reader might differ."""
+    window, keys, counts = 0, [], []  # the window being read, which may go on past a block
     with open(path, "rb") as fh:
         if header_cells(fh.readline().decode("utf-8").split(",")) != FLOW_HEADER:
             raise ValueError("not the flow CSV header")
@@ -366,19 +432,24 @@ def _read_flow_blocks(path) -> FlowColumns:
                 raise ValueError("a line without three fields")
             if b'"' in data or b"\r" in data or b"\0" in data or len(data) > csv.field_size_limit():
                 raise ValueError("csv quoting, a CR, a NUL or a field past the csv limit")
-            # rows come ordered by window: parse and order-check each run once
-            for field, run in groupby(fields[0:-1:3]):
-                w = int(field)
-                if w < last:
-                    raise ValueError("a window out of order or negative")
-                last = w
-                windows += repeat(w, len(list(run)))
-            b = list(map(int, fields[2::3]))
-            if min(b) < 0:
+            flows, nbytes = fields[1::3], list(map(int, fields[2::3]))
+            if min(nbytes) < 0:
                 raise ValueError("a negative byte count")
-            flows += map(ids.__getitem__, fields[1::3])
-            nbytes += b
-    return FlowColumns(windows, flows, nbytes)
+            # rows come ordered by window: parse and order-check each run once
+            end = 0
+            for field, run in groupby(fields[0:-1:3]):
+                start, end = end, end + len(list(run))
+                w = int(field)
+                if w != window:
+                    if w < window:
+                        raise ValueError("a window out of order or negative")
+                    if keys:
+                        yield window, keys, counts
+                    window, keys, counts = w, [], []
+                keys += flows[start:end]
+                counts += nbytes[start:end]
+    if keys:
+        yield window, keys, counts
 
 
 def _read_flow_rows(path) -> FlowColumns:

@@ -14,7 +14,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
-from .entropy_core import FlowRecordSeries, flow_csv_text, read_flow_columns
+from .entropy_core import FlowRecordSeries, flow_csv_text, read_flow_windows, run_config
 from .errors import ConfigError, InputError
 from .fileio import atomic_write_text, read_json, write_json
 
@@ -185,6 +185,12 @@ def write_series(csv_path, series: FlowRecordSeries) -> None:
     write_json(_sidecar_path(csv_path), series.metadata)
 
 
+def _checked_metadata(metadata: dict) -> dict:
+    """A sidecar's metadata, once run_config finds its window length and count valid."""
+    run_config(metadata)
+    return metadata
+
+
 def read_series(csv_path, window_length_ms: float | None = None) -> FlowRecordSeries:
     """Read a run's flow CSV into a series; errors name the CSV line or the sidecar.
 
@@ -193,13 +199,15 @@ def read_series(csv_path, window_length_ms: float | None = None) -> FlowRecordSe
     With it the sidecar is not read and the run ends at its last record.
     """
     meta_path = _sidecar_path(csv_path)
-    # a missing CSV is left for its own open to report, under its own name
-    if window_length_ms is None and os.path.exists(csv_path) and not os.path.exists(meta_path):
-        raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
-    columns = read_flow_columns(csv_path)
-    if window_length_ms is None:
-        return read_json(meta_path, lambda metadata: FlowRecordSeries(columns, metadata))
+    if window_length_ms is not None:
+        metadata, origin = {"config": {"window_length_ms": window_length_ms}}, csv_path
+    else:
+        if not os.path.exists(meta_path):
+            open(csv_path, "rb").close()  # a missing CSV is reported under its own name
+            raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
+        metadata, origin = read_json(meta_path, _checked_metadata), meta_path
+    rows = read_flow_windows(csv_path)
     try:
-        return FlowRecordSeries(columns, {"config": {"window_length_ms": window_length_ms}})
+        return FlowRecordSeries.from_rows(rows, metadata)
     except InputError as exc:
-        raise InputError(f"{csv_path}: {exc}") from exc
+        raise InputError(f"{origin}: {exc}") from exc

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -15,6 +16,7 @@ from floodgauge.entropy_core import (
     FlowRecord,
     FlowRecordSeries,
     WindowCounts,
+    _flat_columns,
     _read_flow_blocks,
     _read_flow_rows,
     compute_entropy,
@@ -26,7 +28,7 @@ from floodgauge.entropy_core import (
 from floodgauge.errors import EmptyRunError, InputError
 from floodgauge.fileio import atomic_write_text
 from floodgauge.pipeline import run_events
-from floodgauge.traffic_sim import ScenarioConfig, simulate, write_series
+from floodgauge.traffic_sim import ScenarioConfig, read_series, simulate, write_series
 
 
 def counts(window_index=0, window_length_ms=200.0, **flows):
@@ -450,11 +452,20 @@ def test_block_reader_agrees_with_the_row_loop(
     rows = read_outcome(_read_flow_rows, path)
     blocks = read_outcome(_read_flow_blocks, path)
     if blocks[0] == "read":
+        assert_one_row_per_window(blocks[1])
+        blocks = "read", _flat_columns(blocks[1])
         assert blocks == rows
         assert_one_id_string_per_flow(blocks[1])
     assert read_outcome(read_flow_columns, path) == rows
     if rows[0] == "read":
         assert_one_id_string_per_flow(rows[1])
+
+
+def assert_one_row_per_window(rows):
+    # windows strictly increase, and a window with no record has no row
+    windows = [w for w, _, _ in rows]
+    assert windows == sorted(set(windows))
+    assert all(fids and len(fids) == len(counts) for _, fids, counts in rows)
 
 
 def assert_one_id_string_per_flow(columns):
@@ -491,6 +502,51 @@ def test_multi_block_files_stay_on_the_block_path(tmp_path, monkeypatch):
         assert columns == rows
         assert_one_id_string_per_flow(columns)
     assert set(expected[capture].flow_id[-5:]) == {f"nouveau-𝄞-{i}" for i in range(5)}
+
+
+def split_flow_capture():
+    """About 200 KB: 8 windows of 1,600 rows over 1,000 flows, so windows straddle the
+    64 KiB blocks; 300 flows sit on two or three rows of a window, and windows 3-5 list
+    the same rows as window 2."""
+    rng = random.Random(20)
+    flows = [f"flux-{i:04d}" for i in range(1000)]
+    split = flows[:300] * 2
+    lines = ["window_index,flow_id,bytes"]
+    for w in range(8):
+        if w <= 2 or w >= 6:
+            ids = flows + rng.sample(split, len(split))
+            rng.shuffle(ids)
+        lines += (f"{w},{fid},{rng.randrange(1, 50_000)}" for fid in ids)
+    return "\n".join(lines) + "\n"
+
+
+def test_split_flows_across_blocks_read_as_the_row_loop_does(tmp_path, monkeypatch):
+    path = tmp_path / "split.csv"
+    path.write_text(split_flow_capture(), encoding="utf-8")
+    metadata = {"config": {"window_length_ms": 200.0, "num_windows": 9}}
+    (tmp_path / "split.meta.json").write_text(json.dumps(metadata))
+    expected = FlowRecordSeries(_read_flow_rows(path), metadata)
+    # the row ending the first 64 KiB block and the row after it share a window
+    data = path.read_bytes()
+    header = data.index(b"\n") + 1
+    cut = data.index(b"\n", header + (1 << 16)) + 1
+    last_of_block = data[data.rindex(b"\n", 0, cut - 1) + 1:cut]
+    assert last_of_block.split(b",")[0] == data[cut:].split(b",", 1)[0]
+    blocks = _read_flow_blocks(path)
+    assert [w for w, _, _ in blocks] == list(range(8))
+    assert blocks[3][1] is blocks[2][1] and blocks[5][1] is blocks[2][1]
+    assert len(blocks[2][1]) > len(set(blocks[2][1]))
+
+    def no_row_loop(csv_path):
+        raise AssertionError(f"{csv_path} fell back to the row loop")
+
+    monkeypatch.setattr(entropy_core, "_read_flow_rows", no_row_loop)
+    loaded = read_series(path)
+    assert loaded.windows() == expected.windows()
+    assert [(e.value.hex(), e.flow_count) for e in loaded.entropies()] == [
+        (e.value.hex(), e.flow_count) for e in expected.entropies()
+    ]
+    assert all(e.flow_count == 1000 for e in loaded.entropies()[:8])
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import shutil
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from floodgauge.entropy_core import (
     FlowRecord,
     WindowCounts,
+    _read_flow_blocks,
+    _read_flow_rows,
     flow_csv_text,
     read_flow_csv,
     windowize,
@@ -668,6 +671,82 @@ def test_read_series_refuses_a_row_past_the_sidecar_count_at_that_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("sidecar", [
+    '{"config": []}',
+    '{"config": {"window_length_ms": -1}}',
+    '{"config": {"window_length_ms": 200, "num_windows": 2.5}}',
+    "not json",
+])
+def test_read_series_checks_the_sidecar_before_the_csv(tmp_path, monkeypatch, sidecar):
+    path, meta = tmp_path / "run.csv", tmp_path / "run.meta.json"
+    path.write_text("window_index,flow_id,bytes\n0,a,-5\n")
+    meta.write_text(sidecar + "\n")
+    with pytest.raises(InputError, match=rf"^{re.escape(str(meta))}: "):
+        read_series(path)
+
+    def no_csv(csv_path):
+        raise AssertionError(f"{csv_path} read before its sidecar was checked")
+
+    monkeypatch.setattr(traffic_sim, "read_flow_windows", no_csv)
+    with pytest.raises(InputError, match=rf"^{re.escape(str(meta))}: "):
+        read_series(path)
+
+
+# a window's flow list is an edit of the one before, as in a capture or a
+# simulated run: kept as it is, reordered, one flow dropped, one added, one
+# flow split over two rows, or one row of zero bytes
+WINDOW_EDITS = ["same", "same", "reorder", "drop", "add", "split", "zero"]
+EDIT_IDS = ["a", "b", "c", "legit-0001", "zombie-0000", "é", "𝄞"]
+
+
+@st.composite
+def edited_runs(draw):
+    """(window, flow, bytes) rows of a run whose windows edit the previous flow list."""
+    fids = draw(st.lists(st.sampled_from(EDIT_IDS), min_size=1, max_size=5, unique=True))
+    rows, w = [], 0
+    for edit in draw(st.lists(st.sampled_from(WINDOW_EDITS), max_size=12)):
+        if edit == "reorder":
+            fids = draw(st.permutations(fids))
+        elif edit == "drop" and len(fids) > 1:
+            fids = fids[:-1] if draw(st.booleans()) else fids[1:]
+        elif edit == "add":
+            fids = fids + [draw(st.sampled_from(EDIT_IDS))]
+        elif edit == "split":
+            at = draw(st.integers(0, len(fids)))
+            fids = fids[:at] + [draw(st.sampled_from(fids))] + fids[at:]
+        counts = draw(st.lists(st.integers(1, 10**6), min_size=len(fids), max_size=len(fids)))
+        if edit == "zero":
+            counts[draw(st.integers(0, len(fids) - 1))] = 0
+        rows += ((w, fid, b) for fid, b in zip(fids, counts))
+        w += draw(st.sampled_from([1, 1, 1, 2]))  # now and then a window with no row
+    return rows, w
+
+
+@settings(
+    max_examples=150,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(run=edited_runs(), trailing=st.integers(0, 2))
+def test_read_series_with_reused_flow_lists_matches_the_row_loop(tmp_path, run, trailing):
+    rows, windows = run
+    path, meta = tmp_path / "run.csv", tmp_path / "run.meta.json"
+    path.write_text(flow_csv_text([FlowRecord(*row) for row in rows]), encoding="utf-8")
+    metadata = {"config": {"window_length_ms": 200.0, "num_windows": windows + trailing}}
+    meta.write_text(json.dumps(metadata))
+    # a window listing the same flows as the one before shares its id tuple
+    blocks = _read_flow_blocks(path)
+    for (_, before, _), (_, after, _) in zip(blocks, blocks[1:]):
+        assert (after is before) == (after == before)
+    loaded = read_series(path)
+    expected = FlowRecordSeries(_read_flow_rows(path), metadata)
+    assert loaded.windows() == expected.windows()
+    assert [(e.value.hex(), e.flow_count) for e in loaded.entropies()] == [
+        (e.value.hex(), e.flow_count) for e in expected.entropies()
+    ]
+    assert loaded.columns == expected.columns
 
 
 def test_read_series_accepts_whole_float_and_int_sidecar_values(tmp_path):
