@@ -18,40 +18,9 @@ import os
 import sys
 from typing import Sequence
 
-from .detector import (
-    DEFAULT_THRESHOLD,
-    EVENTS_TABLE,
-    DetectionEvent,
-    build_baseline,
-    load_baseline,
-    save_baseline,
-)
+# each handler imports the modules it runs, so parsing loads only these
 from .errors import ConfigError, EmptyRunError, FloodgaugeError, InputError
-from .fileio import atomic_write_text, format_flag, read_table, write_json
-from .metrics import METRICS, evaluate, metric_values, report_to_dict
-from .pipeline import (
-    CALIBRATION_TABLE,
-    SELECTION_CRITERIA,
-    calibrate,
-    compare_models,
-    comparison_to_csv,
-    comparison_to_dict,
-    estimate_strength,
-    read_calibration_csv,
-    write_calibration_csv,
-    write_estimates_csv,
-)
-from .refdata import check_reference_reproduction
-from .regression import (
-    MAX_POLY_DEGREE,
-    MODEL_FAMILIES,
-    ModelKind,
-    fit as fit_model,
-    load_model,
-    predict,
-    save_model,
-)
-from .traffic_sim import ScenarioConfig, read_series, simulate, write_series
+from .regression import MAX_POLY_DEGREE, MODEL_FAMILIES, SELECTION_CRITERIA
 
 SEED_ENV_VAR = "FLOODGAUGE_SEED"
 
@@ -118,6 +87,7 @@ def _parse_run_arg(text: str) -> tuple[float, str]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .traffic_sim import ScenarioConfig, simulate, write_series
     # a flag left out is absent from args, so ScenarioConfig's default holds
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScenarioConfig)
              if f.name in args}
@@ -134,17 +104,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    series = read_series(args.flows, args.window_ms)
-    baseline = build_baseline(series.entropies(), threshold=args.threshold)
+    from .detector import DEFAULT_THRESHOLD, build_baseline, save_baseline
+    from .traffic_sim import read_series
+    entropies = read_series(args.flows, args.window_ms).entropies()
+    threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
+    baseline = build_baseline(entropies, threshold=threshold)
     save_baseline(args.out, baseline)
+    empty = sum(1 for e in entropies if e.flow_count == 0)
     print(
         f"baseline h_n={baseline.h_n:.4f} bits over {baseline.training_windows} "
-        f"windows (threshold {baseline.threshold}) -> {args.out}"
+        f"windows{f', {empty} empty' if empty else ''} (threshold {baseline.threshold}) "
+        f"-> {args.out}"
     )
     return 0
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from .detector import load_baseline
+    from .pipeline import calibrate, write_calibration_csv
+    from .traffic_sim import read_series
     baseline = load_baseline(args.baseline)
     path = None  # the --run file calibrate read last
 
@@ -163,9 +141,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .pipeline import read_calibration_csv
+    from .regression import ModelKind, fit, save_model
     data = read_calibration_csv(args.data)
     kind = ModelKind(args.model, args.degree)
-    model = fit_model(data, kind)
+    model = fit(data, kind)
     save_model(args.out, model)
     coeffs = ", ".join(f"b{i}={c:.6g}" for i, c in enumerate(model.coefficients))
     label = kind.tag if kind.degree is None else f"{kind.tag} degree {kind.degree}"
@@ -175,6 +155,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .fileio import write_json
+    from .metrics import METRICS, evaluate, report_to_dict
+    from .pipeline import read_calibration_csv
+    from .regression import load_model, predict
     model = load_model(args.model)
     data = read_calibration_csv(args.data)
     report = evaluate(data.ys, [predict(model, x) for x in data.xs])
@@ -193,6 +177,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .fileio import atomic_write_text, write_json
+    from .metrics import METRICS, metric_values
+    from .pipeline import (
+        compare_models, comparison_to_csv, comparison_to_dict, read_calibration_csv,
+    )
     data = read_calibration_csv(args.data)
     comparison = compare_models(data, degree=args.degree, criterion=args.criterion)
     rows = [["model"] + [label for _, label in METRICS]]
@@ -214,6 +203,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from .detector import EVENTS_TABLE, DetectionEvent
+    from .fileio import format_flag, read_table
+    from .pipeline import CALIBRATION_TABLE, estimate_strength, write_estimates_csv
+    from .regression import load_model
     model = load_model(args.model)
     # calibration rows carry only deviations: each becomes a flagged event at its position
     events = [r if isinstance(r, DetectionEvent) else DetectionEvent(i, math.nan, r.x, True)
@@ -241,6 +234,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from .fileio import write_json
+    from .pipeline import comparison_to_dict
+    from .refdata import check_reference_reproduction
     result = check_reference_reproduction()
     rows = [["family", "metric", "computed", "published", "tolerance", "status"]]
     for c in result.checks:
@@ -295,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="learn a baseline from clean traffic")
     p.add_argument("--flows", required=True, help="clean-run flow CSV")
     p.add_argument("--out", required=True, help="baseline JSON to write")
-    p.add_argument("--threshold", type=_non_negative_float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_non_negative_float, default=None)
     p.add_argument("--window-ms", type=_positive_float, default=None,
                    help="window length when the run has no metadata sidecar")
     p.set_defaults(func=_cmd_baseline)

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .entropy_core import EntropyValue
 from .errors import InputError, InsufficientBaselineError
 from .fileio import (
     Table,
@@ -25,6 +24,9 @@ from .fileio import (
     table_text,
     write_json,
 )
+
+if TYPE_CHECKING:
+    from .entropy_core import EntropyValue
 
 DEFAULT_THRESHOLD = 0.1
 MIN_TRAINING_WINDOWS = 5
@@ -63,10 +65,19 @@ class DetectionEvent:
 def build_baseline(
     entropies: Sequence[EntropyValue], threshold: float = DEFAULT_THRESHOLD
 ) -> Baseline:
-    """Average training-window entropies into a baseline."""
-    n = len(entropies)
-    h_n = math.fsum(e.value for e in entropies) / n if n else 0.0
-    return Baseline(h_n, threshold, n)
+    """Average the entropies of the training windows that hold traffic into a baseline.
+
+    An empty window's entropy of 0 says nothing about clean traffic, so it
+    is left out of h_n; training_windows still counts every window.
+    """
+    busy = [e.value for e in entropies if e.flow_count > 0]
+    if len(busy) < MIN_TRAINING_WINDOWS:
+        empty = len(entropies) - len(busy)
+        raise InsufficientBaselineError(
+            f"baseline needs >= {MIN_TRAINING_WINDOWS} training windows, got {len(busy)}"
+            + (f" with traffic and {empty} empty" if empty else "")
+        )
+    return Baseline(math.fsum(busy) / len(busy), threshold, len(entropies))
 
 
 def evaluate_window(

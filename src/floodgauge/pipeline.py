@@ -8,13 +8,10 @@ model to fresh detection events, clamping negative predictions to zero.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .detector import Baseline, DetectionEvent, evaluate_windows
-from .entropy_core import FlowRecordSeries
 from .errors import ConfigError, DegenerateDataError, DomainError, EmptyRunError, InputError
 from .fileio import (
     Table,
@@ -29,6 +26,7 @@ from .fileio import (
 from .metrics import REPORT_TABLE, FitReport, evaluate, metric_values, report_to_dict
 from .regression import (
     MODEL_FAMILIES,
+    SELECTION_CRITERIA,
     CalibrationDataset,
     CalibrationSample,
     FittedModel,
@@ -37,9 +35,9 @@ from .regression import (
     predict,
 )
 
-logger = logging.getLogger("floodgauge.pipeline")
-
-SELECTION_CRITERIA = ("eta", "r_squared", "sse")
+if TYPE_CHECKING:
+    from .detector import Baseline, DetectionEvent
+    from .entropy_core import FlowRecordSeries
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,7 @@ class ModelComparisonReport:
 
 def run_events(series: FlowRecordSeries, baseline: Baseline) -> list[DetectionEvent]:
     """Compute each window's entropy and score every window."""
+    from .detector import evaluate_windows
     entropies = series.entropies()
     if not entropies:
         raise EmptyRunError("run contains no windows")
@@ -170,7 +169,8 @@ def estimate_strength(
         try:
             raw = predict(model, event.deviation)
         except DomainError as exc:
-            logger.warning("window %d skipped: %s", event.window_index, exc)
+            import logging
+            logging.getLogger(__name__).warning("window %d skipped: %s", event.window_index, exc)
             continue
         clamped = raw < 0
         estimates.append(

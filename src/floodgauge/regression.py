@@ -18,8 +18,6 @@ units. The fit_method field records which route produced a model.
 
 from __future__ import annotations
 
-import datetime
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,9 +25,10 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateDataError, DomainError, InputError
 from .fileio import json_number, read_json, write_json
-from .metrics import ResidualSeries
 
 MODEL_FAMILIES = ("linear", "polynomial", "logarithmic", "power", "exponential")
+# the metrics compare_models can rank families by
+SELECTION_CRITERIA = ("eta", "r_squared", "sse")
 
 DEFAULT_POLY_DEGREE = 2
 MAX_POLY_DEGREE = 6
@@ -103,6 +102,7 @@ class CalibrationDataset:
     # cached_property writes the instance __dict__, so it works on a frozen dataclass
     @cached_property
     def _digest(self) -> str:
+        import hashlib
         text = "\n".join(f"{s.x!r},{s.y!r}" for s in self.samples)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -247,11 +247,13 @@ def predict(model: FittedModel, x: float) -> float:
 
 def residuals(model: FittedModel, data: CalibrationDataset) -> ResidualSeries:
     """Residuals over the dataset, predicted minus observed."""
+    from .metrics import ResidualSeries
     return ResidualSeries.from_values([predict(model, s.x) - s.y for s in data.samples])
 
 
 def save_model(path, model: FittedModel) -> None:
     """Write the model as JSON; floats keep full round-trip precision."""
+    import datetime
     write_json(
         path,
         {

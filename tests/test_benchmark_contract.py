@@ -9,11 +9,15 @@ fails. This checks the names without running the benchmark.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def load_targets():
@@ -23,15 +27,17 @@ def load_targets():
     return sorted(module.TARGETS)
 
 
+def workload_imports():
+    """The ``from floodgauge import ...`` statements of workloads.py."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "floodgauge"]
+
+
 def workload_attributes():
     """Every ``module.attr`` workloads.py reads from a module it imports from floodgauge."""
     tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
-    modules = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "floodgauge"
-        for alias in node.names
-    }
+    modules = {alias.asname or alias.name for node in workload_imports() for alias in node.names}
     return sorted({
         f"{node.value.id}.{node.attr}"
         for node in ast.walk(tree)
@@ -53,3 +59,16 @@ def test_workload_attribute_resolves(name):
     module_name, attr = name.split(".")
     module = importlib.import_module(f"floodgauge.{module_name}")
     assert hasattr(module, attr), f"floodgauge.{name} is gone"
+
+
+def test_workload_imports_load_every_traced_module():
+    # Tracer.install finds each target's module in sys.modules, so a module the
+    # workloads' imports leave unloaded would make every traced run raise KeyError
+    modules = sorted({f"floodgauge.{target.split('.')[0]}" for target in load_targets()})
+    script = "\n".join(map(ast.unparse, workload_imports())) + (
+        "\nimport sys\nprint(*[m for m in sys.argv[1:] if m not in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", script, *modules],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

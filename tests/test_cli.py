@@ -1,9 +1,10 @@
 import json
+import math
 import weakref
 
 import pytest
 
-from floodgauge import cli
+from floodgauge import traffic_sim
 from floodgauge.cli import build_parser, main
 from floodgauge.detector import load_baseline
 from floodgauge.fileio import read_table
@@ -64,14 +65,14 @@ def test_calibrate_reads_one_run_at_a_time(tmp_path, monkeypatch):
     alive = weakref.WeakSet()
     peak = 0
 
-    def tracked(path, window_ms, real=cli.read_series):
+    def tracked(path, window_ms, real=traffic_sim.read_series):
         nonlocal peak
         series = real(path, window_ms)
         alive.add(series)
         peak = max(peak, len(alive))
         return series
 
-    monkeypatch.setattr(cli, "read_series", tracked)
+    monkeypatch.setattr(traffic_sim, "read_series", tracked)
     assert run_cli(*args) == 0
     assert len(read_calibration_csv(tmp_path / "cal.csv").samples) == 3
     assert peak <= 2
@@ -134,6 +135,29 @@ def test_baseline_counts_trailing_empty_windows(tmp_path, capsys):
         "baseline", "--flows", sparse, "--out", tmp_path / "b.json", "--window-ms", 200
     ) == 0
     assert "over 11 windows" in capsys.readouterr().out
+
+
+def test_baseline_leaves_a_capture_gap_out_of_h_n(tmp_path, capsys):
+    full = tmp_path / "full.csv"
+    assert run_cli("simulate", "--out", full, "--zombies", 0, "--windows", 50,
+                   "--seed", 4) == 0
+    # a collector outage: windows 10-19 lose their rows, the sidecar still says 50
+    header, *rows = full.read_text().splitlines(keepends=True)
+    gap = tmp_path / "gap.csv"
+    gap.write_text(header + "".join(r for r in rows if not 10 <= int(r.split(",")[0]) <= 19))
+    (tmp_path / "gap.meta.json").write_text((tmp_path / "full.meta.json").read_text())
+    capsys.readouterr()
+    assert run_cli("baseline", "--flows", gap, "--out", tmp_path / "b.json") == 0
+    busy = [e.value for e in traffic_sim.read_series(gap).entropies() if e.flow_count]
+    assert len(busy) == 40
+    baseline = load_baseline(tmp_path / "b.json")
+    assert baseline.h_n == math.fsum(busy) / 40
+    assert baseline.training_windows == 50
+    assert capsys.readouterr().out == (
+        f"baseline h_n={baseline.h_n:.4f} bits over 50 windows, 10 empty "
+        f"(threshold 0.1) -> {tmp_path / 'b.json'}\n"
+    )
+    assert f"{baseline.h_n:.4f}" == "8.6438"
 
 
 def test_out_of_range_json_numbers_name_their_file(workflow, capsys):

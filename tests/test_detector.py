@@ -35,6 +35,19 @@ def test_baseline_needs_five_windows():
     build_baseline([ev(1.0)] * 5)
 
 
+def test_baseline_leaves_empty_windows_out_of_the_mean():
+    empty = EntropyValue(0.0, 0)
+    baseline = build_baseline([empty, ev(2.0), ev(4.0), empty, ev(6.0), ev(8.0),
+                               EntropyValue(0.0, 1), empty])
+    # a one-flow window holds traffic, so its entropy of 0 is averaged in
+    assert baseline.h_n == 4.0
+    assert baseline.training_windows == 8
+    with pytest.raises(InsufficientBaselineError,
+                       match=r"^baseline needs >= 5 training windows, got 4 with traffic "
+                             r"and 6 empty$"):
+        build_baseline([ev(1.0)] * 4 + [empty] * 6)
+
+
 def test_baseline_validation():
     with pytest.raises(InputError):
         Baseline(-1.0, 0.1, 5)

@@ -1,7 +1,9 @@
-"""Start-up cost: only the commands that need numpy import it.
+"""Start-up cost: each command imports only the modules it runs.
 
-Each check runs a fresh interpreter on the source tree, because the test
-process itself has numpy loaded already.
+Only the commands that need numpy import it, and each command loads a
+pinned set of floodgauge submodules. Each check runs a fresh interpreter
+on the source tree, because the test process itself has every module
+loaded already.
 """
 
 import os
@@ -14,7 +16,7 @@ import pytest
 from floodgauge.detector import build_baseline, save_baseline
 from floodgauge.entropy_core import compute_entropy
 from floodgauge.pipeline import calibrate, write_calibration_csv
-from floodgauge.regression import ModelKind, fit, save_model
+from floodgauge.regression import FittedModel, ModelKind, fit, save_model
 from floodgauge.traffic_sim import ScenarioConfig, simulate, write_series
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -45,6 +47,22 @@ assert "numpy" in sys.modules, sys.argv[1] + " ran without numpy"
 """
 
 
+# the floodgauge submodules each command loads, pinned so that a change widening one shows
+PARSER_MODULES = {"cli", "errors", "fileio", "regression"}
+
+COMMAND_MODULES = {
+    "simulate": PARSER_MODULES | {"entropy_core", "traffic_sim"},
+    "baseline": PARSER_MODULES | {"detector", "entropy_core", "traffic_sim"},
+    "calibrate": PARSER_MODULES | {"detector", "entropy_core", "metrics", "pipeline",
+                                   "traffic_sim"},
+    "fit": PARSER_MODULES | {"metrics", "pipeline"},
+    "evaluate": PARSER_MODULES | {"metrics", "pipeline"},
+    "compare": PARSER_MODULES | {"metrics", "pipeline"},
+    "estimate": PARSER_MODULES | {"detector", "metrics", "pipeline"},
+    "reproduce-table2": PARSER_MODULES | {"metrics", "pipeline", "refdata"},
+}
+
+
 def run_fresh(script, cwd, *argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
@@ -52,6 +70,19 @@ def run_fresh(script, cwd, *argv):
         cwd=cwd, env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def loaded_modules(script, cwd, *argv):
+    """The floodgauge submodules a fresh interpreter holds after ``script``, and
+    whether it loaded logging."""
+    out = run_fresh(script + """
+import sys
+print(*sorted(n.partition(".")[2] for n in sys.modules if n.startswith("floodgauge.")))
+print("logging" in sys.modules)
+""", cwd, *argv)
+    modules, logging_loaded = out.splitlines()[-2:]
+    return set(modules.split()), logging_loaded == "True"
 
 
 @pytest.fixture()
@@ -70,6 +101,10 @@ def inputs(tmp_path):
     data = calibrate(labeled, baseline)
     write_calibration_csv(tmp_path / "cal.csv", data)
     save_model(tmp_path / "linear.json", fit(data, ModelKind("linear")))
+    # a deviation the logarithmic model cannot take, so estimate skips the window
+    save_model(tmp_path / "log.json", FittedModel(ModelKind("logarithmic"), (1.0, 0.0),
+                                                  "raw_ols", "synthetic"))
+    (tmp_path / "negative.csv").write_text("deviation,strength_mbps\n-1.0,5.0\n")
     return tmp_path
 
 
@@ -83,3 +118,36 @@ def test_numpy_free_commands_never_import_numpy(inputs):
 ], ids=["simulate", "fit-polynomial"])
 def test_numpy_commands_import_numpy(inputs, argv):
     run_fresh(LOADS_NUMPY, inputs, *argv)
+
+
+RUN_COMMAND = "import sys, floodgauge.cli\nassert floodgauge.cli.main(sys.argv[1:]) == 0"
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    assert loaded_modules("import floodgauge", tmp_path) == (set(), False)
+
+
+def test_parsing_loads_only_the_parser_modules(tmp_path):
+    script = "import floodgauge.cli\nfloodgauge.cli.build_parser()"
+    assert loaded_modules(script, tmp_path) == (PARSER_MODULES, False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "s.csv", "--legit-clients", 5, "--zombies", 1, "--windows", 2],
+    ["baseline", "--flows", "clean.csv", "--out", "b.json"],
+    ["calibrate", "--baseline", "b.json", "--out", "c.csv", "--run", "1=a1.csv",
+     "--run", "2.5=a2.csv"],
+    ["fit", "--data", "cal.csv", "--model", "polynomial", "--degree", 1, "--out", "p.json"],
+    ["evaluate", "--model", "linear.json", "--data", "cal.csv"],
+    ["compare", "--data", "cal.csv"],
+    ["estimate", "--model", "linear.json", "--events", "cal.csv", "--out", "e.csv"],
+    ["reproduce-table2"],
+], ids=lambda argv: argv[0])
+def test_each_command_loads_its_pinned_modules(inputs, argv):
+    assert loaded_modules(RUN_COMMAND, inputs, *argv) == (COMMAND_MODULES[argv[0]], False)
+
+
+def test_estimate_loads_logging_only_to_warn_of_a_skipped_window(inputs):
+    modules, logging_loaded = loaded_modules(RUN_COMMAND, inputs, "estimate", "--model",
+                                             "log.json", "--events", "negative.csv")
+    assert modules == COMMAND_MODULES["estimate"] and logging_loaded
