@@ -296,18 +296,19 @@ class FlowRecordSeries:
         if self.num_windows is not None and w >= self.num_windows:
             raise InputError(f"num_windows={self.num_windows} but records reach window {w}")
 
-    def _per_window(self, summed: bool) -> list:
+    def _per_window(self, summed: bool) -> Iterable[tuple[Sequence[str], Sequence[int]]]:
         """Each window's (flow ids, counts): its rows as given, or its per-flow positive
-        totals; a count matrix's rows are both, built anew on each call."""
+        totals; a count matrix's rows are both, built one window at a time on each call."""
         if self._volumes is None:
             return self._totals if summed else self._rows
         ids = self._ids
-        return [(tuple(compress(ids, c)), tuple(filter(None, c))) for c in self._volumes.tolist()]
+        rows = (row.tolist() for row in self._volumes)  # a window at a time, not the whole matrix
+        return ((tuple(compress(ids, c)), tuple(filter(None, c))) for c in rows)
 
     @property
     def columns(self) -> FlowColumns:
         """The run's rows as columns, built anew on each access: hold it to use it twice."""
-        rows = self._per_window(summed=False)
+        rows = list(self._per_window(summed=False))
         return FlowColumns(
             tuple(chain.from_iterable(repeat(w, len(f)) for w, (f, _) in enumerate(rows))),
             tuple(chain.from_iterable(f for f, _ in rows)),
@@ -356,26 +357,14 @@ def windowize(
 
 
 FLOW_HEADER = ("window_index", "flow_id", "bytes")
+FLOW_LINE = "%s,%s,%s"  # one row of the flow CSV, in FLOW_HEADER's order
 
 
 def read_flow_csv(path) -> list[FlowRecord]:
-    """read_flow_columns as records; kept only because perfbench/tracing.TARGETS
-    and tests/test_benchmark_contract.py name it."""
-    return list(map(FlowRecord, *read_flow_columns(path)))
-
-
-def read_flow_columns(path) -> FlowColumns:
-    """read_flow_windows flattened into columns, one entry per row of the file."""
-    return _flat_columns(read_flow_windows(path))
-
-
-def _flat_columns(rows: Sequence[WindowRow]) -> FlowColumns:
-    """(window, flow ids, counts) rows as three list columns."""
-    return FlowColumns(
-        list(chain.from_iterable(repeat(w, len(f)) for w, f, _ in rows)),
-        list(chain.from_iterable(f for _, f, _ in rows)),
-        list(chain.from_iterable(c for _, _, c in rows)),
-    )
+    """read_flow_windows as one FlowRecord per row of the file; kept only because
+    perfbench/tracing.TARGETS and tests/test_benchmark_contract.py name it."""
+    return [FlowRecord(w, fid, b)
+            for w, fids, counts in read_flow_windows(path) for fid, b in zip(fids, counts)]
 
 
 def read_flow_windows(path) -> list[WindowRow]:
@@ -476,5 +465,14 @@ def _read_flow_rows(path) -> FlowColumns:
 def flow_csv_text(records: Sequence[FlowRecord] | FlowColumns) -> str:
     """Render records, or their columns, as CSV text (header included)."""
     lines = [",".join(FLOW_HEADER)]
-    lines.extend(map("%s,%s,%s".__mod__, zip(*flow_columns(records))))
+    lines.extend(map(FLOW_LINE.__mod__, zip(*flow_columns(records))))
     return "\n".join(lines) + "\n"
+
+
+def flow_csv_chunks(series: FlowRecordSeries) -> Iterator[str]:
+    """flow_csv_text(series.columns) as the header line, then one chunk per window with
+    records, each built from the run's own storage when it is asked for."""
+    yield ",".join(FLOW_HEADER) + "\n"
+    for w, (fids, counts) in enumerate(series._per_window(summed=False)):
+        if fids:
+            yield "\n".join(map(FLOW_LINE.__mod__, zip(repeat(w), fids, counts))) + "\n"

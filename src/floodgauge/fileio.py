@@ -108,12 +108,19 @@ def table_text(table: Table, rows: Iterable) -> str:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write text to a temp file in the target directory, then rename over path."""
+    atomic_write(path, (text,))
+
+
+def atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write text chunks in order to a temp file in the target directory, then rename
+    over path; a chunk is written before the next is asked for. If any step fails,
+    path is left as it was and the temp file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -14,9 +14,9 @@ import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
-from .entropy_core import FlowRecordSeries, flow_csv_text, read_flow_windows, run_config
+from .entropy_core import FlowRecordSeries, flow_csv_chunks, read_flow_windows, run_config
 from .errors import ConfigError, InputError
-from .fileio import atomic_write_text, read_json, write_json
+from .fileio import atomic_write, read_json, write_json
 
 GENERATOR_NAME = "numpy-pcg64"
 LEGIT_PREFIX = "legit-"
@@ -180,8 +180,9 @@ def _sidecar_path(csv_path) -> str:
 
 
 def write_series(csv_path, series: FlowRecordSeries) -> None:
-    """Write records as flow CSV plus a metadata sidecar JSON."""
-    atomic_write_text(csv_path, flow_csv_text(series.columns))
+    """Write records as flow CSV, a window at a time with no copy of the file held,
+    then a metadata sidecar JSON."""
+    atomic_write(csv_path, flow_csv_chunks(series))
     write_json(_sidecar_path(csv_path), series.metadata)
 
 

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -16,13 +17,13 @@ from floodgauge.entropy_core import (
     FlowRecord,
     FlowRecordSeries,
     WindowCounts,
-    _flat_columns,
     _read_flow_blocks,
     _read_flow_rows,
+    _window_rows,
     compute_entropy,
     flow_csv_text,
-    read_flow_columns,
     read_flow_csv,
+    read_flow_windows,
     windowize,
 )
 from floodgauge.errors import EmptyRunError, InputError
@@ -415,6 +416,19 @@ def read_outcome(read, path):
         return "refused", type(exc), str(exc)
 
 
+def row_loop_windows(path):
+    """The csv-module row loop's columns, split into one row per window."""
+    return list(_window_rows(_read_flow_rows(path)))
+
+
+def as_tuples(outcome):
+    """A read outcome with each window's ids and counts as tuples, so that rows from
+    the block reader and from the row loop compare by value."""
+    if outcome[0] != "read":
+        return outcome
+    return "read", [(w, tuple(fids), tuple(counts)) for w, fids, counts in outcome[1]]
+
+
 @settings(
     max_examples=300,
     database=None,
@@ -449,14 +463,13 @@ def test_block_reader_agrees_with_the_row_loop(
         data = data[:bad_byte] + b"\xff" + data[bad_byte:]
     path = tmp_path / "flows.csv"
     path.write_bytes(data)
-    rows = read_outcome(_read_flow_rows, path)
+    rows = read_outcome(row_loop_windows, path)
     blocks = read_outcome(_read_flow_blocks, path)
     if blocks[0] == "read":
         assert_one_row_per_window(blocks[1])
-        blocks = "read", _flat_columns(blocks[1])
-        assert blocks == rows
+        assert as_tuples(blocks) == as_tuples(rows)
         assert_one_id_string_per_flow(blocks[1])
-    assert read_outcome(read_flow_columns, path) == rows
+    assert as_tuples(read_outcome(read_flow_windows, path)) == as_tuples(rows)
     if rows[0] == "read":
         assert_one_id_string_per_flow(rows[1])
 
@@ -468,9 +481,9 @@ def assert_one_row_per_window(rows):
     assert all(fids and len(fids) == len(counts) for _, fids, counts in rows)
 
 
-def assert_one_id_string_per_flow(columns):
+def assert_one_id_string_per_flow(rows):
     # every row of a flow carries the one id string
-    flows = columns.flow_id
+    flows = list(chain.from_iterable(fids for _, fids, _ in rows))
     assert len(set(map(id, flows))) == len(set(flows))
 
 
@@ -490,7 +503,7 @@ def test_multi_block_files_stay_on_the_block_path(tmp_path, monkeypatch):
     capture.write_text(multi_block_capture(), encoding="utf-8")
     simulated = tmp_path / "simulated.csv"
     write_series(simulated, simulate(ScenarioConfig(legit_clients=100, zombies=20, num_windows=100)))
-    expected = {path: _read_flow_rows(path) for path in (capture, simulated)}
+    expected = {path: row_loop_windows(path) for path in (capture, simulated)}
 
     def no_row_loop(path):
         raise AssertionError(f"{path} fell back to the row loop")
@@ -498,10 +511,11 @@ def test_multi_block_files_stay_on_the_block_path(tmp_path, monkeypatch):
     monkeypatch.setattr(entropy_core, "_read_flow_rows", no_row_loop)
     for path, rows in expected.items():
         assert path.stat().st_size > 3 * (1 << 16)
-        columns = read_flow_columns(path)
-        assert columns == rows
-        assert_one_id_string_per_flow(columns)
-    assert set(expected[capture].flow_id[-5:]) == {f"nouveau-𝄞-{i}" for i in range(5)}
+        windows = read_flow_windows(path)
+        assert as_tuples(("read", windows)) == as_tuples(("read", rows))
+        assert_one_id_string_per_flow(windows)
+    last_window_ids = expected[capture][-1][1]
+    assert set(last_window_ids[-5:]) == {f"nouveau-𝄞-{i}" for i in range(5)}
 
 
 def split_flow_capture():
@@ -558,4 +572,4 @@ def test_lines_the_blocks_would_misread_are_refused_by_line(tmp_path, rows, mess
     path = tmp_path / "flows.csv"
     path.write_text("window_index,flow_id,bytes\n" + rows)
     with pytest.raises(InputError, match=re.escape(message) + "$"):
-        read_flow_columns(path)
+        read_flow_windows(path)

@@ -6,10 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from floodgauge.entropy_core import (
+    FlowColumns,
     FlowRecord,
     WindowCounts,
     _read_flow_blocks,
@@ -20,6 +21,7 @@ from floodgauge.entropy_core import (
 )
 from floodgauge import traffic_sim
 from floodgauge.errors import ConfigError, InputError
+from floodgauge.fileio import atomic_write, atomic_write_text
 from floodgauge.traffic_sim import (
     GENERATOR_NAME,
     FlowRecordSeries,
@@ -343,6 +345,10 @@ def test_mean_deviation_matches_the_closed_form(legit, zombies, legit_rate, spee
     windows=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
 )
+# no clients and no zombies: a run of empty windows only
+@example(legit=0, zombies=0, legit_rate=1.0, attack_rate=0.1, windows=3, seed=0)
+# window 0 and the last three windows draw no bytes, and the zombie rounds to zero
+@example(legit=2, zombies=1, legit_rate=1e-5, attack_rate=1e-5, windows=5, seed=2)
 def test_volume_rows_and_columns_make_the_same_series(
     tmp_path, legit, zombies, legit_rate, attack_rate, windows, seed
 ):
@@ -354,6 +360,7 @@ def test_volume_rows_and_columns_make_the_same_series(
     path = tmp_path / "run.csv"
     write_series(path, simulated)
     text = path.read_text(encoding="utf-8")
+    assert text == flow_csv_text(simulated.columns)
     hexes = lambda run: [(e.value.hex(), e.flow_count) for e in run.entropies()]
     for series in (FlowRecordSeries(simulated.columns, simulated.metadata), read_series(path)):
         assert series.columns == simulated.columns
@@ -403,6 +410,60 @@ def test_a_simulated_count_matrix_shows_what_its_columns_show(
     from_rows = FlowRecordSeries.from_volumes(ids, matrix.tolist(), simulated.metadata)
     from_array = FlowRecordSeries.from_volumes(ids, matrix, simulated.metadata)
     assert series_view(from_rows) == series_view(from_array) == view
+
+
+@pytest.mark.parametrize("source", ["simulated", "read back", "built from columns"])
+def test_writing_a_run_holds_no_copy_of_its_csv(tmp_path, source):
+    # 400 + 100 flows over 200 windows: 100k records, about 2 MB of CSV
+    series = simulate(small_config(legit_clients=400, zombies=100, num_windows=200))
+    first = tmp_path / "first.csv"
+    write_series(first, series)
+    if source == "read back":
+        series = read_series(first)
+    elif source == "built from columns":
+        series = FlowRecordSeries(series.columns, series.metadata)
+    path = tmp_path / "run.csv"
+    tracemalloc.start()
+    try:
+        write_series(path, series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.record_count == 100_000
+    assert path.read_bytes() == first.read_bytes()
+    assert peak < path.stat().st_size / 4
+
+
+class _UnwritableCount(int):
+    """A byte count whose formatting fails, as a write to a full disk would."""
+
+    def __str__(self):
+        raise OSError(28, "No space left on device")
+
+
+def _chunks_failing_after_the_first():
+    yield "window_index,flow_id,bytes\n0,a,5\n"
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("write, error", [
+    # window 0 is written, then window 1's count fails to format
+    (lambda path: write_series(path, FlowRecordSeries(
+        FlowColumns((0, 0, 1), ("a", "b", "a"), (5, 7, _UnwritableCount(9))),
+        {"config": {"window_length_ms": 200.0}})), OSError),
+    (lambda path: atomic_write(path, _chunks_failing_after_the_first()), OSError),
+    # a lone surrogate has no UTF-8 encoding, so writing the text fails
+    (lambda path: atomic_write_text(path, "window_index,flow_id,bytes\n0,\ud800,5\n"),
+     UnicodeEncodeError),
+], ids=["write_series", "atomic_write", "atomic_write_text"])
+def test_a_write_failing_part_way_leaves_the_target_and_no_temp_file(tmp_path, write, error):
+    path = tmp_path / "run.csv"
+    write_series(path, simulate(small_config()))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(error):
+        write(path)
+    # the CSV and its sidecar are byte for byte as they were, and no *.tmp is left
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_series_round_trip(tmp_path):
