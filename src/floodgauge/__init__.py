@@ -23,6 +23,7 @@ _EXPORTS = {
                      "compute_entropy", "windowize"),
     "errors": ("ConfigError", "DegenerateDataError", "DegenerateVarianceError", "DomainError",
                "EmptyRunError", "FloodgaugeError", "InputError", "InsufficientBaselineError"),
+    "families": (),
     "fileio": (),
     "metrics": ("FitReport", "ResidualSeries", "evaluate", "residual_summary"),
     "pipeline": ("ModelComparisonReport", "StrengthEstimate", "calibrate", "compare_models",

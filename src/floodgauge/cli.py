@@ -20,7 +20,7 @@ from typing import Sequence
 
 # each handler imports the modules it runs, so parsing loads only these
 from .errors import ConfigError, EmptyRunError, FloodgaugeError, InputError
-from .regression import MAX_POLY_DEGREE, MODEL_FAMILIES, SELECTION_CRITERIA
+from .families import MAX_POLY_DEGREE, MODEL_FAMILIES, SELECTION_CRITERIA
 
 SEED_ENV_VAR = "FLOODGAUGE_SEED"
 

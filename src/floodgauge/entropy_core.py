@@ -11,35 +11,88 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat
-from operator import attrgetter, mul, truediv
+from operator import attrgetter, index, mul, truediv
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .fileio import header_cells, json_number, table_rows
 
 
-@dataclass(frozen=True, slots=True)
+def _checked_flow_id(fid) -> str:
+    """fid, if the flow CSV can write it unquoted and read it back as itself."""
+    if not isinstance(fid, str):
+        raise InputError(f"flow_id must be a str, got {type(fid).__name__}")
+    if not fid:
+        raise InputError("flow_id must be non-empty")
+    if "," in fid or "\n" in fid or "\r" in fid:
+        raise InputError(f"flow_id {fid!r} must not contain commas or newlines")
+    if fid[0] == '"':
+        raise InputError(f"flow_id {fid!r} must not start with a double quote")
+    return fid
+
+
+def _check_flow_ids(ids: Sequence[str]) -> None:
+    """_checked_flow_id of each id, by one pass over the ids joined.
+
+    A character _checked_flow_id refuses inside an id it also refuses inside their
+    join; only an empty id and a quote opening an id are hidden there. So an empty id,
+    a quote anywhere or a join the rule refuses sends the ids to the rule one by one,
+    which names the first bad id."""
+    try:
+        if all(ids) and '"' not in _checked_flow_id("".join(ids)):
+            return
+    except (TypeError, InputError):  # TypeError: an id that is not a str
+        pass
+    for fid in ids:
+        _checked_flow_id(fid)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class FlowRecord:
-    """Byte count observed for one flow in one window."""
+    """Byte count observed for one flow in one window.
+
+    The window index and byte count are kept as ``operator.index`` of what
+    is given, so numpy integers become ints and other numbers are refused.
+    """
 
     window_index: int
     flow_id: str
     bytes: int
 
-    def __post_init__(self) -> None:
-        if self.window_index < 0:
-            raise InputError(f"window_index must be >= 0, got {self.window_index}")
-        if not self.flow_id:
-            raise InputError("flow_id must be non-empty")
-        # the flow CSV writes ids unquoted, so these would not read back
-        if "," in self.flow_id or "\n" in self.flow_id or "\r" in self.flow_id:
-            raise InputError(f"flow_id {self.flow_id!r} must not contain commas or newlines")
-        if self.flow_id.startswith('"'):
-            raise InputError(f"flow_id {self.flow_id!r} must not start with a double quote")
-        if self.bytes < 0:
-            raise InputError(
-                f"negative byte count {self.bytes} for flow {self.flow_id!r}"
-            )
+    def __init__(self, window_index: int, flow_id: str, bytes: int) -> None:
+        try:
+            window_index = index(window_index)
+        except TypeError:
+            raise InputError(f"window_index must be an integer, got {window_index!r}") from None
+        if window_index < 0:
+            raise InputError(f"window_index must be >= 0, got {window_index}")
+        _checked_flow_id(flow_id)
+        try:
+            bytes = index(bytes)
+        except TypeError:
+            raise InputError(f"bytes must be an integer, got {bytes!r}") from None
+        if bytes < 0:
+            raise InputError(f"negative byte count {bytes} for flow {flow_id!r}")
+        _set_window_index(self, window_index)
+        _set_flow_id(self, flow_id)
+        _set_bytes(self, bytes)
+
+
+# each field's slot, written past the frozen __setattr__
+_set_window_index = FlowRecord.window_index.__set__
+_set_flow_id = FlowRecord.flow_id.__set__
+_set_bytes = FlowRecord.bytes.__set__
+_new = object.__new__
+
+
+def _checked_record(window_index: int, flow_id: str, nbytes: int) -> FlowRecord:
+    """FlowRecord(window_index, flow_id, nbytes), without the checks, of fields already
+    found valid: an int window >= 0, a flow id _checked_flow_id took and an int count >= 0."""
+    record = _new(FlowRecord)
+    _set_window_index(record, window_index)
+    _set_flow_id(record, flow_id)
+    _set_bytes(record, nbytes)
+    return record
 
 
 class FlowColumns(NamedTuple):
@@ -274,6 +327,7 @@ class FlowRecordSeries:
         series = cls.__new__(cls)
         series._check(metadata)
         ids = tuple(flow_ids)
+        _check_flow_ids(ids)
         if len(set(ids)) < len(ids):
             raise InputError("flow ids must be distinct")
         volumes = _count_matrix(rows, len(ids))
@@ -325,8 +379,12 @@ class FlowRecordSeries:
 
     @property
     def records(self) -> tuple[FlowRecord, ...]:
-        """The run's records, built anew on each access: hold it to use it twice."""
-        return tuple(map(FlowRecord, *self.columns))
+        """The run's records, built anew on each access: hold it to use it twice.
+
+        A ``from_volumes`` run checked its ids and counts when it was made, so its
+        records are not checked again; every other run's rows are, one by one."""
+        build = FlowRecord if self._volumes is None else _checked_record
+        return tuple(map(build, *self.columns))
 
     def windows(self) -> list[WindowCounts]:
         """The run's per-window byte totals, trailing empty windows included.
@@ -386,7 +444,7 @@ class _FlowIds(dict):
     """Flow id bytes to one checked str: a new id is decoded and checked once."""
 
     def __missing__(self, key: bytes) -> str:
-        fid = self[key] = FlowRecord(0, key.decode("utf-8"), 0).flow_id
+        fid = self[key] = _checked_flow_id(key.decode("utf-8"))
         return fid
 
 

@@ -24,14 +24,12 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DegenerateDataError, DomainError, InputError
+# defined apart so that the command-line parser need not load this module; still
+# importable from here
+from .families import MAX_POLY_DEGREE, MODEL_FAMILIES, SELECTION_CRITERIA
 from .fileio import json_number, read_json, write_json
 
-MODEL_FAMILIES = ("linear", "polynomial", "logarithmic", "power", "exponential")
-# the metrics compare_models can rank families by
-SELECTION_CRITERIA = ("eta", "r_squared", "sse")
-
 DEFAULT_POLY_DEGREE = 2
-MAX_POLY_DEGREE = 6
 
 RAW_OLS = "raw_ols"
 LOG_LINEARIZED = "log_linearized"

@@ -1,8 +1,12 @@
+import dataclasses
 import json
 import math
+import pickle
 import random
 import re
+import sys
 import warnings
+from collections import namedtuple
 from itertools import chain
 
 import numpy as np
@@ -155,6 +159,70 @@ def test_flow_record_rejects_csv_breaking_ids():
         FlowRecord(0, "b\nc", 7)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((-1, "a", 10), "window_index must be >= 0, got -1"),
+    ((0, "", 10), "flow_id must be non-empty"),
+    ((0, "b,c", 7), "flow_id 'b,c' must not contain commas or newlines"),
+    ((0, "b\nc", 7), "flow_id 'b\\nc' must not contain commas or newlines"),
+    ((0, "b\rc", 7), "flow_id 'b\\rc' must not contain commas or newlines"),
+    ((0, '"q', 7), "flow_id '\"q' must not start with a double quote"),
+    ((0, "a", -3), "negative byte count -3 for flow 'a'"),
+    # the window is checked first, then the id, then the count
+    ((-1, "", -3), "window_index must be >= 0, got -1"),
+    ((0, "", -3), "flow_id must be non-empty"),
+    ((0, "a", 2.5), "bytes must be an integer, got 2.5"),
+    ((0, "a", math.nan), "bytes must be an integer, got nan"),
+    ((0, "a", "3"), "bytes must be an integer, got '3'"),
+    ((1.0, "a", 4), "window_index must be an integer, got 1.0"),
+    ((np.float64(1.0), "a", 4), f"window_index must be an integer, got {np.float64(1.0)!r}"),
+    ((0, 5, 3), "flow_id must be a str, got int"),
+    ((0, b"a", 3), "flow_id must be a str, got bytes"),
+    ((0, None, 3), "flow_id must be a str, got NoneType"),
+], ids=["negative-window", "empty-id", "comma-id", "newline-id", "cr-id", "quote-id",
+        "negative-bytes", "window-first", "id-before-bytes", "float-bytes", "nan-bytes",
+        "str-bytes", "float-window", "numpy-float-window", "int-id", "bytes-id", "none-id"])
+def test_flow_record_refusals_name_the_field(fields, message):
+    with pytest.raises(InputError) as info:
+        FlowRecord(*fields)
+    assert str(info.value) == message
+
+
+def test_flow_record_keeps_numpy_integers_as_ints():
+    record = FlowRecord(np.int64(2), "a", np.uint16(5))
+    assert record == FlowRecord(2, "a", 5)
+    assert type(record.window_index) is int and type(record.bytes) is int
+    assert repr(record) == "FlowRecord(window_index=2, flow_id='a', bytes=5)"
+
+
+def test_flow_record_stays_a_frozen_slotted_dataclass():
+    record = FlowRecord(2, "a", 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.bytes = 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del record.flow_id
+    assert record == FlowRecord(window_index=2, flow_id="a", bytes=5)
+    assert record != FlowRecord(2, "a", 6) and record != (2, "a", 5)
+    assert hash(record) == hash((2, "a", 5))
+    assert repr(record) == "FlowRecord(window_index=2, flow_id='a', bytes=5)"
+    assert dataclasses.astuple(record) == (2, "a", 5)
+    assert not hasattr(record, "__dict__")
+    assert FlowRecord.__slots__ == ("window_index", "flow_id", "bytes")
+
+    class ThreeSlots:
+        __slots__ = ("a", "b", "c")
+
+    assert sys.getsizeof(record) == sys.getsizeof(ThreeSlots())
+    assert pickle.loads(pickle.dumps(record)) == record
+    # replace builds a new record, so its fields are checked again
+    assert dataclasses.replace(record, bytes=np.int64(7)) == FlowRecord(2, "a", 7)
+    with pytest.raises(InputError, match="negative byte count -1 for flow 'a'"):
+        dataclasses.replace(record, bytes=-1)
+    with pytest.raises(InputError, match="must not contain commas or newlines"):
+        dataclasses.replace(record, flow_id="a,b")
+    with pytest.raises(InputError, match="window_index must be an integer"):
+        dataclasses.replace(record, window_index=2.0)
+
+
 def test_flow_csv_round_trip(tmp_path):
     records = [FlowRecord(0, "a", 5), FlowRecord(1, "bc", 7)]
     path = tmp_path / "flows.csv"
@@ -274,6 +342,57 @@ def test_columns_with_a_negative_window_are_refused():
 def test_from_volumes_refuses_bad_rows(flow_ids, rows, message):
     with pytest.raises(InputError, match=message):
         FlowRecordSeries.from_volumes(flow_ids, rows, {"config": {"window_length_ms": 200.0}})
+
+
+@pytest.mark.parametrize("flow_ids, message", [
+    (["a", "b,c"], "flow_id 'b,c' must not contain commas or newlines"),
+    (["a", "b\nc"], "flow_id 'b\\nc' must not contain commas or newlines"),
+    (["a", "b\r"], "flow_id 'b\\r' must not contain commas or newlines"),
+    (["a", '"q'], "flow_id '\"q' must not start with a double quote"),
+    (["a", ""], "flow_id must be non-empty"),
+    ([""], "flow_id must be non-empty"),
+    (["", "a"], "flow_id must be non-empty"),
+    (["a", 5], "flow_id must be a str, got int"),
+    # the first bad id is named
+    (["a,b", '"q', ""], "flow_id 'a,b' must not contain commas or newlines"),
+], ids=["comma", "newline", "cr", "quote", "empty", "only-empty", "first-empty", "int",
+        "first-named"])
+def test_from_volumes_refuses_ids_the_flow_csv_cannot_hold(flow_ids, message):
+    rows = [[1] * len(flow_ids)]
+    with pytest.raises(InputError) as info:
+        FlowRecordSeries.from_volumes(flow_ids, rows, {"config": {"window_length_ms": 200.0}})
+    assert str(info.value) == message
+
+
+def test_from_volumes_takes_ids_with_a_quote_past_their_start():
+    config = {"config": {"window_length_ms": 200.0}}
+    series = FlowRecordSeries.from_volumes(['a"b', "c", 'd"'], [[1, 2, 3]], config)
+    assert series.records == (FlowRecord(0, 'a"b', 1), FlowRecord(0, "c", 2),
+                              FlowRecord(0, 'd"', 3))
+
+
+def first_refusal(check, *args):
+    try:
+        check(*args)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+flow_id_lists = st.lists(st.one_of(
+    st.text(alphabet='ab,"\n\r\x00é', max_size=4),
+    st.sampled_from(["legit-0001", 'q"', '"q', 7, None, b"a"]),
+), max_size=6)
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(flow_id_lists)
+def test_the_joined_id_check_refuses_what_the_per_id_rule_refuses(ids):
+    # from_volumes checks ids by one pass over their join; it must refuse exactly the
+    # lists in which _checked_flow_id refuses some id, with that first refusal
+    expected = next(filter(None, (first_refusal(entropy_core._checked_flow_id, fid)
+                                  for fid in ids)), None)
+    assert first_refusal(entropy_core._check_flow_ids, tuple(ids)) == expected
 
 
 def entropy_hexes(series):
@@ -573,3 +692,70 @@ def test_lines_the_blocks_would_misread_are_refused_by_line(tmp_path, rows, mess
     path.write_text("window_index,flow_id,bytes\n" + rows)
     with pytest.raises(InputError, match=re.escape(message) + "$"):
         read_flow_windows(path)
+
+
+valid_window_rows = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "legit-0001"]),
+              st.one_of(st.sampled_from([0, 1, 2**53]), st.integers(0, 10**9))),
+    max_size=5,
+)
+small_scenarios = st.builds(
+    ScenarioConfig,
+    legit_clients=st.integers(0, 5),
+    zombies=st.integers(0, 3),
+    # 1e-5 Mbps is a quarter of a byte a window: mostly zero draws, so no record
+    legit_mean_rate_mbps_per_client=st.sampled_from([0.0, 1e-5, 1.0]),
+    num_windows=st.integers(1, 5),
+    seed=st.integers(0, 2**32),
+)
+
+
+@settings(max_examples=100, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(valid_window_rows, max_size=6), small_scenarios)
+def test_records_of_every_run_equal_records_checked_one_by_one(
+    tmp_path, per_window, scenario
+):
+    config = {"config": {"window_length_ms": 200.0}}
+    rows = [(w, fid, b) for w, window in enumerate(per_window) for fid, b in window]
+    columns = FlowColumns(*zip(*rows)) if rows else FlowColumns((), (), ())
+    window_rows = [(w, tuple(f for f, _ in window), tuple(b for _, b in window))
+                   for w, window in enumerate(per_window) if window]
+    simulated = simulate(scenario)
+    write_series(tmp_path / "run.csv", simulated)
+    runs = {
+        "simulate": simulated,
+        "read_series": read_series(tmp_path / "run.csv"),
+        "from_rows": FlowRecordSeries.from_rows(window_rows, config),
+        "records": FlowRecordSeries([FlowRecord(*row) for row in rows], config),
+        "columns": FlowRecordSeries(columns, config),
+    }
+    for name, series in runs.items():
+        records = series.records
+        assert records == tuple(FlowRecord(*row) for row in zip(*series.columns)), name
+        assert all(type(r) is FlowRecord for r in records), name
+        assert {(type(r.window_index), type(r.flow_id), type(r.bytes)) for r in records} <= {
+            (int, str, int)}, name
+
+
+def test_records_of_unchecked_rows_are_still_checked_one_by_one():
+    config = {"config": {"window_length_ms": 200.0}}
+    Row = namedtuple("Row", FlowColumns._fields)
+    runs = [
+        (FlowRecordSeries(FlowColumns((0, 1), ("a", "b,c"), (1, 2)), config),
+         "flow_id 'b,c' must not contain commas or newlines"),
+        (FlowRecordSeries(FlowColumns((0,), ("a",), (2.5,)), config),
+         "bytes must be an integer, got 2.5"),
+        (FlowRecordSeries(FlowColumns((0, 0), ("a", "a"), (-1, 3)), config),
+         "negative byte count -1 for flow 'a'"),
+        (FlowRecordSeries.from_rows([(0, ("a", ""), (1, 2))], config),
+         "flow_id must be non-empty"),
+        # records that are not FlowRecords were never checked
+        (FlowRecordSeries([FlowRecord(0, "a", 1), Row(0, '"q', 2)], config),
+         "flow_id '\"q' must not start with a double quote"),
+    ]
+    for series, message in runs:
+        series.windows()  # the series itself takes such rows, as before
+        with pytest.raises(InputError) as info:
+            series.records
+        assert str(info.value) == message

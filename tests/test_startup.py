@@ -48,18 +48,19 @@ assert "numpy" in sys.modules, sys.argv[1] + " ran without numpy"
 
 
 # the floodgauge submodules each command loads, pinned so that a change widening one shows
-PARSER_MODULES = {"cli", "errors", "fileio", "regression"}
+PARSER_MODULES = {"cli", "errors", "families"}
+# what every command that fits or scores a model loads
+MODEL_MODULES = {"fileio", "metrics", "pipeline", "regression"}
 
 COMMAND_MODULES = {
-    "simulate": PARSER_MODULES | {"entropy_core", "traffic_sim"},
-    "baseline": PARSER_MODULES | {"detector", "entropy_core", "traffic_sim"},
-    "calibrate": PARSER_MODULES | {"detector", "entropy_core", "metrics", "pipeline",
-                                   "traffic_sim"},
-    "fit": PARSER_MODULES | {"metrics", "pipeline"},
-    "evaluate": PARSER_MODULES | {"metrics", "pipeline"},
-    "compare": PARSER_MODULES | {"metrics", "pipeline"},
-    "estimate": PARSER_MODULES | {"detector", "metrics", "pipeline"},
-    "reproduce-table2": PARSER_MODULES | {"metrics", "pipeline", "refdata"},
+    "simulate": PARSER_MODULES | {"entropy_core", "fileio", "traffic_sim"},
+    "baseline": PARSER_MODULES | {"detector", "entropy_core", "fileio", "traffic_sim"},
+    "calibrate": PARSER_MODULES | MODEL_MODULES | {"detector", "entropy_core", "traffic_sim"},
+    "fit": PARSER_MODULES | MODEL_MODULES,
+    "evaluate": PARSER_MODULES | MODEL_MODULES,
+    "compare": PARSER_MODULES | MODEL_MODULES,
+    "estimate": PARSER_MODULES | MODEL_MODULES | {"detector"},
+    "reproduce-table2": PARSER_MODULES | MODEL_MODULES | {"refdata"},
 }
 
 
