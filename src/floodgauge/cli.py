@@ -158,10 +158,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .fileio import write_json
     from .metrics import METRICS, evaluate, report_to_dict
     from .pipeline import read_calibration_csv
-    from .regression import load_model, predict
+    from .regression import load_model, predict_all
     model = load_model(args.model)
     data = read_calibration_csv(args.data)
-    report = evaluate(data.ys, [predict(model, x) for x in data.xs])
+    report = evaluate(data.ys, predict_all(model, data.xs))
     rows = [["metric", "value"]]
     rows.extend([label, f"{getattr(report, field):.2f}"] for field, label in METRICS)
     rows.append(["mean_abs_error", f"{report.mean_abs_error:.2f}"])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -114,10 +113,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
     """Write text chunks in order to a temp file in the target directory, then rename
     over path; a chunk is written before the next is asked for. If any step fails,
-    path is left as it was and the temp file is removed."""
+    path is left as it was and the temp file is removed. The file gets the mode
+    that ``open()`` gives a new file: 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    fd, tmp = _new_temp_file(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
@@ -128,6 +128,25 @@ def atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
         except OSError:
             pass
         raise
+
+
+# mkstemp's flags, write-only
+_TEMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
+               | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_BINARY", 0))
+
+
+def _new_temp_file(path: Path) -> tuple[int, Path]:
+    """Create ``<name>.<random>.tmp`` beside path and open it for writing.
+
+    The kernel applies the umask to the 0o666 asked for here, as it does for
+    ``open()``; tempfile.mkstemp would ask for 0o600 instead.
+    """
+    while True:
+        tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
+        try:
+            return os.open(tmp, _TEMP_FLAGS, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 def json_number(value: Any, whole: bool = False) -> float | int:

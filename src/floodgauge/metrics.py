@@ -13,6 +13,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from operator import mul, sub
 from typing import Sequence
 
 from .errors import DegenerateDataError, DegenerateVarianceError, InputError
@@ -58,39 +61,77 @@ class FitReport:
     cc_defined: bool = True
 
 
-def evaluate(observed: Sequence[float], computed: Sequence[float]) -> FitReport:
+class ObservedSeries:
+    """Observed values together with the observed side of their scores.
+
+    That side (the mean, the centred values, their sum of squares and their
+    sum of magnitudes) is made by the first ``evaluate`` that gets that far
+    and shared by the later ones, so scoring several computed series against
+    the same observations pays for it once. Make one per scoring job and keep
+    none past it.
+    """
+
+    def __init__(self, values: Sequence[float]) -> None:
+        self.values = values
+
+    @cached_property
+    def _floats(self) -> list[float]:
+        return [float(v) for v in self.values]
+
+    @cached_property
+    def _side(self) -> tuple[list[float], float, float]:
+        """Centred values, their sum of squares and their sum of magnitudes;
+        constant values raise at every use."""
+        obs = self._floats
+        mean = math.fsum(obs) / len(obs)
+        centred = list(map(sub, obs, repeat(mean)))
+        sst = math.fsum(map(pow, centred, repeat(2.0)))
+        if sst == 0.0:
+            raise DegenerateVarianceError("observed values are all equal")
+        return centred, sst, math.fsum(map(abs, centred))
+
+
+def evaluate(
+    observed: Sequence[float] | ObservedSeries, computed: Sequence[float]
+) -> FitReport:
     """Score a computed series against observations.
 
-    Needs at least two samples and non-constant observations. A constant
-    computed series leaves the correlation (and the squared correlation)
-    undefined; those fields come back NaN with ``cc_defined`` False.
+    Needs equal lengths, then at least two samples, then non-constant
+    observations, checked in that order. A constant computed series leaves
+    the correlation (and the squared correlation) undefined; those fields
+    come back NaN with ``cc_defined`` False. ``observed`` may be an
+    ObservedSeries, shared by the scores of several computed series; the
+    report is the same, bit for bit.
     """
-    n = len(observed)
+    if not isinstance(observed, ObservedSeries):
+        observed = ObservedSeries(observed)
+    n = len(observed.values)
     if n != len(computed):
         raise InputError(f"observed and computed lengths differ: {n} vs {len(computed)}")
     if n < 2:
         raise InputError(f"need >= 2 samples to evaluate a fit, got {n}")
-    obs = [float(v) for v in observed]
+    obs = observed._floats
     comp = [float(v) for v in computed]
 
+    # every square is pow(d, 2.0), what ``d ** 2`` computes: past the float
+    # range it raises OverflowError, where ``d * d`` would give inf
     try:
-        obs_mean = math.fsum(obs) / n
-        sst = math.fsum((o - obs_mean) ** 2 for o in obs)
-        if sst == 0.0:
-            raise DegenerateVarianceError("observed values are all equal")
+        obs_centred, sst, obs_abs = observed._side
 
-        sse = math.fsum((c - o) ** 2 for c, o in zip(comp, obs))
+        diffs = list(map(sub, comp, obs))
+        sse = math.fsum(map(pow, diffs, repeat(2.0)))
         mse = sse / n
         rmse = math.sqrt(mse)
-        abs_err = math.fsum(abs(c - o) for c, o in zip(comp, obs))
+        abs_err = math.fsum(map(abs, diffs))
 
         comp_mean = math.fsum(comp) / n
-        comp_ss = math.fsum((c - comp_mean) ** 2 for c in comp)
+        comp_centred = list(map(sub, comp, repeat(comp_mean)))
+        comp_ss = math.fsum(map(pow, comp_centred, repeat(2.0)))
         if comp_ss == 0.0:
             cc = float("nan")
             cc_defined = False
         else:
-            cov = math.fsum((c - comp_mean) * (o - obs_mean) for c, o in zip(comp, obs))
+            cov = math.fsum(map(mul, comp_centred, obs_centred))
             scale = comp_ss * sst
             # split the root only when the product leaves the normal float range
             normal = sys.float_info.min <= scale <= sys.float_info.max
@@ -108,7 +149,7 @@ def evaluate(observed: Sequence[float], computed: Sequence[float]) -> FitReport:
         nmse_eq11=mse / (sst / n),
         nmse_table2=mse / math.sqrt(sst / (n - 1)),
         eta=1.0 - sse / sst,
-        mae_index=1.0 - abs_err / math.fsum(abs(o - obs_mean) for o in obs),
+        mae_index=1.0 - abs_err / obs_abs,
         mean_abs_error=abs_err / n,
         sample_count=n,
         cc_defined=cc_defined,

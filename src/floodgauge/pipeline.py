@@ -23,16 +23,20 @@ from .fileio import (
     read_table,
     table_text,
 )
-from .metrics import REPORT_TABLE, FitReport, evaluate, metric_values, report_to_dict
+from .metrics import (
+    REPORT_TABLE, FitReport, ObservedSeries, evaluate, metric_values, report_to_dict,
+)
 from .regression import (
     MODEL_FAMILIES,
     SELECTION_CRITERIA,
+    CalibrationColumns,
     CalibrationDataset,
     CalibrationSample,
     FittedModel,
     ModelKind,
     fit,
     predict,
+    predict_all,
 )
 
 if TYPE_CHECKING:
@@ -118,7 +122,10 @@ def compare_models(
     score is degenerate, are skipped with the reason recorded rather
     than failing the whole comparison. Ranking uses the
     chosen criterion (eta or r_squared maximised, sse minimised); ties
-    keep the earlier family in MODEL_FAMILIES order.
+    keep the earlier family in MODEL_FAMILIES order. The families share
+    the calibration's columns and moments and the observed side of the
+    scores, so each report is what ``evaluate`` gives for that family's
+    predictions.
     """
     if criterion not in SELECTION_CRITERIA:
         raise ConfigError(
@@ -127,11 +134,13 @@ def compare_models(
     reports: dict[str, FitReport] = {}
     fitted: dict[str, FittedModel] = {}
     skipped: dict[str, str] = {}
+    columns = CalibrationColumns(data)
+    observed = ObservedSeries(columns.ys)
     for tag in MODEL_FAMILIES:
         kind = ModelKind(tag, degree if tag == "polynomial" else None)
         try:
-            model = fit(data, kind)
-            report = evaluate(data.ys, [predict(model, x) for x in data.xs])
+            model = fit(columns, kind)
+            report = evaluate(observed, predict_all(model, columns.xs))
         except (DomainError, DegenerateDataError) as exc:
             skipped[tag] = str(exc)
             continue

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DegenerateDataError, DomainError, InputError
@@ -130,16 +132,35 @@ class FittedModel:
             raise InputError(f"{tag} model coefficients must be finite: {self.coefficients}")
 
 
-def _simple_ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+class _Column:
+    """One column of a calibration with its least-squares moments, each made on
+    first use; a moment whose sums overflow is not kept, so it raises again at
+    each use."""
+
+    def __init__(self, values: list[float]) -> None:
+        self.values = values
+
+    @cached_property
+    def mean(self) -> float:
+        return math.fsum(self.values) / len(self.values)
+
+    @cached_property
+    def centred(self) -> list[float]:
+        return list(map(sub, self.values, repeat(self.mean)))
+
+    @cached_property
+    def sum_sq(self) -> float:
+        # pow(d, 2.0) is what ``d ** 2`` computes, overflow included
+        return math.fsum(map(pow, self.centred, repeat(2.0)))
+
+
+def _simple_ols(x: _Column, y: _Column) -> tuple[float, float]:
     """Closed-form least squares of y on x: (intercept, slope)."""
-    n = len(xs)
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    sxx = math.fsum((x - mean_x) ** 2 for x in xs)
+    mean_x, mean_y = x.mean, y.mean
+    sxx = x.sum_sq
     if sxx == 0.0:
         raise DegenerateDataError("all x values are equal")
-    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
+    slope = math.fsum(map(mul, x.centred, y.centred)) / sxx
     return mean_y - slope * mean_x, slope
 
 
@@ -160,60 +181,94 @@ def _fit_polynomial(xs: list[float], ys: list[float], degree: int) -> tuple[floa
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         x = np.asarray(xs, dtype=float)
         # center and scale before building the Vandermonde basis; raw powers
-        # of nearby x values make the normal equations needlessly ill-conditioned
-        mu = float(x.mean())
-        sigma = float(x.std())
-        z = (x - mu) / sigma
+        # of nearby x values make the normal equations needlessly ill-conditioned.
+        # mu and sigma are x.mean() and x.std() without their wrappers: the same
+        # pairwise sums, subtraction, square (numpy 1.x squares by multiply, which
+        # rounds alike), divisions and root
+        n = len(xs)
+        mu = float(np.add.reduce(x) / n)
+        dx = x - mu
+        sigma = math.sqrt(float(np.add.reduce(np.square(dx)) / n))
+        z = dx / sigma
         v = np.vander(z, degree + 1, increasing=True)
         q, r = np.linalg.qr(v)
-        diag = np.abs(np.diag(r))
-        if diag.min() <= diag.max() * 1e-13:
+        diag = [abs(d) for d in r.diagonal().tolist()]
+        if min(diag) <= max(diag) * 1e-13:
             raise DegenerateDataError(
                 f"polynomial basis is rank deficient for degree {degree}"
             )
         beta_z = np.linalg.solve(r, q.T @ np.asarray(ys, dtype=float))
         # rewrite p(z) with z = (x - mu)/sigma in raw x by Horner's rule on
         # coefficient arrays; no step drops a zero, so degree + 1 terms remain
-        sub = np.array([-mu / sigma, 1.0 / sigma])
+        z_in_x = np.array([-mu / sigma, 1.0 / sigma])
         coeffs = beta_z[degree:]
         for k in range(degree - 1, -1, -1):
-            coeffs = np.convolve(coeffs, sub)
+            coeffs = np.convolve(coeffs, z_in_x)
             coeffs[0] += beta_z[k]
         return tuple(coeffs.tolist())
 
 
-def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
+class CalibrationColumns:
+    """The columns x, ln x, y and ln y of one calibration, with their moments.
+
+    ``fit`` takes every column and moment from here, each made on first use,
+    so the fits that share one of these share them: linear and exponential
+    use x, logarithmic and power ln x, power and exponential ln y. ln x and
+    ln y are made only after a family has checked that every value is
+    positive. Make one per comparison and keep none past it.
+    """
+
+    def __init__(self, data: CalibrationDataset) -> None:
+        self.data = data
+        self.xs = [s.x for s in data.samples]
+        self.ys = [s.y for s in data.samples]
+        self.x = _Column(self.xs)
+        self.y = _Column(self.ys)
+
+    @cached_property
+    def ln_x(self) -> _Column:
+        return _Column(list(map(math.log, self.xs)))
+
+    @cached_property
+    def ln_y(self) -> _Column:
+        return _Column(list(map(math.log, self.ys)))
+
+
+def fit(data: CalibrationDataset | CalibrationColumns, kind: ModelKind) -> FittedModel:
     """Fit one family to the calibration data.
 
     Raises DomainError when a sample lies outside the family's domain
     (x <= 0 for logarithmic and power, y <= 0 for power and exponential)
     and DegenerateDataError when the data cannot pin the coefficients
-    down or the fit leaves the float range.
+    down or the fit leaves the float range. ``data`` may be the
+    CalibrationColumns of a dataset, shared by several fits; the model is
+    the same, bit for bit.
     """
-    xs, ys, tag = data.xs, data.ys, kind.tag
+    cols = data if isinstance(data, CalibrationColumns) else CalibrationColumns(data)
+    tag = kind.tag
     try:
         if tag == "linear":
-            coefficients = _simple_ols(xs, ys)
+            coefficients = _simple_ols(cols.x, cols.y)
         elif tag == "polynomial":
-            coefficients = _fit_polynomial(xs, ys, kind.degree)
+            coefficients = _fit_polynomial(cols.xs, cols.ys, kind.degree)
         elif tag == "logarithmic":
-            _require_positive(xs, "x", tag)
-            intercept, slope = _simple_ols([math.log(x) for x in xs], ys)
+            _require_positive(cols.xs, "x", tag)
+            intercept, slope = _simple_ols(cols.ln_x, cols.y)
             coefficients = (slope, intercept)
         else:
             # power and exponential: OLS of ln y on ln x or x, with the
             # intercept back-transformed into the scale factor
             if tag == "power":
-                _require_positive(xs, "x", tag)
-                xs = [math.log(x) for x in xs]
-            _require_positive(ys, "y", tag)
-            intercept, slope = _simple_ols(xs, [math.log(y) for y in ys])
+                _require_positive(cols.xs, "x", tag)
+            _require_positive(cols.ys, "y", tag)
+            x = cols.ln_x if tag == "power" else cols.x
+            intercept, slope = _simple_ols(x, cols.ln_y)
             coefficients = (math.exp(intercept), slope)
     except ArithmeticError as exc:
         raise DegenerateDataError(f"{tag} fit overflows: {exc}") from exc
     if not all(map(math.isfinite, coefficients)):
         raise DegenerateDataError(f"{tag} fit gives non-finite coefficients {coefficients}")
-    return FittedModel(kind, coefficients, kind.fit_method, data.digest())
+    return FittedModel(kind, coefficients, kind.fit_method, cols.data.digest())
 
 
 def predict(model: FittedModel, x: float) -> float:
@@ -243,10 +298,44 @@ def predict(model: FittedModel, x: float) -> float:
     return value
 
 
+def predict_all(model: FittedModel, xs: Iterable[float]) -> list[float]:
+    """``[predict(model, x) for x in xs]``, computed a whole column at a time.
+
+    Each value comes from the same IEEE operations, in the same order, as
+    ``predict`` performs, so it is the same bit for bit. When some x is
+    outside the model's domain or its value overflows, the per-x loop runs
+    instead, to raise ``predict``'s error for the first such x.
+    """
+    xs = [float(x) for x in xs]
+    c = model.coefficients
+    tag = model.kind.tag
+    values = None
+    in_domain = all(map(math.isfinite, xs)) and (
+        tag not in ("logarithmic", "power") or min(xs, default=1.0) > 0)
+    if in_domain:
+        try:
+            if tag == "logarithmic":
+                values = list(map(add, map(mul, repeat(c[0]), map(math.log, xs)), repeat(c[1])))
+            elif tag == "power":
+                values = list(map(mul, repeat(c[0]), map(pow, xs, repeat(c[1]))))
+            elif tag == "exponential":
+                values = list(map(mul, repeat(c[0]), map(math.exp, map(mul, repeat(c[1]), xs))))
+            else:
+                # Horner's rule, one pass over the column per coefficient
+                values = [0.0] * len(xs)
+                for coef in reversed(c):
+                    values = list(map(add, map(mul, values, xs), repeat(coef)))
+        except OverflowError:
+            pass
+    if values is None or not all(map(math.isfinite, values)):
+        return [predict(model, x) for x in xs]
+    return values
+
+
 def residuals(model: FittedModel, data: CalibrationDataset) -> ResidualSeries:
     """Residuals over the dataset, predicted minus observed."""
     from .metrics import ResidualSeries
-    return ResidualSeries.from_values([predict(model, s.x) - s.y for s in data.samples])
+    return ResidualSeries.from_values(list(map(sub, predict_all(model, data.xs), data.ys)))
 
 
 def save_model(path, model: FittedModel) -> None:

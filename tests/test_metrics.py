@@ -5,6 +5,7 @@ import pytest
 
 from floodgauge.errors import DegenerateVarianceError, InputError
 from floodgauge.metrics import (
+    ObservedSeries,
     ResidualSeries,
     evaluate,
     report_to_dict,
@@ -65,6 +66,49 @@ def test_evaluate_input_validation():
         evaluate([1.0], [1.0])
     with pytest.raises(DegenerateVarianceError):
         evaluate([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("share", [False, True], ids=["values", "observed_series"])
+def test_evaluate_checks_lengths_then_sample_count_then_variance(share):
+    def check(observed, computed):
+        return evaluate(ObservedSeries(observed) if share else observed, computed)
+
+    # one sample, constant, and of another length: the lengths are named first
+    with pytest.raises(InputError) as info:
+        check([5.0], [1.0, 2.0])
+    assert str(info.value) == "observed and computed lengths differ: 1 vs 2"
+    # equal lengths, one sample, constant: the sample count is named next
+    with pytest.raises(InputError) as info:
+        check([5.0], [1.0])
+    assert str(info.value) == "need >= 2 samples to evaluate a fit, got 1"
+    with pytest.raises(InputError) as info:
+        check([], [])
+    assert str(info.value) == "need >= 2 samples to evaluate a fit, got 0"
+    # only then the constant observations
+    with pytest.raises(DegenerateVarianceError) as info:
+        check([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
+    assert str(info.value) == "observed values are all equal"
+
+
+def test_an_observed_series_scores_each_series_as_evaluate_does():
+    data = reference_dataset()
+    ys = [s.y for s in data.samples]
+    observed = ObservedSeries(ys)
+    rng = random.Random(25)
+    for _ in range(20):
+        comp = [y + rng.uniform(-50.0, 50.0) for y in ys]
+        shared, alone = evaluate(observed, comp), evaluate(ys, comp)
+        assert [repr(getattr(shared, f)) for f in shared.__dataclass_fields__] == [
+            repr(getattr(alone, f)) for f in alone.__dataclass_fields__]
+    # a refused series leaves the shared side as it was
+    with pytest.raises(InputError):
+        evaluate(observed, ys[:-1])
+    assert evaluate(observed, ys).sse == 0.0
+    # constant observations are refused at every call, not only the first
+    constant = ObservedSeries([5.0, 5.0, 5.0])
+    for _ in range(2):
+        with pytest.raises(DegenerateVarianceError):
+            evaluate(constant, [1.0, 2.0, 3.0])
 
 
 def test_constant_predictions_leave_cc_undefined():

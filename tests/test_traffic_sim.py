@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import re
 import shutil
+import stat
 import tracemalloc
 
 import numpy as np
@@ -464,6 +466,32 @@ def test_a_write_failing_part_way_leaves_the_target_and_no_temp_file(tmp_path, w
         write(path)
     # the CSV and its sidecar are byte for byte as they were, and no *.tmp is left
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_written_files_get_the_mode_open_gives_under_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_series(tmp_path / "run.csv", simulate(small_config()))
+        atomic_write(tmp_path / "chunks.txt", iter(["a\n", "b\n"]))
+        with open(tmp_path / "opened.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(
+        ["run.csv", "run.meta.json", "chunks.txt", "opened.txt"], 0o666 & ~umask)
+
+
+def test_a_temp_name_in_use_is_passed_over(tmp_path, monkeypatch):
+    draws = iter([b"\x00" * 6, b"\x00" * 6, b"\x01" * 6])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    taken = tmp_path / "out.txt.000000000000.tmp"
+    taken.write_text("someone else's")
+    atomic_write_text(tmp_path / "out.txt", "a\n")
+    assert taken.read_text() == "someone else's"
+    assert (tmp_path / "out.txt").read_text() == "a\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", taken.name]
 
 
 def test_series_round_trip(tmp_path):
