@@ -17,6 +17,10 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .errors import InputError
 from .fileio import header_cells, json_number, table_rows
 
+# the most empty windows a run with no window count may hold between two windows with
+# records, or before the first; a longer gap is refused before any window is padded
+MAX_GAP_WINDOWS = 100_000
+
 
 def _checked_flow_id(fid) -> str:
     """fid, if the flow CSV can write it unquoted and read it back as itself."""
@@ -301,6 +305,9 @@ class FlowRecordSeries:
                 raise InputError("records must be ordered by window_index" if kept
                                  else f"window_index must be >= 0, got {w}")
             self._within_count(w)
+            if self.num_windows is None and w - len(kept) > MAX_GAP_WINDOWS:
+                raise InputError(f"window {w} follows {w - len(kept)} empty windows; a run "
+                                 f"with no window count may skip at most {MAX_GAP_WINDOWS}")
             gap = [((), ())] * (w - len(kept))
             kept += gap
             totals += gap

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from operator import mul, sub
 from typing import Sequence
@@ -61,77 +60,95 @@ class FitReport:
     cc_defined: bool = True
 
 
-class ObservedSeries:
-    """Observed values together with the observed side of their scores.
+class _kept:
+    """functools.cached_property without the lock it takes at each first read
+    before Python 3.12, three per score; a method that raises keeps nothing."""
 
-    That side (the mean, the centred values, their sum of squares and their
-    sum of magnitudes) is made by the first ``evaluate`` that gets that far
-    and shared by the later ones, so scoring several computed series against
-    the same observations pays for it once. Make one per scoring job and keep
-    none past it.
+    def __init__(self, method) -> None:
+        self.method = method
+
+    def __get__(self, column, owner=None):
+        if column is None:
+            return self
+        value = column.__dict__[self.method.__name__] = self.method(column)
+        return value
+
+
+class Column:
+    """A series of values with its least-squares moments, each made on first use.
+
+    The fits share the columns of a calibration, and the scores of several
+    computed series share the observed column. A moment whose sums overflow is
+    not kept, so it raises again at each use. Make one per fitting or scoring
+    job and keep none past it.
     """
 
-    def __init__(self, values: Sequence[float]) -> None:
+    def __init__(self, values: list[float]) -> None:
         self.values = values
 
-    @cached_property
-    def _floats(self) -> list[float]:
-        return [float(v) for v in self.values]
+    @_kept
+    def mean(self) -> float:
+        return math.fsum(self.values) / len(self.values)
 
-    @cached_property
-    def _side(self) -> tuple[list[float], float, float]:
-        """Centred values, their sum of squares and their sum of magnitudes;
-        constant values raise at every use."""
-        obs = self._floats
-        mean = math.fsum(obs) / len(obs)
-        centred = list(map(sub, obs, repeat(mean)))
-        sst = math.fsum(map(pow, centred, repeat(2.0)))
-        if sst == 0.0:
-            raise DegenerateVarianceError("observed values are all equal")
-        return centred, sst, math.fsum(map(abs, centred))
+    @_kept
+    def centred(self) -> list[float]:
+        return list(map(sub, self.values, repeat(self.mean)))
+
+    @_kept
+    def sum_sq(self) -> float:
+        # pow(d, 2.0) is what ``d ** 2`` computes: past the float range it
+        # raises OverflowError, where ``d * d`` would give inf
+        return math.fsum(map(pow, self.centred, repeat(2.0)))
+
+    @_kept
+    def sum_abs(self) -> float:
+        return math.fsum(map(abs, self.centred))
+
+    def cross(self, other: "Column") -> float:
+        """Sum of the products of the two columns' centred values."""
+        try:
+            return math.fsum(map(mul, self.centred, other.centred))
+        except ValueError as exc:  # fsum of products past the float range, of both signs
+            raise OverflowError(exc) from exc
 
 
-def evaluate(
-    observed: Sequence[float] | ObservedSeries, computed: Sequence[float]
-) -> FitReport:
+def evaluate(observed: Sequence[float] | Column, computed: Sequence[float]) -> FitReport:
     """Score a computed series against observations.
 
     Needs equal lengths, then at least two samples, then non-constant
     observations, checked in that order. A constant computed series leaves
     the correlation (and the squared correlation) undefined; those fields
-    come back NaN with ``cc_defined`` False. ``observed`` may be an
-    ObservedSeries, shared by the scores of several computed series; the
-    report is the same, bit for bit.
+    come back NaN with ``cc_defined`` False. ``observed`` may be a Column,
+    shared by the scores of several computed series; the report is the
+    same, bit for bit.
     """
-    if not isinstance(observed, ObservedSeries):
-        observed = ObservedSeries(observed)
+    if not isinstance(observed, Column):
+        observed = Column([float(v) for v in observed])
     n = len(observed.values)
     if n != len(computed):
         raise InputError(f"observed and computed lengths differ: {n} vs {len(computed)}")
     if n < 2:
         raise InputError(f"need >= 2 samples to evaluate a fit, got {n}")
-    obs = observed._floats
-    comp = [float(v) for v in computed]
+    comp = Column([float(v) for v in computed])
 
-    # every square is pow(d, 2.0), what ``d ** 2`` computes: past the float
-    # range it raises OverflowError, where ``d * d`` would give inf
     try:
-        obs_centred, sst, obs_abs = observed._side
+        sst = observed.sum_sq
+        if sst == 0.0:
+            raise DegenerateVarianceError("observed values are all equal")
+        obs_abs = observed.sum_abs
 
-        diffs = list(map(sub, comp, obs))
+        diffs = list(map(sub, comp.values, observed.values))
         sse = math.fsum(map(pow, diffs, repeat(2.0)))
         mse = sse / n
         rmse = math.sqrt(mse)
         abs_err = math.fsum(map(abs, diffs))
 
-        comp_mean = math.fsum(comp) / n
-        comp_centred = list(map(sub, comp, repeat(comp_mean)))
-        comp_ss = math.fsum(map(pow, comp_centred, repeat(2.0)))
+        comp_ss = comp.sum_sq
         if comp_ss == 0.0:
             cc = float("nan")
             cc_defined = False
         else:
-            cov = math.fsum(map(mul, comp_centred, obs_centred))
+            cov = comp.cross(observed)
             scale = comp_ss * sst
             # split the root only when the product leaves the normal float range
             normal = sys.float_info.min <= scale <= sys.float_info.max

@@ -23,9 +23,7 @@ from .fileio import (
     read_table,
     table_text,
 )
-from .metrics import (
-    REPORT_TABLE, FitReport, ObservedSeries, evaluate, metric_values, report_to_dict,
-)
+from .metrics import REPORT_TABLE, FitReport, evaluate, metric_values, report_to_dict
 from .regression import (
     MODEL_FAMILIES,
     SELECTION_CRITERIA,
@@ -122,10 +120,9 @@ def compare_models(
     score is degenerate, are skipped with the reason recorded rather
     than failing the whole comparison. Ranking uses the
     chosen criterion (eta or r_squared maximised, sse minimised); ties
-    keep the earlier family in MODEL_FAMILIES order. The families share
-    the calibration's columns and moments and the observed side of the
-    scores, so each report is what ``evaluate`` gives for that family's
-    predictions.
+    keep the earlier family in MODEL_FAMILIES order. The fits and the
+    scores share the calibration's columns and their moments, so each
+    report is what ``evaluate`` gives for that family's predictions.
     """
     if criterion not in SELECTION_CRITERIA:
         raise ConfigError(
@@ -135,12 +132,11 @@ def compare_models(
     fitted: dict[str, FittedModel] = {}
     skipped: dict[str, str] = {}
     columns = CalibrationColumns(data)
-    observed = ObservedSeries(columns.ys)
     for tag in MODEL_FAMILIES:
         kind = ModelKind(tag, degree if tag == "polynomial" else None)
         try:
             model = fit(columns, kind)
-            report = evaluate(observed, predict_all(model, columns.xs))
+            report = evaluate(columns.y, predict_all(model, columns.x.values))
         except (DomainError, DegenerateDataError) as exc:
             skipped[tag] = str(exc)
             continue

@@ -30,6 +30,7 @@ from .errors import DegenerateDataError, DomainError, InputError
 # importable from here
 from .families import MAX_POLY_DEGREE, MODEL_FAMILIES, SELECTION_CRITERIA
 from .fileio import json_number, read_json, write_json
+from .metrics import Column, ResidualSeries
 
 DEFAULT_POLY_DEGREE = 2
 
@@ -132,35 +133,13 @@ class FittedModel:
             raise InputError(f"{tag} model coefficients must be finite: {self.coefficients}")
 
 
-class _Column:
-    """One column of a calibration with its least-squares moments, each made on
-    first use; a moment whose sums overflow is not kept, so it raises again at
-    each use."""
-
-    def __init__(self, values: list[float]) -> None:
-        self.values = values
-
-    @cached_property
-    def mean(self) -> float:
-        return math.fsum(self.values) / len(self.values)
-
-    @cached_property
-    def centred(self) -> list[float]:
-        return list(map(sub, self.values, repeat(self.mean)))
-
-    @cached_property
-    def sum_sq(self) -> float:
-        # pow(d, 2.0) is what ``d ** 2`` computes, overflow included
-        return math.fsum(map(pow, self.centred, repeat(2.0)))
-
-
-def _simple_ols(x: _Column, y: _Column) -> tuple[float, float]:
+def _simple_ols(x: Column, y: Column) -> tuple[float, float]:
     """Closed-form least squares of y on x: (intercept, slope)."""
     mean_x, mean_y = x.mean, y.mean
     sxx = x.sum_sq
     if sxx == 0.0:
         raise DegenerateDataError("all x values are equal")
-    slope = math.fsum(map(mul, x.centred, y.centred)) / sxx
+    slope = x.cross(y) / sxx
     return mean_y - slope * mean_x, slope
 
 
@@ -220,18 +199,16 @@ class CalibrationColumns:
 
     def __init__(self, data: CalibrationDataset) -> None:
         self.data = data
-        self.xs = [s.x for s in data.samples]
-        self.ys = [s.y for s in data.samples]
-        self.x = _Column(self.xs)
-        self.y = _Column(self.ys)
+        self.x = Column(data.xs)
+        self.y = Column(data.ys)
 
     @cached_property
-    def ln_x(self) -> _Column:
-        return _Column(list(map(math.log, self.xs)))
+    def ln_x(self) -> Column:
+        return Column(list(map(math.log, self.x.values)))
 
     @cached_property
-    def ln_y(self) -> _Column:
-        return _Column(list(map(math.log, self.ys)))
+    def ln_y(self) -> Column:
+        return Column(list(map(math.log, self.y.values)))
 
 
 def fit(data: CalibrationDataset | CalibrationColumns, kind: ModelKind) -> FittedModel:
@@ -245,22 +222,23 @@ def fit(data: CalibrationDataset | CalibrationColumns, kind: ModelKind) -> Fitte
     the same, bit for bit.
     """
     cols = data if isinstance(data, CalibrationColumns) else CalibrationColumns(data)
+    xs, ys = cols.x.values, cols.y.values
     tag = kind.tag
     try:
         if tag == "linear":
             coefficients = _simple_ols(cols.x, cols.y)
         elif tag == "polynomial":
-            coefficients = _fit_polynomial(cols.xs, cols.ys, kind.degree)
+            coefficients = _fit_polynomial(xs, ys, kind.degree)
         elif tag == "logarithmic":
-            _require_positive(cols.xs, "x", tag)
+            _require_positive(xs, "x", tag)
             intercept, slope = _simple_ols(cols.ln_x, cols.y)
             coefficients = (slope, intercept)
         else:
             # power and exponential: OLS of ln y on ln x or x, with the
             # intercept back-transformed into the scale factor
             if tag == "power":
-                _require_positive(cols.xs, "x", tag)
-            _require_positive(cols.ys, "y", tag)
+                _require_positive(xs, "x", tag)
+            _require_positive(ys, "y", tag)
             x = cols.ln_x if tag == "power" else cols.x
             intercept, slope = _simple_ols(x, cols.ln_y)
             coefficients = (math.exp(intercept), slope)
@@ -273,38 +251,15 @@ def fit(data: CalibrationDataset | CalibrationColumns, kind: ModelKind) -> Fitte
 
 def predict(model: FittedModel, x: float) -> float:
     """Evaluate the model at one deviation value; a non-finite result is a DomainError."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"prediction input must be finite, got {x!r}")
-    c = model.coefficients
-    tag = model.kind.tag
-    if tag in ("logarithmic", "power") and x <= 0:
-        raise DomainError(f"{tag} model needs x > 0, got {x!r}")
-    try:
-        if tag == "logarithmic":
-            value = c[0] * math.log(x) + c[1]
-        elif tag == "power":
-            value = c[0] * x ** c[1]
-        elif tag == "exponential":
-            value = c[0] * math.exp(c[1] * x)
-        else:
-            value = 0.0
-            for coef in reversed(c):
-                value = value * x + coef
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"{tag} model overflows the float range at x={x!r}")
-    return value
+    return predict_all(model, (x,))[0]
 
 
 def predict_all(model: FittedModel, xs: Iterable[float]) -> list[float]:
-    """``[predict(model, x) for x in xs]``, computed a whole column at a time.
+    """Evaluate the model at each deviation value, a whole column at a time.
 
-    Each value comes from the same IEEE operations, in the same order, as
-    ``predict`` performs, so it is the same bit for bit. When some x is
-    outside the model's domain or its value overflows, the per-x loop runs
-    instead, to raise ``predict``'s error for the first such x.
+    An x that is not finite, outside the model's domain (x <= 0 for
+    logarithmic and power) or whose value leaves the float range is a
+    DomainError; when the column has such an x, the first one is named.
     """
     xs = [float(x) for x in xs]
     c = model.coefficients
@@ -327,14 +282,22 @@ def predict_all(model: FittedModel, xs: Iterable[float]) -> list[float]:
                     values = list(map(add, map(mul, values, xs), repeat(coef)))
         except OverflowError:
             pass
-    if values is None or not all(map(math.isfinite, values)):
-        return [predict(model, x) for x in xs]
-    return values
+    if values is not None and all(map(math.isfinite, values)):
+        return values
+    # some x fails: of several, the first to fail alone raises; of one, say why
+    if len(xs) > 1:
+        for x in xs:
+            predict_all(model, (x,))
+    (x,) = xs
+    if not math.isfinite(x):
+        raise DomainError(f"prediction input must be finite, got {x!r}")
+    if not in_domain:
+        raise DomainError(f"{tag} model needs x > 0, got {x!r}")
+    raise DomainError(f"{tag} model overflows the float range at x={x!r}")
 
 
 def residuals(model: FittedModel, data: CalibrationDataset) -> ResidualSeries:
     """Residuals over the dataset, predicted minus observed."""
-    from .metrics import ResidualSeries
     return ResidualSeries.from_values(list(map(sub, predict_all(model, data.xs), data.ys)))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from floodgauge.errors import DegenerateVarianceError, InputError
 from floodgauge.metrics import (
-    ObservedSeries,
+    Column,
     ResidualSeries,
     evaluate,
     report_to_dict,
@@ -71,7 +71,7 @@ def test_evaluate_input_validation():
 @pytest.mark.parametrize("share", [False, True], ids=["values", "observed_series"])
 def test_evaluate_checks_lengths_then_sample_count_then_variance(share):
     def check(observed, computed):
-        return evaluate(ObservedSeries(observed) if share else observed, computed)
+        return evaluate(Column(observed) if share else observed, computed)
 
     # one sample, constant, and of another length: the lengths are named first
     with pytest.raises(InputError) as info:
@@ -93,7 +93,7 @@ def test_evaluate_checks_lengths_then_sample_count_then_variance(share):
 def test_an_observed_series_scores_each_series_as_evaluate_does():
     data = reference_dataset()
     ys = [s.y for s in data.samples]
-    observed = ObservedSeries(ys)
+    observed = Column(ys)
     rng = random.Random(25)
     for _ in range(20):
         comp = [y + rng.uniform(-50.0, 50.0) for y in ys]
@@ -105,7 +105,7 @@ def test_an_observed_series_scores_each_series_as_evaluate_does():
         evaluate(observed, ys[:-1])
     assert evaluate(observed, ys).sse == 0.0
     # constant observations are refused at every call, not only the first
-    constant = ObservedSeries([5.0, 5.0, 5.0])
+    constant = Column([5.0, 5.0, 5.0])
     for _ in range(2):
         with pytest.raises(DegenerateVarianceError):
             evaluate(constant, [1.0, 2.0, 3.0])

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from floodgauge.entropy_core import (
+    MAX_GAP_WINDOWS,
     FlowColumns,
     FlowRecord,
     WindowCounts,
@@ -756,6 +757,28 @@ def test_read_series_refuses_a_row_past_the_sidecar_count_at_that_row(tmp_path):
     try:
         with pytest.raises(InputError, match="num_windows=3 but records reach window 1000000"):
             read_series(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("gap", [MAX_GAP_WINDOWS, MAX_GAP_WINDOWS + 1, 2**63, 10**30],
+                         ids=["bound", "bound+1", "2**63", "10**30"])
+@pytest.mark.parametrize("lead", ["", "0,a,5\n"], ids=["before_the_first", "after_window_0"])
+def test_read_series_without_a_count_bounds_a_gap_before_padding_it(tmp_path, gap, lead):
+    path = tmp_path / "run.csv"
+    last = gap + 1 if lead else gap
+    path.write_text(f"window_index,flow_id,bytes\n{lead}{last},b,7\n")
+    if gap == MAX_GAP_WINDOWS:
+        assert len(read_series(path, 200.0).windows()) == last + 1
+        return
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=(
+                rf"^{re.escape(str(path))}: window {last} follows {gap} empty windows; "
+                rf"a run with no window count may skip at most {MAX_GAP_WINDOWS}$")):
+            read_series(path, 200.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
