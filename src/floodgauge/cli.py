@@ -161,7 +161,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .regression import load_model, predict_all
     model = load_model(args.model)
     data = read_calibration_csv(args.data)
-    report = evaluate(data.ys, predict_all(model, data.xs))
+    report = evaluate(data.y, predict_all(model, data.x.values))
     rows = [["metric", "value"]]
     rows.extend([label, f"{getattr(report, field):.2f}"] for field, label in METRICS)
     rows.append(["mean_abs_error", f"{report.mean_abs_error:.2f}"])

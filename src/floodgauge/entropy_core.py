@@ -17,8 +17,8 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .errors import InputError
 from .fileio import header_cells, json_number, table_rows
 
-# the most empty windows a run with no window count may hold between two windows with
-# records, or before the first; a longer gap is refused before any window is padded
+# the most empty windows a run may hold in a row, those after its last record up to its
+# window count included; a longer gap is refused before any window is padded
 MAX_GAP_WINDOWS = 100_000
 
 
@@ -305,9 +305,7 @@ class FlowRecordSeries:
                 raise InputError("records must be ordered by window_index" if kept
                                  else f"window_index must be >= 0, got {w}")
             self._within_count(w)
-            if self.num_windows is None and w - len(kept) > MAX_GAP_WINDOWS:
-                raise InputError(f"window {w} follows {w - len(kept)} empty windows; a run "
-                                 f"with no window count may skip at most {MAX_GAP_WINDOWS}")
+            self._check_gap(w - len(kept), f"window {w} follows")
             gap = [((), ())] * (w - len(kept))
             kept += gap
             totals += gap
@@ -317,7 +315,9 @@ class FlowRecordSeries:
                 distinct = fids
             positive = fids is distinct and min(counts, default=1) > 0
             totals.append(row if positive else _summed_positive(fids, counts))
-        gap = [((), ())] * ((self.num_windows or 0) - len(kept))
+        end = len(kept) if self.num_windows is None else self.num_windows
+        self._check_gap(end - len(kept), f"num_windows={end} ends in")
+        gap = [((), ())] * (end - len(kept))
         self._rows = kept + gap
         self._totals = totals + gap
 
@@ -342,6 +342,7 @@ class FlowRecordSeries:
         last = int(sent[-1]) if len(sent) else -1
         series._within_count(last)
         count = last + 1 if series.num_windows is None else series.num_windows
+        series._check_gap(count - last - 1, f"num_windows={count} ends in")
         if len(volumes) != count:  # drop trailing empty windows, or pad to the count
             volumes = np.pad(volumes[:count], ((0, max(count - len(volumes), 0)), (0, 0)))
         series._ids, series._volumes = ids, volumes
@@ -351,6 +352,13 @@ class FlowRecordSeries:
         """Keep the metadata, refusing a bad window length or count."""
         self.window_length_ms, self.num_windows = run_config(metadata)
         self.metadata = metadata
+
+    def _check_gap(self, empty: int, where: str) -> None:
+        """Refuse a gap of more than MAX_GAP_WINDOWS empty windows, before it is padded."""
+        if empty > MAX_GAP_WINDOWS:
+            run = "a run" if self.num_windows is not None else "a run with no window count"
+            raise InputError(f"{where} {empty} empty windows; {run} may skip at most "
+                             f"{MAX_GAP_WINDOWS}")
 
     def _within_count(self, w: int) -> None:
         """Refuse a record in window w past the window count."""

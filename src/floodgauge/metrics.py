@@ -67,20 +67,24 @@ class _kept:
     def __init__(self, method) -> None:
         self.method = method
 
-    def __get__(self, column, owner=None):
-        if column is None:
+    def __get__(self, obj, owner=None):
+        if obj is None:
             return self
-        value = column.__dict__[self.method.__name__] = self.method(column)
+        value = obj.__dict__[self.method.__name__] = self.method(obj)
         return value
+
+
+def overflow_error(what: str, exc: ArithmeticError) -> DegenerateDataError:
+    """``what: reason`` for an overflow; of pow's (errno, text) args, the text."""
+    return DegenerateDataError(f"{what}: {exc.args[-1] if exc.args else exc}")
 
 
 class Column:
     """A series of values with its least-squares moments, each made on first use.
 
-    The fits share the columns of a calibration, and the scores of several
-    computed series share the observed column. A moment whose sums overflow is
-    not kept, so it raises again at each use. Make one per fitting or scoring
-    job and keep none past it.
+    The fits and scores of a calibration share the columns its dataset keeps,
+    and the scores of several computed series share the observed column. A
+    moment whose sums overflow is not kept, so it raises again at each use.
     """
 
     def __init__(self, values: list[float]) -> None:
@@ -115,12 +119,12 @@ class Column:
 def evaluate(observed: Sequence[float] | Column, computed: Sequence[float]) -> FitReport:
     """Score a computed series against observations.
 
-    Needs equal lengths, then at least two samples, then non-constant
-    observations, checked in that order. A constant computed series leaves
-    the correlation (and the squared correlation) undefined; those fields
-    come back NaN with ``cc_defined`` False. ``observed`` may be a Column,
-    shared by the scores of several computed series; the report is the
-    same, bit for bit.
+    Needs equal lengths, then at least two samples, then finite values on
+    both sides, then non-constant observations, checked in that order. A
+    constant computed series leaves the correlation (and the squared
+    correlation) undefined; those fields come back NaN with ``cc_defined``
+    False. ``observed`` may be a Column, shared by the scores of several
+    computed series; the report is the same, bit for bit.
     """
     if not isinstance(observed, Column):
         observed = Column([float(v) for v in observed])
@@ -130,6 +134,10 @@ def evaluate(observed: Sequence[float] | Column, computed: Sequence[float]) -> F
     if n < 2:
         raise InputError(f"need >= 2 samples to evaluate a fit, got {n}")
     comp = Column([float(v) for v in computed])
+    for side, values in (("observed", observed.values), ("computed", comp.values)):
+        if not all(map(math.isfinite, values)):
+            i = next(i for i, v in enumerate(values) if not math.isfinite(v))
+            raise InputError(f"{side} value at index {i} is not finite: {values[i]!r}")
 
     try:
         sst = observed.sum_sq
@@ -155,7 +163,7 @@ def evaluate(observed: Sequence[float] | Column, computed: Sequence[float]) -> F
             cc = cov / (math.sqrt(scale) if normal else math.sqrt(comp_ss) * math.sqrt(sst))
             cc_defined = True
     except OverflowError as exc:
-        raise DegenerateDataError(f"metrics overflow the float range: {exc}") from exc
+        raise overflow_error("metrics overflow the float range", exc) from exc
 
     return FitReport(
         r_squared=cc * cc,

@@ -27,7 +27,6 @@ from .metrics import REPORT_TABLE, FitReport, evaluate, metric_values, report_to
 from .regression import (
     MODEL_FAMILIES,
     SELECTION_CRITERIA,
-    CalibrationColumns,
     CalibrationDataset,
     CalibrationSample,
     FittedModel,
@@ -121,8 +120,8 @@ def compare_models(
     than failing the whole comparison. Ranking uses the
     chosen criterion (eta or r_squared maximised, sse minimised); ties
     keep the earlier family in MODEL_FAMILIES order. The fits and the
-    scores share the calibration's columns and their moments, so each
-    report is what ``evaluate`` gives for that family's predictions.
+    scores share the dataset's columns and their moments, so each report
+    is what ``evaluate`` gives for that family's predictions.
     """
     if criterion not in SELECTION_CRITERIA:
         raise ConfigError(
@@ -131,12 +130,11 @@ def compare_models(
     reports: dict[str, FitReport] = {}
     fitted: dict[str, FittedModel] = {}
     skipped: dict[str, str] = {}
-    columns = CalibrationColumns(data)
     for tag in MODEL_FAMILIES:
         kind = ModelKind(tag, degree if tag == "polynomial" else None)
         try:
-            model = fit(columns, kind)
-            report = evaluate(columns.y, predict_all(model, columns.x.values))
+            model = fit(data, kind)
+            report = evaluate(data.y, predict_all(model, data.x.values))
         except (DomainError, DegenerateDataError) as exc:
             skipped[tag] = str(exc)
             continue

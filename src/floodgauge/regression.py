@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -30,12 +29,16 @@ from .errors import DegenerateDataError, DomainError, InputError
 # importable from here
 from .families import MAX_POLY_DEGREE, MODEL_FAMILIES, SELECTION_CRITERIA
 from .fileio import json_number, read_json, write_json
-from .metrics import Column, ResidualSeries
+from .metrics import Column, ResidualSeries, _kept, overflow_error
 
 DEFAULT_POLY_DEGREE = 2
 
 RAW_OLS = "raw_ols"
 LOG_LINEARIZED = "log_linearized"
+
+# the families defined only for x > 0, and those fit by OLS on ln y
+POSITIVE_X = ("logarithmic", "power")
+LOG_Y = ("power", "exponential")
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,8 @@ class ModelKind:
 
     @property
     def fit_method(self) -> str:
-        """How the family is fit: OLS on log y for power and exponential, else raw OLS."""
-        return LOG_LINEARIZED if self.tag in ("power", "exponential") else RAW_OLS
+        """How the family is fit: OLS on ln y for the LOG_Y families, else raw OLS."""
+        return LOG_LINEARIZED if self.tag in LOG_Y else RAW_OLS
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,12 @@ class CalibrationSample:
 
 @dataclass(frozen=True)
 class CalibrationDataset:
-    """Ordered calibration samples; at least two are required."""
+    """Ordered calibration samples; at least two are required.
+
+    Its columns x, y, ln x and ln y, with their moments, and its digest are made on
+    first use and kept, so every fit and score of the dataset shares them; ln x and
+    ln y are read only after a family has checked that every value is positive.
+    """
 
     samples: tuple[CalibrationSample, ...]
 
@@ -92,16 +100,24 @@ class CalibrationDataset:
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "CalibrationDataset":
         return cls(tuple(CalibrationSample(float(x), float(y)) for x, y in pairs))
 
-    @property
-    def xs(self) -> list[float]:
-        return [s.x for s in self.samples]
+    # _kept writes the instance __dict__, so it works on a frozen dataclass
+    @_kept
+    def x(self) -> Column:
+        return Column([s.x for s in self.samples])
 
-    @property
-    def ys(self) -> list[float]:
-        return [s.y for s in self.samples]
+    @_kept
+    def y(self) -> Column:
+        return Column([s.y for s in self.samples])
 
-    # cached_property writes the instance __dict__, so it works on a frozen dataclass
-    @cached_property
+    @_kept
+    def ln_x(self) -> Column:
+        return Column(list(map(math.log, self.x.values)))
+
+    @_kept
+    def ln_y(self) -> Column:
+        return Column(list(map(math.log, self.y.values)))
+
+    @_kept
     def _digest(self) -> str:
         import hashlib
         text = "\n".join(f"{s.x!r},{s.y!r}" for s in self.samples)
@@ -187,66 +203,34 @@ def _fit_polynomial(xs: list[float], ys: list[float], degree: int) -> tuple[floa
         return tuple(coeffs.tolist())
 
 
-class CalibrationColumns:
-    """The columns x, ln x, y and ln y of one calibration, with their moments.
-
-    ``fit`` takes every column and moment from here, each made on first use,
-    so the fits that share one of these share them: linear and exponential
-    use x, logarithmic and power ln x, power and exponential ln y. ln x and
-    ln y are made only after a family has checked that every value is
-    positive. Make one per comparison and keep none past it.
-    """
-
-    def __init__(self, data: CalibrationDataset) -> None:
-        self.data = data
-        self.x = Column(data.xs)
-        self.y = Column(data.ys)
-
-    @cached_property
-    def ln_x(self) -> Column:
-        return Column(list(map(math.log, self.x.values)))
-
-    @cached_property
-    def ln_y(self) -> Column:
-        return Column(list(map(math.log, self.y.values)))
-
-
-def fit(data: CalibrationDataset | CalibrationColumns, kind: ModelKind) -> FittedModel:
+def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
     """Fit one family to the calibration data.
 
     Raises DomainError when a sample lies outside the family's domain
-    (x <= 0 for logarithmic and power, y <= 0 for power and exponential)
+    (x <= 0 for the POSITIVE_X families, then y <= 0 for the LOG_Y ones)
     and DegenerateDataError when the data cannot pin the coefficients
-    down or the fit leaves the float range. ``data`` may be the
-    CalibrationColumns of a dataset, shared by several fits; the model is
-    the same, bit for bit.
+    down or the fit leaves the float range.
     """
-    cols = data if isinstance(data, CalibrationColumns) else CalibrationColumns(data)
-    xs, ys = cols.x.values, cols.y.values
     tag = kind.tag
     try:
-        if tag == "linear":
-            coefficients = _simple_ols(cols.x, cols.y)
-        elif tag == "polynomial":
-            coefficients = _fit_polynomial(xs, ys, kind.degree)
-        elif tag == "logarithmic":
-            _require_positive(xs, "x", tag)
-            intercept, slope = _simple_ols(cols.ln_x, cols.y)
-            coefficients = (slope, intercept)
+        if tag == "polynomial":
+            coefficients = _fit_polynomial(data.x.values, data.y.values, kind.degree)
         else:
-            # power and exponential: OLS of ln y on ln x or x, with the
-            # intercept back-transformed into the scale factor
-            if tag == "power":
-                _require_positive(xs, "x", tag)
-            _require_positive(ys, "y", tag)
-            x = cols.ln_x if tag == "power" else cols.x
-            intercept, slope = _simple_ols(x, cols.ln_y)
-            coefficients = (math.exp(intercept), slope)
+            # OLS of y or ln y on x or ln x; a LOG_Y intercept is back-transformed
+            # into the scale factor, and logarithmic's slope comes first
+            if tag in POSITIVE_X:
+                _require_positive(data.x.values, "x", tag)
+            if tag in LOG_Y:
+                _require_positive(data.y.values, "y", tag)
+            intercept, slope = _simple_ols(data.ln_x if tag in POSITIVE_X else data.x,
+                                           data.ln_y if tag in LOG_Y else data.y)
+            b0 = math.exp(intercept) if tag in LOG_Y else intercept
+            coefficients = (slope, intercept) if tag == "logarithmic" else (b0, slope)
     except ArithmeticError as exc:
-        raise DegenerateDataError(f"{tag} fit overflows: {exc}") from exc
+        raise overflow_error(f"{tag} fit overflows", exc) from exc
     if not all(map(math.isfinite, coefficients)):
         raise DegenerateDataError(f"{tag} fit gives non-finite coefficients {coefficients}")
-    return FittedModel(kind, coefficients, kind.fit_method, cols.data.digest())
+    return FittedModel(kind, coefficients, kind.fit_method, data.digest())
 
 
 def predict(model: FittedModel, x: float) -> float:
@@ -257,8 +241,8 @@ def predict(model: FittedModel, x: float) -> float:
 def predict_all(model: FittedModel, xs: Iterable[float]) -> list[float]:
     """Evaluate the model at each deviation value, a whole column at a time.
 
-    An x that is not finite, outside the model's domain (x <= 0 for
-    logarithmic and power) or whose value leaves the float range is a
+    An x that is not finite, outside the model's domain (x <= 0 for the
+    POSITIVE_X families) or whose value leaves the float range is a
     DomainError; when the column has such an x, the first one is named.
     """
     xs = [float(x) for x in xs]
@@ -266,7 +250,7 @@ def predict_all(model: FittedModel, xs: Iterable[float]) -> list[float]:
     tag = model.kind.tag
     values = None
     in_domain = all(map(math.isfinite, xs)) and (
-        tag not in ("logarithmic", "power") or min(xs, default=1.0) > 0)
+        tag not in POSITIVE_X or min(xs, default=1.0) > 0)
     if in_domain:
         try:
             if tag == "logarithmic":
@@ -298,7 +282,8 @@ def predict_all(model: FittedModel, xs: Iterable[float]) -> list[float]:
 
 def residuals(model: FittedModel, data: CalibrationDataset) -> ResidualSeries:
     """Residuals over the dataset, predicted minus observed."""
-    return ResidualSeries.from_values(list(map(sub, predict_all(model, data.xs), data.ys)))
+    return ResidualSeries.from_values(
+        list(map(sub, predict_all(model, data.x.values), data.y.values)))
 
 
 def save_model(path, model: FittedModel) -> None:

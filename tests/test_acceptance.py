@@ -95,13 +95,13 @@ def test_criterion_1_reference_summary_reproduction(capsys):
         failures = []
         for family in ("linear", "logarithmic", "power", "exponential"):
             model = fit(data, ModelKind(family))
-            report = evaluate(data.ys, [predict(model, x) for x in data.xs])
+            report = evaluate(data.y.values, [predict(model, x) for x in data.x.values])
             failures += _check_family(report, family)
 
         chosen_degree = None
         for degree in (2, 3):
             model = fit(data, ModelKind("polynomial", degree))
-            report = evaluate(data.ys, [predict(model, x) for x in data.xs])
+            report = evaluate(data.y.values, [predict(model, x) for x in data.x.values])
             if not _check_family(report, "polynomial"):
                 chosen_degree = degree
                 break
@@ -209,7 +209,7 @@ def test_criterion_3_entropy_against_high_precision_oracle(capsys):
 
 def _fitted_space(model, data):
     """Parameter vector and SSE function in the space the family fits in."""
-    xs, ys = data.xs, data.ys
+    xs, ys = data.x.values, data.y.values
     tag = model.kind.tag
     if tag in ("linear", "polynomial"):
         params = list(model.coefficients)
@@ -305,7 +305,7 @@ def test_criterion_5_end_to_end_sweep(capsys):
         data = calibrate(runs, baseline)
         assert len(data.samples) == 19
 
-        rho = stats.spearmanr(data.xs, data.ys)[0]
+        rho = stats.spearmanr(data.x.values, data.y.values)[0]
         assert rho >= 0.9, f"spearman {rho:.3f}"
 
         train = CalibrationDataset(data.samples[1::2])

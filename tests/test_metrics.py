@@ -90,6 +90,24 @@ def test_evaluate_checks_lengths_then_sample_count_then_variance(share):
     assert str(info.value) == "observed values are all equal"
 
 
+@pytest.mark.parametrize("share", [False, True], ids=["values", "observed_series"])
+@pytest.mark.parametrize("observed, computed, message", [
+    ([math.inf, 1.0, 2.0], [1.0, 2.0, 3.0], "observed value at index 0 is not finite: inf"),
+    ([1.0, 2.0, math.nan], [1.0, 2.0, 3.0], "observed value at index 2 is not finite: nan"),
+    ([1.0, 2.0, 3.0], [1.0, -math.inf, math.nan],
+     "computed value at index 1 is not finite: -inf"),
+    # both sides bad: the observed side is named first
+    ([1.0, math.inf, 3.0], [math.nan, 2.0, 3.0], "observed value at index 1 is not finite: inf"),
+    # non-finite and constant: the values are refused before the variance
+    ([math.inf, math.inf], [1.0, 2.0], "observed value at index 0 is not finite: inf"),
+])
+def test_evaluate_refuses_non_finite_values_naming_the_side_and_index(
+        share, observed, computed, message):
+    with pytest.raises(InputError) as info:
+        evaluate(Column(observed) if share else observed, computed)
+    assert str(info.value) == message
+
+
 def test_an_observed_series_scores_each_series_as_evaluate_does():
     data = reference_dataset()
     ys = [s.y for s in data.samples]
@@ -171,8 +189,8 @@ def test_eta_matches_r_squared_for_raw_ols_fits():
     data = reference_dataset()
     for kind in (ModelKind("linear"), ModelKind("polynomial"), ModelKind("logarithmic")):
         model = fit(data, kind)
-        predicted = [predict(model, x) for x in data.xs]
-        r = evaluate(data.ys, predicted)
+        predicted = [predict(model, x) for x in data.x.values]
+        r = evaluate(data.y.values, predicted)
         assert abs(r.eta - r.r_squared) <= 1e-6
 
 

@@ -320,7 +320,7 @@ def test_collinear_dataset_breaks_tie_to_linear():
 
 def test_best_model_is_stable_under_sample_reordering():
     base = reference_dataset()
-    pairs = list(zip(base.xs, base.ys))
+    pairs = list(zip(base.x.values, base.y.values))
     for ordering in (pairs, pairs[::-1], pairs[9:] + pairs[:9]):
         data = CalibrationDataset.from_pairs(ordering)
         report = compare_models(data)
@@ -343,16 +343,16 @@ def test_calibration_roundtrip_error_stays_within_twice_rmse():
     data = reference_dataset()
     for kind in (ModelKind("linear"), ModelKind("polynomial", 2)):
         model = fit(data, kind)
-        predicted = [predict(model, x) for x in data.xs]
-        report = evaluate(data.ys, predicted)
+        predicted = [predict(model, x) for x in data.x.values]
+        report = evaluate(data.y.values, predicted)
         events = [
             DetectionEvent(i, float("nan"), x, True)
-            for i, x in enumerate(data.xs)
+            for i, x in enumerate(data.x.values)
         ]
         estimates = estimate_strength(model, events)
         assert len(estimates) == len(data.samples)
         mae = math.fsum(
             abs(e.estimated_strength_mbps - y)
-            for e, y in zip(estimates, data.ys)
+            for e, y in zip(estimates, data.y.values)
         ) / len(data.samples)
         assert mae <= 2.0 * report.rmse

@@ -359,7 +359,7 @@ def test_raw_ols_residuals_sum_to_zero():
     # fitting with an intercept in the raw data space balances the
     # signed residuals
     data = reference_dataset()
-    scale = math.fsum(abs(y) for y in data.ys)
+    scale = math.fsum(abs(y) for y in data.y.values)
     for kind in (ModelKind("linear"), ModelKind("polynomial", 2), ModelKind("polynomial", 3)):
         model = fit(data, kind)
         rs = residuals(model, data)
@@ -444,7 +444,7 @@ def test_polynomial_coefficients_match_the_polyadd_reference():
         data = dataset(xs, ys)
         for degree in range(1, min(MAX_POLY_DEGREE, len(xs) - 1) + 1):
             got = fit(data, ModelKind("polynomial", degree)).coefficients
-            want = reference_polynomial(data.xs, data.ys, degree)
+            want = reference_polynomial(data.x.values, data.y.values, degree)
             assert len(got) == degree + 1
             assert got[: len(want)] == want
             assert all(c == 0.0 for c in got[len(want):])

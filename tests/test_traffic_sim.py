@@ -785,6 +785,51 @@ def test_read_series_without_a_count_bounds_a_gap_before_padding_it(tmp_path, ga
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("count", [MAX_GAP_WINDOWS + 1, MAX_GAP_WINDOWS + 2, 2**63, 10**30],
+                         ids=["bound", "bound+1", "2**63", "10**30"])
+def test_read_series_bounds_the_gap_up_to_the_sidecar_count_before_padding_it(tmp_path, count):
+    path, meta = tmp_path / "run.csv", tmp_path / "run.meta.json"
+    path.write_text("window_index,flow_id,bytes\n0,a,5\n")
+    meta.write_text(json.dumps({"config": {"window_length_ms": 200.0, "num_windows": count}}))
+    if count == MAX_GAP_WINDOWS + 1:
+        assert len(read_series(path).windows()) == count
+        return
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=(
+                rf"^{re.escape(str(meta))}: num_windows={count} ends in {count - 1} empty "
+                rf"windows; a run may skip at most {MAX_GAP_WINDOWS}$")):
+            read_series(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_read_series_with_a_count_bounds_a_gap_between_records(tmp_path):
+    path, meta = tmp_path / "run.csv", tmp_path / "run.meta.json"
+    last = MAX_GAP_WINDOWS + 2
+    path.write_text(f"window_index,flow_id,bytes\n0,a,5\n{last},b,7\n")
+    meta.write_text(json.dumps({"config": {"window_length_ms": 200.0, "num_windows": last + 1}}))
+    with pytest.raises(InputError, match=(
+            rf"^{re.escape(str(meta))}: window {last} follows {last - 1} empty windows; "
+            rf"a run may skip at most {MAX_GAP_WINDOWS}$")):
+        read_series(path)
+
+
+@pytest.mark.parametrize("count", [MAX_GAP_WINDOWS + 1, MAX_GAP_WINDOWS + 2, 10**30],
+                         ids=["bound", "bound+1", "10**30"])
+def test_from_volumes_bounds_the_padding_up_to_its_count(count):
+    metadata = {"config": {"window_length_ms": 200.0, "num_windows": count}}
+    if count == MAX_GAP_WINDOWS + 1:
+        assert len(FlowRecordSeries.from_volumes(["a"], [[5]], metadata).entropies()) == count
+        return
+    with pytest.raises(InputError, match=(
+            rf"^num_windows={count} ends in {count - 1} empty windows; "
+            rf"a run may skip at most {MAX_GAP_WINDOWS}$")):
+        FlowRecordSeries.from_volumes(["a"], [[5], [0]], metadata)
+
+
 @pytest.mark.parametrize("sidecar", [
     '{"config": []}',
     '{"config": {"window_length_ms": -1}}',
