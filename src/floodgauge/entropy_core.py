@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, index, mul, truediv
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 from .fileio import header_cells, json_number, table_rows
 
-# the most empty windows a run may hold in a row, those after its last record up to its
-# window count included; a longer gap is refused before any window is padded
+# the most empty windows a run may hold in a row, before its first record, between two or
+# after its last up to its window count; a longer gap is refused before any is padded
 MAX_GAP_WINDOWS = 100_000
 
 
@@ -99,23 +99,8 @@ def _checked_record(window_index: int, flow_id: str, nbytes: int) -> FlowRecord:
     return record
 
 
-class FlowColumns(NamedTuple):
-    """Flow records as three parallel columns, one entry per record."""
-
-    window_index: Sequence[int]
-    flow_id: Sequence[str]
-    bytes: Sequence[int]
-
-
 # one window's (window_index, flow ids, counts), its records in input order
 WindowRow = tuple[int, Sequence[str], Sequence[int]]
-
-
-def flow_columns(records: Sequence[FlowRecord] | FlowColumns) -> FlowColumns:
-    """The records as columns; FlowColumns come back unchanged."""
-    if isinstance(records, FlowColumns):
-        return records
-    return FlowColumns(*(tuple(map(attrgetter(f), records)) for f in FlowColumns._fields))
 
 
 @dataclass(frozen=True)
@@ -257,30 +242,27 @@ def _summed_positive(fids: Sequence[str], counts: Sequence[int]) -> tuple:
     return tuple(summed), tuple(summed.values())
 
 
-def _window_rows(columns: FlowColumns) -> Iterator[WindowRow]:
-    """Each run of equal window_index in the columns as one (window, flow ids, counts) row."""
-    windows, flows, nbytes = columns
-    end = 0
-    for w, run in groupby(windows):
-        start, end = end, end + len(list(run))
-        yield w, flows[start:end], nbytes[start:end]
+def _rows_by_window(records: Iterable[FlowRecord]) -> Iterator[WindowRow]:
+    """Each run of records with one window_index as one (window, flow ids, counts) row."""
+    for w, run in groupby(records, attrgetter("window_index")):
+        run = list(run)
+        yield w, tuple(map(attrgetter("flow_id"), run)), tuple(map(attrgetter("bytes"), run))
 
 
 class FlowRecordSeries:
     """Flow records of one run, held per window, plus the metadata to replay it.
 
-    ``records`` are FlowRecord objects, or FlowColumns whose rows pass their
-    checks, ordered by window. ``metadata["config"]`` gives the window length
-    and count; without a count the run ends at its last record. Each window
-    keeps its rows as given, in input order, and its per-flow positive totals.
-    ``from_rows`` takes the windows ready split, and a run from
-    ``from_volumes`` keeps its count matrix instead.
+    ``records`` are FlowRecord objects ordered by window. ``metadata["config"]``
+    gives the window length and count; without a count the run ends at its last
+    record. Each window keeps one row of its records' flow ids and counts, in
+    input order, and its per-flow positive totals. ``from_rows`` takes the rows
+    ready made, and a run from ``from_volumes`` keeps its count matrix instead.
     """
 
     _volumes = None  # from_volumes' int64 counts, one row per window and one column per flow
 
-    def __init__(self, records: Sequence[FlowRecord] | FlowColumns, metadata: dict) -> None:
-        self._take_rows(_window_rows(flow_columns(records)), metadata)
+    def __init__(self, records: Iterable[FlowRecord], metadata: dict) -> None:
+        self._take_rows(_rows_by_window(records), metadata)
 
     @classmethod
     def from_rows(cls, rows: Iterable[WindowRow], metadata: dict) -> "FlowRecordSeries":
@@ -341,6 +323,10 @@ class FlowRecordSeries:
         sent = np.flatnonzero(volumes.any(axis=1))
         last = int(sent[-1]) if len(sent) else -1
         series._within_count(last)
+        if len(sent):
+            gaps = np.diff(sent, prepend=-1) - 1  # the empty windows before each non-empty one
+            first = int(np.argmax(gaps > MAX_GAP_WINDOWS))  # the first gap too long, if any
+            series._check_gap(int(gaps[first]), f"window {sent[first]} follows")
         count = last + 1 if series.num_windows is None else series.num_windows
         series._check_gap(count - last - 1, f"num_windows={count} ends in")
         if len(volumes) != count:  # drop trailing empty windows, or pad to the count
@@ -375,16 +361,6 @@ class FlowRecordSeries:
         return ((tuple(compress(ids, c)), tuple(filter(None, c))) for c in rows)
 
     @property
-    def columns(self) -> FlowColumns:
-        """The run's rows as columns, built anew on each access: hold it to use it twice."""
-        rows = list(self._per_window(summed=False))
-        return FlowColumns(
-            tuple(chain.from_iterable(repeat(w, len(f)) for w, (f, _) in enumerate(rows))),
-            tuple(chain.from_iterable(f for f, _ in rows)),
-            tuple(chain.from_iterable(c for _, c in rows)),
-        )
-
-    @property
     def record_count(self) -> int:
         """Number of rows in the run, counted without building them."""
         if self._volumes is not None:
@@ -399,7 +375,8 @@ class FlowRecordSeries:
         A ``from_volumes`` run checked its ids and counts when it was made, so its
         records are not checked again; every other run's rows are, one by one."""
         build = FlowRecord if self._volumes is None else _checked_record
-        return tuple(map(build, *self.columns))
+        rows = enumerate(self._per_window(summed=False))
+        return tuple(chain.from_iterable(map(build, repeat(w), f, c) for w, (f, c) in rows))
 
     def windows(self) -> list[WindowCounts]:
         """The run's per-window byte totals, trailing empty windows included.
@@ -452,7 +429,7 @@ def read_flow_windows(path) -> list[WindowRow]:
     try:
         return _read_flow_blocks(path)
     except (ValueError, InputError):
-        return list(_window_rows(_read_flow_rows(path)))
+        return list(_read_flow_rows(path))
 
 
 class _FlowIds(dict):
@@ -514,11 +491,10 @@ def _block_windows(path) -> Iterator[tuple[int, list[bytes], list[int]]]:
         yield window, keys, counts
 
 
-def _read_flow_rows(path) -> FlowColumns:
-    """csv.reader rows; FlowRecord checks a row with a new id or a number out of order or < 0."""
-    windows, flows, nbytes = [], [], []
-    ids: dict[str, str] = {}
-    last = 0
+def _read_flow_rows(path) -> Iterator[WindowRow]:
+    """csv.reader rows, one (window, flow ids, counts) row per window with rows; FlowRecord
+    checks a row with a new id or a number out of order or < 0."""
+    records, ids, last = [], {}, 0
     for line, _, (w, fid, b) in table_rows(path, FLOW_HEADER):
         try:
             w, b = int(w), int(b)
@@ -529,22 +505,13 @@ def _read_flow_rows(path) -> FlowColumns:
         except (ValueError, InputError) as exc:
             raise InputError(f"{path}:{line}: {exc}") from exc
         last = w
-        windows.append(w)
-        flows.append(ids[fid])
-        nbytes.append(b)
-    return FlowColumns(windows, flows, nbytes)
-
-
-def flow_csv_text(records: Sequence[FlowRecord] | FlowColumns) -> str:
-    """Render records, or their columns, as CSV text (header included)."""
-    lines = [",".join(FLOW_HEADER)]
-    lines.extend(map(FLOW_LINE.__mod__, zip(*flow_columns(records))))
-    return "\n".join(lines) + "\n"
+        records.append(_checked_record(w, ids[fid], b))  # each field is valid by now
+    return _rows_by_window(records)
 
 
 def flow_csv_chunks(series: FlowRecordSeries) -> Iterator[str]:
-    """flow_csv_text(series.columns) as the header line, then one chunk per window with
-    records, each built from the run's own storage when it is asked for."""
+    """The run's flow CSV: the header line, then one chunk per window with records,
+    each built from the run's own storage when it is asked for."""
     yield ",".join(FLOW_HEADER) + "\n"
     for w, (fids, counts) in enumerate(series._per_window(summed=False)):
         if fids:

@@ -171,7 +171,7 @@ def read_json(path: str | Path, parse: Callable[[Any], Any]) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return parse(obj)

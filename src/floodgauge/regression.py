@@ -147,6 +147,8 @@ class FittedModel:
             )
         if not all(map(math.isfinite, self.coefficients)):
             raise InputError(f"{tag} model coefficients must be finite: {self.coefficients}")
+        if not isinstance(self.trained_on, str):
+            raise InputError(f"trained_on must be a string, got {type(self.trained_on).__name__}")
 
 
 def _simple_ols(x: Column, y: Column) -> tuple[float, float]:

@@ -2,12 +2,14 @@
 
 ``cli.main`` returns 0, or 1 with one ``error: `` line on stderr; no
 exception escapes it, and no printed line holds a Python ``(errno, 'text')``
-tuple. Three kinds of input are generated: calibration CSVs of edge floats,
+tuple. Four kinds of input are generated: calibration CSVs of edge floats,
 run through compare, fit, evaluate and estimate; bare flow CSVs whose window
-indices reach past 2**63, run through ``baseline --window-ms``; and the same
+indices reach past 2**63, run through ``baseline --window-ms``; the same
 flow CSVs beside a sidecar whose ``num_windows`` reaches past the gap bound
-and 2**63, run through baseline and calibrate. Every command runs in this
-process.
+and 2**63, run through baseline and calibrate; and baseline and model JSON
+files with missing, extra and ill-typed fields, non-finite literals and deep
+nesting, run through calibrate, evaluate and estimate. Every command runs in
+this process.
 """
 
 import contextlib
@@ -20,9 +22,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from floodgauge.cli import main
+from floodgauge.detector import load_baseline
 from floodgauge.entropy_core import MAX_GAP_WINDOWS
-from floodgauge.regression import MODEL_FAMILIES
+from floodgauge.errors import FloodgaugeError
+from floodgauge.regression import MODEL_FAMILIES, load_model
 
 CONTRACT = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -30,6 +36,11 @@ CONTRACT = settings(max_examples=60, deadline=None,
 
 def run(*argv):
     """main(argv)'s return code, checked against the contract."""
+    return run_with_stderr(*argv)[0]
+
+
+def run_with_stderr(*argv):
+    """main(argv)'s return code and stderr, checked against the contract."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
@@ -39,7 +50,7 @@ def run(*argv):
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
-    return code
+    return code, err.getvalue()
 
 
 # zeros, the smallest subnormal, squares and products at the edge of the float range,
@@ -123,3 +134,141 @@ def test_baseline_and_calibrate_of_a_counted_capture_exit_0_or_1_with_one_error_
         baseline.write_text('{"h_n": 0.5, "threshold": 0.0, "training_windows": 10}')
         run("calibrate", "--run", f"10={flows}", "--run", f"20={flows}",
             "--baseline", baseline, "--out", Path(tmp) / "cal.csv")
+
+
+# a JSON value of each type, the NaN, Infinity and 1e999 literals that json.load takes,
+# and lists and objects nested up to and past the parser's depth
+def nested(depth, opening, closing):
+    return opening * depth + "1" + closing * depth
+
+
+DEPTHS = st.one_of(st.integers(1, 1200), st.sampled_from([990, 1000, 1010, 100_000]))
+JSON_VALUES = st.one_of(
+    st.sampled_from(["null", "true", "false", "0", "-1", "2", "10", "0.5", "1e308", '""',
+                     '"x"', '"linear"', '"raw_ols"', "[]", "{}", "[1.0, 2.0]", '["1", 2]',
+                     "NaN", "Infinity", "-Infinity", "1e999", "-1e999"]),
+    DEPTHS.map(lambda d: nested(d, "[", "]")),
+    DEPTHS.map(lambda d: nested(d, '{"a": ', "}")),
+)
+VALID_MODELS = [
+    {"kind": '"linear"', "degree": "null", "coefficients": "[1.0, 2.0]",
+     "fit_method": '"raw_ols"', "trained_on": '"0123abcd"', "created_at": '"2024-01-01"'},
+    {"kind": '"polynomial"', "degree": "2", "coefficients": "[1.0, 0.5, 0.25]",
+     "fit_method": '"raw_ols"', "trained_on": '"0123abcd"'},
+    {"kind": '"exponential"', "degree": "null", "coefficients": "[1.0, 0.5]",
+     "fit_method": '"log_linearized"', "trained_on": '"0123abcd"'},
+]
+VALID_BASELINE = {"h_n": "0.5", "threshold": "0.0", "training_windows": "10"}
+
+
+def object_text(pairs):
+    """A JSON object's text from (key, value text) pairs, repeated keys kept."""
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in pairs) + "}"
+
+
+@st.composite
+def json_files(draw, valid):
+    """The text of a JSON file: the valid object with each field kept, replaced or dropped
+    and extra keys added, or now and then a value that is not an object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    fields = {}
+    for key, text in valid.items():
+        action = draw(st.sampled_from(["keep", "keep", "replace", "drop"]))
+        if action != "drop":
+            fields[key] = text if action == "keep" else draw(JSON_VALUES)
+    extra = draw(st.lists(st.sampled_from(["extra", *valid]), max_size=2))
+    return object_text([*fields.items(), *((key, draw(JSON_VALUES)) for key in extra)])
+
+
+def check_json_command(path, load, argv):
+    """Run argv on the JSON file at path: when load refuses the file, the command exits 1
+    with load's message, which names the file."""
+    try:
+        load(path)
+        refusal = None
+    except FloodgaugeError as exc:
+        refusal = f"error: {exc}\n"
+        assert str(path) in refusal
+    code, err = run_with_stderr(*argv)
+    if refusal is not None:
+        assert (code, err) == (1, refusal), argv
+
+
+def write_calibration(tmp):
+    cal = Path(tmp) / "cal.csv"
+    cal.write_text("deviation,strength_mbps\n0.1,10\n0.2,20\n0.3,35\n")
+    return cal
+
+
+def write_labeled_run(tmp):
+    flows = Path(tmp) / "flows.csv"
+    flows.write_text("window_index,flow_id,bytes\n" + "".join(
+        f"{w},{fid},{b}\n" for w in range(12)
+        for fid, b in (("a", 5), ("b", 7 + w), ("c", 1 + w * w))))
+    (Path(tmp) / "flows.meta.json").write_text(
+        json.dumps({"config": {"window_length_ms": 200.0, "num_windows": 12}}))
+    return flows
+
+
+def calibrate_argv(tmp, flows, baseline):
+    return ("calibrate", "--run", f"10={flows}", "--run", f"20={flows}",
+            "--baseline", baseline, "--out", Path(tmp) / "cal.csv")
+
+
+@CONTRACT
+@given(text=st.sampled_from(VALID_MODELS).flatmap(json_files))
+def test_model_json_through_evaluate_and_estimate_exits_0_or_1_naming_it(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cal, model = write_calibration(tmp), Path(tmp) / "model.json"
+        model.write_text(text)
+        check_json_command(model, load_model, ("evaluate", "--model", model, "--data", cal))
+        check_json_command(model, load_model, ("estimate", "--model", model, "--events", cal))
+
+
+@CONTRACT
+@given(text=json_files(VALID_BASELINE))
+def test_baseline_json_through_calibrate_exits_0_or_1_naming_it(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        flows, baseline = write_labeled_run(tmp), Path(tmp) / "baseline.json"
+        baseline.write_text(text)
+        check_json_command(baseline, load_baseline, calibrate_argv(tmp, flows, baseline))
+
+
+def test_the_valid_json_files_run():
+    with tempfile.TemporaryDirectory() as tmp:
+        cal, flows = write_calibration(tmp), write_labeled_run(tmp)
+        model, baseline = Path(tmp) / "model.json", Path(tmp) / "baseline.json"
+        for valid in VALID_MODELS:
+            model.write_text(object_text(valid.items()))
+            assert run("evaluate", "--model", model, "--data", cal) == 0
+            assert run("estimate", "--model", model, "--events", cal) == 0
+        baseline.write_text(object_text(VALID_BASELINE.items()))
+        assert run(*calibrate_argv(tmp, flows, baseline)) == 0
+
+
+@pytest.mark.parametrize("command", ["evaluate", "estimate", "calibrate", "baseline"])
+def test_json_nested_past_the_parser_depth_is_one_error_naming_it(command):
+    with tempfile.TemporaryDirectory() as tmp:
+        cal, flows = write_calibration(tmp), write_labeled_run(tmp)
+        model, baseline = Path(tmp) / "model.json", Path(tmp) / "baseline.json"
+        model.write_text(object_text(VALID_MODELS[0].items()))
+        baseline.write_text(object_text(VALID_BASELINE.items()))
+        argv, path = {
+            "evaluate": (("evaluate", "--model", model, "--data", cal), model),
+            "estimate": (("estimate", "--model", model, "--events", cal), model),
+            "calibrate": (calibrate_argv(tmp, flows, baseline), baseline),
+            "baseline": (("baseline", "--flows", flows, "--out", baseline),
+                         Path(tmp) / "flows.meta.json"),
+        }[command]
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, err = run_with_stderr(*argv)
+        assert code == 1 and err.startswith(f"error: {path}: invalid JSON: "), err
+
+
+def test_a_model_trained_on_a_non_string_is_refused():
+    with tempfile.TemporaryDirectory() as tmp:
+        cal, model = write_calibration(tmp), Path(tmp) / "model.json"
+        model.write_text(object_text({**VALID_MODELS[0], "trained_on": "5"}.items()))
+        code, err = run_with_stderr("estimate", "--model", model, "--events", cal)
+        assert (code, err) == (1, f"error: {model}: trained_on must be a string, got int\n")

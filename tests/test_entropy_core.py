@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -17,27 +18,30 @@ from hypothesis import strategies as st
 from floodgauge import entropy_core
 from floodgauge.detector import Baseline
 from floodgauge.entropy_core import (
-    FlowColumns,
+    MAX_GAP_WINDOWS,
     FlowRecord,
     FlowRecordSeries,
     WindowCounts,
     _read_flow_blocks,
     _read_flow_rows,
-    _window_rows,
     compute_entropy,
-    flow_csv_text,
+    flow_csv_chunks,
     read_flow_csv,
     read_flow_windows,
     windowize,
 )
 from floodgauge.errors import EmptyRunError, InputError
-from floodgauge.fileio import atomic_write_text
+from floodgauge.fileio import atomic_write
 from floodgauge.pipeline import run_events
 from floodgauge.traffic_sim import ScenarioConfig, read_series, simulate, write_series
 
 
 def counts(window_index=0, window_length_ms=200.0, **flows):
     return WindowCounts.build(window_index, flows, window_length_ms)
+
+
+# a record's fields with no checks: FlowRecordSeries takes any objects that have them
+Row = namedtuple("Row", "window_index flow_id bytes")
 
 
 def test_flow_record_rejects_bad_fields():
@@ -226,10 +230,10 @@ def test_flow_record_stays_a_frozen_slotted_dataclass():
 def test_flow_csv_round_trip(tmp_path):
     records = [FlowRecord(0, "a", 5), FlowRecord(1, "bc", 7)]
     path = tmp_path / "flows.csv"
-    atomic_write_text(path, flow_csv_text(records))
+    series = FlowRecordSeries(records, {"config": {"window_length_ms": 200.0}})
+    atomic_write(path, flow_csv_chunks(series))
     assert read_flow_csv(path) == records
-    text = flow_csv_text(records)
-    assert text.splitlines()[0] == "window_index,flow_id,bytes"
+    assert path.read_text() == "window_index,flow_id,bytes\n0,a,5\n1,bc,7\n"
 
 
 def test_flow_csv_errors_name_file_and_line(tmp_path):
@@ -262,9 +266,15 @@ def test_entropy_is_bit_identical_to_the_per_term_sum(volumes):
     assert compute_entropy(w).value == expected
 
 
+def window_rows_of(per_window):
+    """One (window, flow ids, counts) row per window with (flow, count) pairs."""
+    return [(w, tuple(f for f, _ in window), tuple(b for _, b in window))
+            for w, window in enumerate(per_window) if window]
+
+
 # a window is a few rows over a few ids, so (window, flow) pairs repeat,
 # zero-byte rows occur, and empty and single-flow windows are common; the
-# columns go in unchecked, so a negative count is dropped like a zero one
+# rows go in unchecked, so a negative count is dropped like a zero one
 window_rows = st.lists(
     st.tuples(
         st.sampled_from(["a", "b", "c", "legit-0001"]),
@@ -282,8 +292,7 @@ def test_entropies_are_bit_identical_to_compute_entropy_of_windows(per_window, t
     config = {"window_length_ms": 200.0}
     if trailing is not None:
         config["num_windows"] = last + 1 + trailing
-    columns = FlowColumns(*zip(*rows)) if rows else FlowColumns((), (), ())
-    series = FlowRecordSeries(columns, {"config": config})
+    series = FlowRecordSeries.from_rows(window_rows_of(per_window), {"config": config})
     summed = [{} for _ in range(config.get("num_windows", last + 1))]
     for w, fid, b in rows:
         summed[w][fid] = summed[w].get(fid, 0) + b
@@ -300,10 +309,10 @@ def test_from_volumes_drops_zero_counts_and_keeps_the_window_count():
     config = {"window_length_ms": 200.0}
     ids, rows = ["a", "b", "c"], [[3, 0, 5], [0, 0, 0], [0, 7, 0], [0, 0, 0]]
     series = FlowRecordSeries.from_volumes(ids, rows, {"config": config})
-    expected = FlowColumns((0, 0, 2), ("a", "c", "b"), (3, 5, 7))
-    assert series.columns == expected
+    expected = (FlowRecord(0, "a", 3), FlowRecord(0, "c", 5), FlowRecord(2, "b", 7))
+    assert series.records == expected
     assert series.record_count == 3
-    # without a count the run ends at its last record, as for columns
+    # without a count the run ends at its last record, as for records
     assert series.windows() == FlowRecordSeries(expected, {"config": config}).windows()
     assert len(series.windows()) == 3
     counted = {"config": dict(config, num_windows=5)}
@@ -312,21 +321,54 @@ def test_from_volumes_drops_zero_counts_and_keeps_the_window_count():
         FlowRecordSeries.from_volumes(ids, rows, {"config": dict(config, num_windows=2)})
     # empty rows past the count are no records: accepted, and the run keeps the count
     padded = FlowRecordSeries.from_volumes(ids, rows + [[0, 0, 0]] * 3, counted)
-    assert padded.columns == expected and len(padded.windows()) == 5
+    assert padded.records == expected and len(padded.windows()) == 5
     assert len(padded.entropies()) == 5
     with pytest.raises(InputError, match="num_windows=5 but records reach window 6"):
         FlowRecordSeries.from_volumes(ids, rows + [[0, 0, 0], [0, 0, 0], [0, 1, 0]], counted)
-    # columns are refused at the first row past the count
-    past = FlowColumns((0, 2, 5, 9), ("a", "b", "a", "c"), (1, 2, 3, 4))
+    # records are refused at the first one past the count
+    past = [FlowRecord(0, "a", 1), FlowRecord(2, "b", 2), FlowRecord(5, "a", 3),
+            FlowRecord(9, "c", 4)]
     with pytest.raises(InputError, match="num_windows=5 but records reach window 5"):
         FlowRecordSeries(past, counted)
 
 
-def test_columns_with_a_negative_window_are_refused():
-    # the split starts at window 0, so such a row would land in window 0
-    columns = FlowColumns((-1, 0), ("a", "b"), (1, 2))
+def test_rows_with_a_negative_window_are_refused():
+    # windows are counted from 0, so such a row would land in window 0
+    config = {"config": {"window_length_ms": 200.0}}
     with pytest.raises(InputError, match="window_index must be >= 0, got -1"):
-        FlowRecordSeries(columns, {"config": {"window_length_ms": 200.0}})
+        FlowRecordSeries.from_rows([(-1, ("a",), (1,)), (0, ("b",), (2,))], config)
+    with pytest.raises(InputError, match="window_index must be >= 0, got -1"):
+        FlowRecordSeries([Row(-1, "a", 1), Row(0, "b", 2)], config)
+
+
+@pytest.mark.parametrize("rows, window, empty", [
+    ([[1]] + [[0]] * (MAX_GAP_WINDOWS + 1) + [[1]], MAX_GAP_WINDOWS + 2, MAX_GAP_WINDOWS + 1),
+    ([[0]] * (MAX_GAP_WINDOWS + 1) + [[1]], MAX_GAP_WINDOWS + 1, MAX_GAP_WINDOWS + 1),
+    # the first gap past the bound is named
+    ([[0]] * 3 + [[1]] + [[0]] * (MAX_GAP_WINDOWS + 5) + [[1]] + [[0]] * (MAX_GAP_WINDOWS + 9)
+     + [[1]], MAX_GAP_WINDOWS + 9, MAX_GAP_WINDOWS + 5),
+], ids=["between", "before-the-first", "first-of-two"])
+def test_from_volumes_refuses_a_gap_before_or_between_records(rows, window, empty):
+    # read_series refuses such a run, so it is not built either
+    config = {"config": {"window_length_ms": 200.0, "num_windows": len(rows)}}
+    message = (f"window {window} follows {empty} empty windows; "
+               f"a run may skip at most {MAX_GAP_WINDOWS}")
+    with pytest.raises(InputError) as info:
+        FlowRecordSeries.from_volumes(["a"], rows, config)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rows", [
+    [[1]] + [[0]] * MAX_GAP_WINDOWS + [[1]],
+    [[0]] * MAX_GAP_WINDOWS + [[1]],
+], ids=["between", "before-the-first"])
+def test_a_gap_of_the_bound_builds_writes_and_reads_back(tmp_path, rows):
+    config = {"config": {"window_length_ms": 200.0, "num_windows": len(rows)}}
+    series = FlowRecordSeries.from_volumes(["a"], rows, config)
+    write_series(tmp_path / "run.csv", series)
+    loaded = read_series(tmp_path / "run.csv")
+    assert loaded.records == series.records
+    assert len(loaded.entropies()) == len(rows) == loaded.num_windows
 
 
 @pytest.mark.parametrize(
@@ -408,7 +450,7 @@ def test_count_matrix_rows_past_int64_sum_as_python_ints():
     matrix[2] -= np.arange(2048, dtype=np.int64) * 123_456_789
     matrix[3] = 0
     series = FlowRecordSeries.from_volumes(ids, matrix, {"config": {"window_length_ms": 200.0}})
-    read = FlowRecordSeries(series.columns, series.metadata)
+    read = FlowRecordSeries(series.records, series.metadata)
     assert series.record_count == read.record_count == int(np.count_nonzero(matrix))
     assert series.windows() == read.windows()
     assert entropy_hexes(series) == entropy_hexes(read)
@@ -426,7 +468,7 @@ def test_empty_windows_of_a_count_matrix_divide_no_zero_by_zero():
         assert [(e.value, e.flow_count) for e in flowless.entropies()] == [(0.0, 0)] * 5
     assert [(e.value, e.flow_count) for e in entropies[:3] + entropies[4:]] == [
         (0.0, 0), (0.0, 1), (0.0, 0), (0.0, 0)]
-    assert entropy_hexes(series) == entropy_hexes(FlowRecordSeries(series.columns, counted))
+    assert entropy_hexes(series) == entropy_hexes(FlowRecordSeries(series.records, counted))
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64, np.int64])
@@ -435,8 +477,9 @@ def test_from_volumes_takes_any_integer_array_as_its_rows(dtype):
     rows = [[3, 0, 5], [0, 0, 0], [0, 7, 0], [0, 0, 0]]
     from_rows = FlowRecordSeries.from_volumes("abc", rows, config)
     from_array = FlowRecordSeries.from_volumes("abc", np.array(rows, dtype=dtype), config)
-    assert from_array.columns == from_rows.columns == FlowColumns((0, 0, 2), tuple("acb"), (3, 5, 7))
-    assert all(type(b) is int for b in from_array.columns.bytes)
+    assert from_array.records == from_rows.records == (
+        FlowRecord(0, "a", 3), FlowRecord(0, "c", 5), FlowRecord(2, "b", 7))
+    assert all(type(r.bytes) is int for r in from_array.records)
     assert from_array.windows() == from_rows.windows()
     assert entropy_hexes(from_array) == entropy_hexes(from_rows)
 
@@ -471,16 +514,15 @@ def test_from_volumes_names_the_first_bad_window_of_an_array():
 
 
 def series_of_windows(column):
-    ids = [f"f{i}" for i in range(len(column))]
-    columns = FlowColumns(column, ids, [1] * len(column))
-    return FlowRecordSeries(columns, {"config": {"window_length_ms": 200.0}})
+    rows = [Row(w, f"f{i}", 1) for i, w in enumerate(column)]
+    return FlowRecordSeries(rows, {"config": {"window_length_ms": 200.0}})
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 4096, 4097, 12293])
 def test_order_check_sees_a_step_down_anywhere(size):
     column = [i // 3 for i in range(size)]
     assert len(series_of_windows(column).windows()) == (column[-1] + 1 if column else 0)
-    assert series_of_windows(tuple(column)).columns.window_index == tuple(column)
+    assert [r.window_index for r in series_of_windows(column).records] == column
     # the ends, and each side of every 4096th entry, where a chunked check would split
     spots = {1, size - 1} | {k * 4096 + d for k in range(1, 4) for d in (-1, 0, 1)}
     for i in sorted(j for j in spots if 0 < j < size):
@@ -536,8 +578,8 @@ def read_outcome(read, path):
 
 
 def row_loop_windows(path):
-    """The csv-module row loop's columns, split into one row per window."""
-    return list(_window_rows(_read_flow_rows(path)))
+    """The csv-module row loop's rows, one per window."""
+    return list(_read_flow_rows(path))
 
 
 def as_tuples(outcome):
@@ -658,7 +700,7 @@ def test_split_flows_across_blocks_read_as_the_row_loop_does(tmp_path, monkeypat
     path.write_text(split_flow_capture(), encoding="utf-8")
     metadata = {"config": {"window_length_ms": 200.0, "num_windows": 9}}
     (tmp_path / "split.meta.json").write_text(json.dumps(metadata))
-    expected = FlowRecordSeries(_read_flow_rows(path), metadata)
+    expected = FlowRecordSeries.from_rows(_read_flow_rows(path), metadata)
     # the row ending the first 64 KiB block and the row after it share a window
     data = path.read_bytes()
     header = data.index(b"\n") + 1
@@ -710,6 +752,12 @@ small_scenarios = st.builds(
 )
 
 
+def csv_fields(path):
+    """Each line of a flow CSV after its header as (window, flow id, bytes), by csv.reader."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [(int(w), fid, int(b)) for w, fid, b in list(csv.reader(fh))[1:]]
+
+
 @settings(max_examples=100, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(valid_window_rows, max_size=6), small_scenarios)
@@ -718,21 +766,28 @@ def test_records_of_every_run_equal_records_checked_one_by_one(
 ):
     config = {"config": {"window_length_ms": 200.0}}
     rows = [(w, fid, b) for w, window in enumerate(per_window) for fid, b in window]
-    columns = FlowColumns(*zip(*rows)) if rows else FlowColumns((), (), ())
-    window_rows = [(w, tuple(f for f, _ in window), tuple(b for _, b in window))
-                   for w, window in enumerate(per_window) if window]
     simulated = simulate(scenario)
-    write_series(tmp_path / "run.csv", simulated)
+    csv_path, crlf_path = tmp_path / "run.csv", tmp_path / "crlf.csv"
+    write_series(csv_path, simulated)
+    written = csv_fields(csv_path)
+    # CRLF line ends send the file to the row loop
+    crlf_path.write_bytes(csv_path.read_bytes().replace(b"\n", b"\r\n"))
+    (tmp_path / "crlf.meta.json").write_bytes((tmp_path / "run.meta.json").read_bytes())
+    ids = ("a", "b", "c", "legit-0001")
+    matrix = [[sum(b for f, b in window if f == fid) for fid in ids] for window in per_window]
     runs = {
-        "simulate": simulated,
-        "read_series": read_series(tmp_path / "run.csv"),
-        "from_rows": FlowRecordSeries.from_rows(window_rows, config),
-        "records": FlowRecordSeries([FlowRecord(*row) for row in rows], config),
-        "columns": FlowRecordSeries(columns, config),
+        "simulate": (simulated, written),
+        "read_series": (read_series(csv_path), written),
+        "row loop": (read_series(crlf_path), written),
+        "from_rows": (FlowRecordSeries.from_rows(window_rows_of(per_window), config), rows),
+        "records": (FlowRecordSeries([FlowRecord(*row) for row in rows], config), rows),
+        "from_volumes": (FlowRecordSeries.from_volumes(ids, matrix, config),
+                         [(w, fid, b) for w, counts in enumerate(matrix)
+                          for fid, b in zip(ids, counts) if b]),
     }
-    for name, series in runs.items():
+    for name, (series, expected) in runs.items():
         records = series.records
-        assert records == tuple(FlowRecord(*row) for row in zip(*series.columns)), name
+        assert records == tuple(FlowRecord(*row) for row in expected), name
         assert all(type(r) is FlowRecord for r in records), name
         assert {(type(r.window_index), type(r.flow_id), type(r.bytes)) for r in records} <= {
             (int, str, int)}, name
@@ -740,13 +795,12 @@ def test_records_of_every_run_equal_records_checked_one_by_one(
 
 def test_records_of_unchecked_rows_are_still_checked_one_by_one():
     config = {"config": {"window_length_ms": 200.0}}
-    Row = namedtuple("Row", FlowColumns._fields)
     runs = [
-        (FlowRecordSeries(FlowColumns((0, 1), ("a", "b,c"), (1, 2)), config),
+        (FlowRecordSeries.from_rows([(0, ("a",), (1,)), (1, ("b,c",), (2,))], config),
          "flow_id 'b,c' must not contain commas or newlines"),
-        (FlowRecordSeries(FlowColumns((0,), ("a",), (2.5,)), config),
+        (FlowRecordSeries.from_rows([(0, ("a",), (2.5,))], config),
          "bytes must be an integer, got 2.5"),
-        (FlowRecordSeries(FlowColumns((0, 0), ("a", "a"), (-1, 3)), config),
+        (FlowRecordSeries.from_rows([(0, ("a", "a"), (-1, 3))], config),
          "negative byte count -1 for flow 'a'"),
         (FlowRecordSeries.from_rows([(0, ("a", ""), (1, 2))], config),
          "flow_id must be non-empty"),

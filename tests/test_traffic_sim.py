@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 from floodgauge.entropy_core import (
     MAX_GAP_WINDOWS,
-    FlowColumns,
     FlowRecord,
     WindowCounts,
     _read_flow_blocks,
     _read_flow_rows,
-    flow_csv_text,
     read_flow_csv,
     windowize,
 )
@@ -50,6 +48,12 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
+
+
+def csv_text(records):
+    """The flow CSV of records in window order: the header, then one line per record."""
+    return "window_index,flow_id,bytes\n" + "".join(
+        f"{r.window_index},{r.flow_id},{r.bytes}\n" for r in records)
 
 
 def test_zombies_send_constant_volume():
@@ -240,12 +244,12 @@ def test_sweep_is_a_sequence_that_simulates_each_read():
     assert len(runs) == 3
     last, again = runs[-1], runs[len(runs) - 1]
     assert last[0] == again[0] == 30.0
-    assert last[1].columns == again[1].columns
+    assert last[1].records == again[1].records
     assert last[1].metadata["seed"] == again[1].metadata["seed"]
     tail = runs[1:]
     assert len(tail) == 2
     assert [s for s, _ in tail] == [20.0, 30.0]
-    assert tail[0][1].columns == runs[1][1].columns
+    assert tail[0][1].records == runs[1][1].records
     assert tail[0][1].metadata["seed"] == runs[1][1].metadata["seed"]
     assert runs[0][1].metadata["seed"] != runs[1][1].metadata["seed"]
     with pytest.raises(IndexError):
@@ -352,7 +356,7 @@ def test_mean_deviation_matches_the_closed_form(legit, zombies, legit_rate, spee
 @example(legit=0, zombies=0, legit_rate=1.0, attack_rate=0.1, windows=3, seed=0)
 # window 0 and the last three windows draw no bytes, and the zombie rounds to zero
 @example(legit=2, zombies=1, legit_rate=1e-5, attack_rate=1e-5, windows=5, seed=2)
-def test_volume_rows_and_columns_make_the_same_series(
+def test_volume_rows_and_records_make_the_same_series(
     tmp_path, legit, zombies, legit_rate, attack_rate, windows, seed
 ):
     cfg = small_config(
@@ -363,10 +367,9 @@ def test_volume_rows_and_columns_make_the_same_series(
     path = tmp_path / "run.csv"
     write_series(path, simulated)
     text = path.read_text(encoding="utf-8")
-    assert text == flow_csv_text(simulated.columns)
+    assert text == csv_text(simulated.records)
     hexes = lambda run: [(e.value.hex(), e.flow_count) for e in run.entropies()]
-    for series in (FlowRecordSeries(simulated.columns, simulated.metadata), read_series(path)):
-        assert series.columns == simulated.columns
+    for series in (FlowRecordSeries(simulated.records, simulated.metadata), read_series(path)):
         assert series.records == simulated.records
         assert series.record_count == simulated.record_count == len(text.splitlines()) - 1
         assert series.windows() == simulated.windows()
@@ -378,7 +381,7 @@ def test_volume_rows_and_columns_make_the_same_series(
 def series_view(series):
     """What a series shows: rows, windows and entropies by value hex and flow count."""
     return (
-        series.num_windows, series.window_length_ms, series.columns, series.records,
+        series.num_windows, series.window_length_ms, series.records,
         series.record_count, series.windows(),
         [(e.value.hex(), e.flow_count) for e in series.entropies()],
     )
@@ -394,7 +397,7 @@ def series_view(series):
     windows=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_a_simulated_count_matrix_shows_what_its_columns_show(
+def test_a_simulated_count_matrix_shows_what_its_records_show(
     legit, zombies, legit_rate, attack_rate, windows, seed
 ):
     cfg = small_config(
@@ -403,19 +406,19 @@ def test_a_simulated_count_matrix_shows_what_its_columns_show(
     )
     simulated = simulate(cfg)
     view = series_view(simulated)
-    assert view == series_view(FlowRecordSeries(simulated.columns, simulated.metadata))
+    assert view == series_view(FlowRecordSeries(simulated.records, simulated.metadata))
     # the run's volume matrix once more, as list rows and as an array
     ids = traffic_sim._flow_ids(legit, zombies)
     matrix = np.zeros((windows, len(ids)), np.int64)
     column = {fid: i for i, fid in enumerate(ids)}
-    for w, fid, b in zip(*simulated.columns):
-        matrix[w, column[fid]] = b
+    for r in simulated.records:
+        matrix[r.window_index, column[r.flow_id]] = r.bytes
     from_rows = FlowRecordSeries.from_volumes(ids, matrix.tolist(), simulated.metadata)
     from_array = FlowRecordSeries.from_volumes(ids, matrix, simulated.metadata)
     assert series_view(from_rows) == series_view(from_array) == view
 
 
-@pytest.mark.parametrize("source", ["simulated", "read back", "built from columns"])
+@pytest.mark.parametrize("source", ["simulated", "read back", "built from records"])
 def test_writing_a_run_holds_no_copy_of_its_csv(tmp_path, source):
     # 400 + 100 flows over 200 windows: 100k records, about 2 MB of CSV
     series = simulate(small_config(legit_clients=400, zombies=100, num_windows=200))
@@ -423,8 +426,8 @@ def test_writing_a_run_holds_no_copy_of_its_csv(tmp_path, source):
     write_series(first, series)
     if source == "read back":
         series = read_series(first)
-    elif source == "built from columns":
-        series = FlowRecordSeries(series.columns, series.metadata)
+    elif source == "built from records":
+        series = FlowRecordSeries(series.records, series.metadata)
     path = tmp_path / "run.csv"
     tracemalloc.start()
     try:
@@ -451,8 +454,8 @@ def _chunks_failing_after_the_first():
 
 @pytest.mark.parametrize("write, error", [
     # window 0 is written, then window 1's count fails to format
-    (lambda path: write_series(path, FlowRecordSeries(
-        FlowColumns((0, 0, 1), ("a", "b", "a"), (5, 7, _UnwritableCount(9))),
+    (lambda path: write_series(path, FlowRecordSeries.from_rows(
+        [(0, ("a", "b"), (5, 7)), (1, ("a",), (_UnwritableCount(9),))],
         {"config": {"window_length_ms": 200.0}})), OSError),
     (lambda path: atomic_write(path, _chunks_failing_after_the_first()), OSError),
     # a lone surrogate has no UTF-8 encoding, so writing the text fails
@@ -553,7 +556,7 @@ run_rows = st.lists(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(rows=run_rows, trailing=st.one_of(st.none(), st.integers(0, 3)))
-def test_columnar_series_matches_the_record_path(tmp_path, rows, trailing):
+def test_series_matches_the_record_path(tmp_path, rows, trailing):
     records = [FlowRecord(*row) for row in sorted(rows, key=lambda row: row[0])]
     last = records[-1].window_index if records else -1
     count = None if trailing is None else last + 1 + trailing
@@ -568,10 +571,10 @@ def test_columnar_series_matches_the_record_path(tmp_path, rows, trailing):
     path = tmp_path / "run.csv"
     write_series(path, series)
     text = path.read_text(encoding="utf-8")
-    assert text == flow_csv_text(records)
+    assert text == csv_text(records)
     assert text.split("\n", 1)[0] == "window_index,flow_id,bytes"
     loaded = read_series(path)
-    assert loaded.columns == series.columns
+    assert loaded.records == series.records
     assert loaded.metadata == series.metadata
     assert loaded.windows() == windows
 
@@ -631,7 +634,7 @@ def test_read_series_names_the_first_unordered_line(tmp_path, read):
     series = simulate(small_config(num_windows=3))
     write_series(path, series)
     lines = path.read_text().splitlines()
-    i = series.columns.window_index.index(2)
+    i = [r.window_index for r in series.records].index(2)
     # the first window-2 record is on line i + 2; a window-1 row follows it
     lines.insert(i + 2, "1,a,5")
     path.write_text("\n".join(lines) + "\n")
@@ -702,9 +705,9 @@ def test_read_series_loads_what_only_the_csv_rules_split(tmp_path, make_text, ke
     variant.write_bytes(make_text(head, rows).encode())
     shutil.copy(tmp_path / "plain.meta.json", tmp_path / "variant.meta.json")
     expected = read_series(plain)
-    assert len(expected.columns.bytes) == len(rows)
+    assert len(expected.records) == len(rows)
     loaded = read_series(variant)
-    assert loaded.columns == expected.columns
+    assert loaded.records == expected.records
     assert loaded.windows() == expected.windows()
 
 
@@ -722,7 +725,7 @@ def test_read_series_names_a_bad_line_past_the_first_block(tmp_path, bad_row, me
     at = 20000
     assert len("\n".join(lines[:at])) > 1 << 16
     # the row lands on line at + 1, inside the window of its neighbours
-    lines.insert(at, bad_row.format(w=series.columns.window_index[at - 1]))
+    lines.insert(at, bad_row.format(w=series.records[at - 1].window_index))
     path.write_text("\n".join(lines) + "\n")
     message = rf"^{re.escape(str(path))}:{at + 1}: {re.escape(message)}"
     with pytest.raises(InputError, match=message):
@@ -890,7 +893,7 @@ def edited_runs(draw):
 def test_read_series_with_reused_flow_lists_matches_the_row_loop(tmp_path, run, trailing):
     rows, windows = run
     path, meta = tmp_path / "run.csv", tmp_path / "run.meta.json"
-    path.write_text(flow_csv_text([FlowRecord(*row) for row in rows]), encoding="utf-8")
+    path.write_text(csv_text([FlowRecord(*row) for row in rows]), encoding="utf-8")
     metadata = {"config": {"window_length_ms": 200.0, "num_windows": windows + trailing}}
     meta.write_text(json.dumps(metadata))
     # a window listing the same flows as the one before shares its id tuple
@@ -898,12 +901,12 @@ def test_read_series_with_reused_flow_lists_matches_the_row_loop(tmp_path, run, 
     for (_, before, _), (_, after, _) in zip(blocks, blocks[1:]):
         assert (after is before) == (after == before)
     loaded = read_series(path)
-    expected = FlowRecordSeries(_read_flow_rows(path), metadata)
+    expected = FlowRecordSeries.from_rows(_read_flow_rows(path), metadata)
     assert loaded.windows() == expected.windows()
     assert [(e.value.hex(), e.flow_count) for e in loaded.entropies()] == [
         (e.value.hex(), e.flow_count) for e in expected.entropies()
     ]
-    assert loaded.columns == expected.columns
+    assert loaded.records == expected.records
 
 
 def test_read_series_accepts_whole_float_and_int_sidecar_values(tmp_path):
