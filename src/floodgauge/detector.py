@@ -18,6 +18,7 @@ from .fileio import (
     format_flag,
     format_float,
     json_number,
+    parse_finite,
     parse_flag,
     parse_index,
     read_json,
@@ -114,7 +115,8 @@ def load_baseline(path) -> Baseline:
 EVENTS_TABLE = Table(
     ("window_index", "h_c", "deviation", "attack_flag"),
     lambda row: DetectionEvent(
-        parse_index(row[0], "window_index"), float(row[1]), float(row[2]),
+        parse_index(row[0], "window_index"), parse_finite(row[1], "h_c"),
+        parse_finite(row[2], "deviation"),
         parse_flag(row[3], "attack_flag"),
     ),
     lambda e: f"{e.window_index},{format_float(e.h_c)},{format_float(e.deviation)},"

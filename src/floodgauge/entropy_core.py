@@ -14,11 +14,11 @@ from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, index, mul, truediv
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, brief_repr
 from .fileio import header_cells, json_number, table_rows
 
 # the most empty windows a run may hold in a row, before its first record, between two or
-# after its last up to its window count; a longer gap is refused before any is padded
+# after its last up to its window count; a run stores none of them
 MAX_GAP_WINDOWS = 100_000
 
 
@@ -29,9 +29,9 @@ def _checked_flow_id(fid) -> str:
     if not fid:
         raise InputError("flow_id must be non-empty")
     if "," in fid or "\n" in fid or "\r" in fid:
-        raise InputError(f"flow_id {fid!r} must not contain commas or newlines")
+        raise InputError(f"flow_id {brief_repr(fid)} must not contain commas or newlines")
     if fid[0] == '"':
-        raise InputError(f"flow_id {fid!r} must not start with a double quote")
+        raise InputError(f"flow_id {brief_repr(fid)} must not start with a double quote")
     return fid
 
 
@@ -67,16 +67,17 @@ class FlowRecord:
         try:
             window_index = index(window_index)
         except TypeError:
-            raise InputError(f"window_index must be an integer, got {window_index!r}") from None
+            raise InputError(
+                f"window_index must be an integer, got {brief_repr(window_index)}") from None
         if window_index < 0:
             raise InputError(f"window_index must be >= 0, got {window_index}")
         _checked_flow_id(flow_id)
         try:
             bytes = index(bytes)
         except TypeError:
-            raise InputError(f"bytes must be an integer, got {bytes!r}") from None
+            raise InputError(f"bytes must be an integer, got {brief_repr(bytes)}") from None
         if bytes < 0:
-            raise InputError(f"negative byte count {bytes} for flow {flow_id!r}")
+            raise InputError(f"negative byte count {bytes} for flow {brief_repr(flow_id)}")
         _set_window_index(self, window_index)
         _set_flow_id(self, flow_id)
         _set_bytes(self, bytes)
@@ -232,14 +233,20 @@ def run_config(metadata: dict) -> tuple[float, int | None]:
     return length, count
 
 
-def _summed_positive(fids: Sequence[str], counts: Sequence[int]) -> tuple:
-    """A window's (flows, counts) summed per flow, what is not positive dropped as in
-    WindowCounts.build."""
-    summed: dict[str, int] = {}
-    for fid, b in zip(fids, counts):
-        summed[fid] = summed.get(fid, 0) + b
-    summed = {fid: c for fid, c in summed.items() if c > 0}
-    return tuple(summed), tuple(summed.values())
+def _positive_totals(rows: Iterable[tuple]) -> Iterator[tuple]:
+    """Each window's (flows, counts) summed per flow, what is not positive dropped as in
+    WindowCounts.build; a row of distinct flows and positive counts is its own total."""
+    distinct = None  # the last id tuple found to hold no id twice
+    for fids, counts in rows:
+        if fids is not distinct and len(set(fids)) == len(fids):
+            distinct = fids
+        if fids is not distinct or min(counts, default=1) <= 0:
+            summed: dict[str, int] = {}
+            for fid, b in zip(fids, counts):
+                summed[fid] = summed.get(fid, 0) + b
+            summed = {fid: c for fid, c in summed.items() if c > 0}
+            fids, counts = tuple(summed), tuple(summed.values())
+        yield fids, counts
 
 
 def _rows_by_window(records: Iterable[FlowRecord]) -> Iterator[WindowRow]:
@@ -254,12 +261,14 @@ class FlowRecordSeries:
 
     ``records`` are FlowRecord objects ordered by window. ``metadata["config"]``
     gives the window length and count; without a count the run ends at its last
-    record. Each window keeps one row of its records' flow ids and counts, in
-    input order, and its per-flow positive totals. ``from_rows`` takes the rows
-    ready made, and a run from ``from_volumes`` keeps its count matrix instead.
+    record. The run keeps only its windows with records, each as one row of its
+    records' flow ids and counts in input order, keyed by window index; an empty
+    window is made when it is read. ``from_rows`` takes the rows ready made, and a
+    run from ``from_volumes`` keeps its count matrix instead.
     """
 
     _volumes = None  # from_volumes' int64 counts, one row per window and one column per flow
+    _NO_ROW = ((), ())  # an empty window's (flow ids, counts)
 
     def __init__(self, records: Iterable[FlowRecord], metadata: dict) -> None:
         self._take_rows(_rows_by_window(records), metadata)
@@ -277,31 +286,11 @@ class FlowRecordSeries:
         return series
 
     def _take_rows(self, rows: Iterable[WindowRow], metadata: dict) -> None:
-        """Keep each window's row and its positive totals; a gap in the windows, and the
-        windows after the last row up to the count, are empty."""
+        """Keep each window's row, keyed by its window index."""
         self._check(metadata)
-        kept, totals = [], []
-        distinct = None  # the last id tuple found to hold no id twice
-        for w, fids, counts in rows:
-            if w < len(kept):  # a step down, or a negative first window
-                raise InputError("records must be ordered by window_index" if kept
-                                 else f"window_index must be >= 0, got {w}")
-            self._within_count(w)
-            self._check_gap(w - len(kept), f"window {w} follows")
-            gap = [((), ())] * (w - len(kept))
-            kept += gap
-            totals += gap
-            row = (fids, counts)
-            kept.append(row)
-            if fids is not distinct and len(set(fids)) == len(fids):
-                distinct = fids
-            positive = fids is distinct and min(counts, default=1) > 0
-            totals.append(row if positive else _summed_positive(fids, counts))
-        end = len(kept) if self.num_windows is None else self.num_windows
-        self._check_gap(end - len(kept), f"num_windows={end} ends in")
-        gap = [((), ())] * (end - len(kept))
-        self._rows = kept + gap
-        self._totals = totals + gap
+        rows = list(rows)
+        self._count = self._window_count(w for w, _, _ in rows)
+        self._rows = {w: (fids, counts) for w, fids, counts in rows}
 
     @classmethod
     def from_volumes(
@@ -320,18 +309,8 @@ class FlowRecordSeries:
         if len(set(ids)) < len(ids):
             raise InputError("flow ids must be distinct")
         volumes = _count_matrix(rows, len(ids))
-        sent = np.flatnonzero(volumes.any(axis=1))
-        last = int(sent[-1]) if len(sent) else -1
-        series._within_count(last)
-        if len(sent):
-            gaps = np.diff(sent, prepend=-1) - 1  # the empty windows before each non-empty one
-            first = int(np.argmax(gaps > MAX_GAP_WINDOWS))  # the first gap too long, if any
-            series._check_gap(int(gaps[first]), f"window {sent[first]} follows")
-        count = last + 1 if series.num_windows is None else series.num_windows
-        series._check_gap(count - last - 1, f"num_windows={count} ends in")
-        if len(volumes) != count:  # drop trailing empty windows, or pad to the count
-            volumes = np.pad(volumes[:count], ((0, max(count - len(volumes), 0)), (0, 0)))
-        series._ids, series._volumes = ids, volumes
+        series._count = series._window_count(np.flatnonzero(volumes.any(axis=1)).tolist())
+        series._ids, series._volumes = ids, volumes[:series._count]
         return series
 
     def _check(self, metadata: dict) -> None:
@@ -339,26 +318,41 @@ class FlowRecordSeries:
         self.window_length_ms, self.num_windows = run_config(metadata)
         self.metadata = metadata
 
+    def _window_count(self, windows: Iterable[int]) -> int:
+        """The run's window count, once the indices of its windows with records, in the
+        order given, ascend from 0, stay below num_windows and leave no gap of more than
+        MAX_GAP_WINDOWS before the first, between two or after the last up to the count."""
+        last = -1
+        for w in windows:
+            if w <= last:  # a step down, or a negative first window
+                raise InputError("records must be ordered by window_index" if last >= 0
+                                 else f"window_index must be >= 0, got {w}")
+            if self.num_windows is not None and w >= self.num_windows:
+                raise InputError(f"num_windows={self.num_windows} but records reach window {w}")
+            self._check_gap(w - last - 1, f"window {w} follows")
+            last = w
+        count = last + 1 if self.num_windows is None else self.num_windows
+        self._check_gap(count - last - 1, f"num_windows={count} ends in")
+        return max(count, 0)
+
     def _check_gap(self, empty: int, where: str) -> None:
-        """Refuse a gap of more than MAX_GAP_WINDOWS empty windows, before it is padded."""
+        """Refuse a gap of more than MAX_GAP_WINDOWS empty windows."""
         if empty > MAX_GAP_WINDOWS:
             run = "a run" if self.num_windows is not None else "a run with no window count"
             raise InputError(f"{where} {empty} empty windows; {run} may skip at most "
                              f"{MAX_GAP_WINDOWS}")
 
-    def _within_count(self, w: int) -> None:
-        """Refuse a record in window w past the window count."""
-        if self.num_windows is not None and w >= self.num_windows:
-            raise InputError(f"num_windows={self.num_windows} but records reach window {w}")
-
     def _per_window(self, summed: bool) -> Iterable[tuple[Sequence[str], Sequence[int]]]:
-        """Each window's (flow ids, counts): its rows as given, or its per-flow positive
-        totals; a count matrix's rows are both, built one window at a time on each call."""
+        """Each window's (flow ids, counts), an empty window made when it is reached: its
+        rows as given, or its per-flow positive totals; a count matrix's rows are both,
+        built one window at a time on each call."""
         if self._volumes is None:
-            return self._totals if summed else self._rows
+            rows = map(self._rows.get, range(self._count), repeat(self._NO_ROW))
+            return _positive_totals(rows) if summed else rows
         ids = self._ids
         rows = (row.tolist() for row in self._volumes)  # a window at a time, not the whole matrix
-        return ((tuple(compress(ids, c)), tuple(filter(None, c))) for c in rows)
+        built = ((tuple(compress(ids, c)), tuple(filter(None, c))) for c in rows)
+        return chain(built, repeat(self._NO_ROW, self._count - len(self._volumes)))
 
     @property
     def record_count(self) -> int:
@@ -366,7 +360,7 @@ class FlowRecordSeries:
         if self._volumes is not None:
             import numpy as np
             return int(np.count_nonzero(self._volumes))
-        return sum(len(f) for f, _ in self._rows)
+        return sum(len(f) for f, _ in self._rows.values())
 
     @property
     def records(self) -> tuple[FlowRecord, ...]:
@@ -393,8 +387,9 @@ class FlowRecordSeries:
     def entropies(self) -> list[EntropyValue]:
         """compute_entropy of each of windows(), bit for bit, without building them."""
         if self._volumes is not None:
-            return _volume_entropies(self._volumes)
-        return [_entropy(counts, sum(counts)) for _, counts in self._totals]
+            empty = self._count - len(self._volumes)
+            return _volume_entropies(self._volumes) + [EntropyValue(0.0, 0)] * empty
+        return [_entropy(counts, sum(counts)) for _, counts in self._per_window(summed=True)]
 
 
 def windowize(

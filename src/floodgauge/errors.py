@@ -1,6 +1,13 @@
 """Exception types shared across the package."""
 
 
+def brief_repr(value: object) -> str:
+    """repr(value) for an error message, cut to 80 characters and an ellipsis, so that a
+    large offending value still makes a short message."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "…"
+
+
 class FloodgaugeError(Exception):
     """Base class for every error this package raises on purpose."""
 

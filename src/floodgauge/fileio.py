@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import FloodgaugeError, InputError
+from .errors import FloodgaugeError, InputError, brief_repr
 
 
 def format_float(value: float) -> str:
@@ -25,6 +26,13 @@ def parse_flag(text: str, name: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"{name} must be true or false")
     return text == "true"
+
+
+def parse_finite(text: str, name: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def parse_index(text: str, name: str) -> int:
@@ -155,7 +163,7 @@ def json_number(value: Any, whole: bool = False) -> float | int:
     A bool, a string or, when ``whole``, a fraction is a ValueError, not coerced.
     """
     if isinstance(value, (bool, str)) or (whole and value != int(value)):
-        raise ValueError(f"expected a {'whole ' if whole else ''}number, got {value!r}")
+        raise ValueError(f"expected a {'whole ' if whole else ''}number, got {brief_repr(value)}")
     return int(value) if whole else float(value)
 
 

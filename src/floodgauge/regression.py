@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .errors import DegenerateDataError, DomainError, InputError
+from .errors import DegenerateDataError, DomainError, InputError, brief_repr
 # defined apart so that the command-line parser need not load this module; still
 # importable from here
 from .families import MAX_POLY_DEGREE, MODEL_FAMILIES, SELECTION_CRITERIA
@@ -51,7 +51,7 @@ class ModelKind:
     def __post_init__(self) -> None:
         if self.tag not in MODEL_FAMILIES:
             raise InputError(
-                f"unknown model family {self.tag!r}, expected one of {MODEL_FAMILIES}"
+                f"unknown model family {brief_repr(self.tag)}, expected one of {MODEL_FAMILIES}"
             )
         if self.tag == "polynomial":
             if self.degree is None:
@@ -139,7 +139,7 @@ class FittedModel:
     def __post_init__(self) -> None:
         tag, method, got = self.kind.tag, self.kind.fit_method, self.fit_method
         if got != method:
-            raise InputError(f"{tag} model needs fit_method {method!r}, got {got!r}")
+            raise InputError(f"{tag} model needs fit_method {method!r}, got {brief_repr(got)}")
         expected = (self.kind.degree + 1) if tag == "polynomial" else 2
         if len(self.coefficients) != expected:
             raise InputError(

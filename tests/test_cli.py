@@ -743,5 +743,68 @@ def test_model_overflow_skips_the_window_or_fails_evaluate(tmp_path, capsys, cap
     data.write_text("deviation,strength_mbps\n1.0,5.0\n0.5,3.0\n")
     assert run_cli("evaluate", "--model", model, "--data", data) == 1
     assert capsys.readouterr().err == (
-        "error: exponential model overflows the float range at x=1.0\n"
+        f"error: {data}: exponential model overflows the float range at x=1.0\n"
     )
+
+
+def one_error_line(capsys, path):
+    """The one stderr line of a command that exited 1, which names path."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+    return err.rstrip("\n")
+
+
+def test_an_error_quoting_a_large_value_stays_one_short_line(tmp_path, capsys):
+    model, events = tmp_path / "m.json", tmp_path / "events.csv"
+    model.write_text(json.dumps({
+        "kind": json.loads("[" * 900 + "]" * 900), "degree": None,
+        "coefficients": [0.0, 100.0], "fit_method": "raw_ols", "trained_on": "synthetic",
+    }))
+    events.write_text("window_index,h_c,deviation,attack_flag\n0,1.0,0.15,true\n")
+    assert run_cli("estimate", "--model", model, "--events", events) == 1
+    line = one_error_line(capsys, model)
+    assert len(line) <= 300 and "unknown model family [[[[" in line and "…" in line
+    clean = simulate_run(tmp_path, "clean.csv", 0.0, 11, zombies=0)
+    baseline = tmp_path / "b.json"
+    baseline.write_text(json.dumps({"h_n": "x" * 100_000, "threshold": 0.1,
+                                    "training_windows": 10}))
+    assert run_cli("calibrate", "--baseline", baseline, "--run", f"5={clean}",
+                   "--out", tmp_path / "cal.csv") == 1
+    line = one_error_line(capsys, baseline)
+    assert len(line) <= 300 and "expected a number, got 'xxxx" in line
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,1.0,nan,true", "deviation must be finite, got nan"),
+    ("0,1.0,inf,true", "deviation must be finite, got inf"),
+    ("0,1.0,-1e400,false", "deviation must be finite, got -inf"),
+    ("0,nan,0.5,true", "h_c must be finite, got nan"),
+    ("0,1e400,0.5,true", "h_c must be finite, got inf"),
+], ids=["nan", "inf", "-1e400", "h_c-nan", "h_c-1e400"])
+def test_estimate_refuses_a_non_finite_events_row(tmp_path, capsys, row, message):
+    model, events = tmp_path / "m.json", tmp_path / "events.csv"
+    model.write_text(LINEAR_MODEL)
+    events.write_text(f"window_index,h_c,deviation,attack_flag\n{row}\n")
+    assert run_cli("estimate", "--model", model, "--events", events) == 1
+    assert capsys.readouterr().err == f"error: {events}:2: {message}\n"
+
+
+def test_data_errors_name_the_file_the_command_read(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("window_index,flow_id,bytes\n0,a,5\n1,a,5\n2,b,7\n")
+    assert run_cli("baseline", "--flows", short, "--window-ms", 200,
+                   "--out", tmp_path / "b.json") == 1
+    assert one_error_line(capsys, short).endswith(
+        "baseline needs >= 5 training windows, got 3")
+    flat = tmp_path / "flat.csv"
+    flat.write_text("deviation,strength_mbps\n0.5,1\n0.5,2\n")
+    assert run_cli("compare", "--data", flat) == 1
+    assert f"error: {flat}: no model family could be fit: " in one_error_line(capsys, flat)
+    assert run_cli("fit", "--data", flat, "--model", "linear",
+                   "--out", tmp_path / "m.json") == 1
+    assert one_error_line(capsys, flat) == f"error: {flat}: all x values are equal"
+    model, level = tmp_path / "m.json", tmp_path / "level.csv"
+    model.write_text(LINEAR_MODEL)
+    level.write_text("deviation,strength_mbps\n0.1,3\n0.2,3\n")
+    assert run_cli("evaluate", "--model", model, "--data", level) == 1
+    assert one_error_line(capsys, level) == f"error: {level}: observed values are all equal"

@@ -1,15 +1,23 @@
 """The command-line contract over generated input files.
 
-``cli.main`` returns 0, or 1 with one ``error: `` line on stderr; no
-exception escapes it, and no printed line holds a Python ``(errno, 'text')``
-tuple. Four kinds of input are generated: calibration CSVs of edge floats,
-run through compare, fit, evaluate and estimate; bare flow CSVs whose window
-indices reach past 2**63, run through ``baseline --window-ms``; the same
-flow CSVs beside a sidecar whose ``num_windows`` reaches past the gap bound
-and 2**63, run through baseline and calibrate; and baseline and model JSON
-files with missing, extra and ill-typed fields, non-finite literals and deep
-nesting, run through calibrate, evaluate and estimate. Every command runs in
-this process.
+``cli.main`` returns 0, or 1 with one ``error: `` line on stderr that names
+the generated input file; no exception escapes it, and no printed line holds
+a Python ``(errno, 'text')`` tuple. Six kinds of input are generated:
+calibration CSVs of edge floats, run through compare, fit, evaluate and
+estimate; bare flow CSVs whose window indices reach past 2**63, run through
+``baseline --window-ms``; the same flow CSVs beside a sidecar whose
+``num_windows`` reaches past the gap bound and 2**63, run through baseline and
+calibrate; flow CSVs spelled oddly (ids with quotes, spaces or non-ASCII
+text, signed, spaced or fractional numbers, CRLF and blank lines), with and
+without a sidecar, run through baseline and calibrate; events CSVs under
+both headers, with window indices that repeat, step down, are negative or
+pass 2**63, non-finite floats and odd flags, run through estimate with fitted
+linear, power and exponential models; and baseline and model JSON files with
+missing, extra and ill-typed fields, non-finite literals and deep nesting, run
+through calibrate, evaluate and estimate. Every command runs in this process.
+
+``pytest --hypothesis-profile=ci-deep`` runs each test here on ten times its
+examples (the profile is registered in ``tests/conftest.py``).
 """
 
 import contextlib
@@ -30,17 +38,20 @@ from floodgauge.entropy_core import MAX_GAP_WINDOWS
 from floodgauge.errors import FloodgaugeError
 from floodgauge.regression import MODEL_FAMILIES, load_model
 
-CONTRACT = settings(max_examples=60, deadline=None,
+# ten times the examples under the ci-deep profile
+DEPTH = 10 if settings.get_current_profile_name() == "ci-deep" else 1
+CONTRACT = settings(max_examples=60 * DEPTH, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def run(*argv):
+def run(*argv, names=()):
     """main(argv)'s return code, checked against the contract."""
-    return run_with_stderr(*argv)[0]
+    return run_with_stderr(*argv, names=names)[0]
 
 
-def run_with_stderr(*argv):
-    """main(argv)'s return code and stderr, checked against the contract."""
+def run_with_stderr(*argv, names=()):
+    """main(argv)'s return code and stderr, checked against the contract; on exit 1 the
+    error line starts with one of the paths ``names``, when any is given."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
@@ -50,6 +61,8 @@ def run_with_stderr(*argv):
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+        if names:
+            assert lines[0].startswith(tuple(f"error: {path}" for path in names)), (argv, lines)
     return code, err.getvalue()
 
 
@@ -74,14 +87,14 @@ def test_calibration_commands_exit_0_or_1_with_one_error_line(rows):
         cal.write_text("deviation,strength_mbps\n"
                        + "".join(f"{x!r},{y!r}\n" for x, y in rows))
         run("compare", "--data", cal, "--out-csv", Path(tmp) / "cmp.csv",
-            "--out-json", Path(tmp) / "cmp.json")
+            "--out-json", Path(tmp) / "cmp.json", names=[cal])
         for tag in MODEL_FAMILIES:
             model = Path(tmp) / f"{tag}.json"
-            if run("fit", "--model", tag, "--data", cal, "--out", model) == 0:
+            if run("fit", "--model", tag, "--data", cal, "--out", model, names=[cal]) == 0:
                 run("evaluate", "--model", model, "--data", cal,
-                    "--out-json", Path(tmp) / "eval.json")
+                    "--out-json", Path(tmp) / "eval.json", names=[cal])
                 run("estimate", "--model", model, "--events", cal,
-                    "--out", Path(tmp) / "est.csv")
+                    "--out", Path(tmp) / "est.csv", names=[cal])
 
 
 # small indices, the gap bound's edges, and indices at and past 2**63
@@ -106,7 +119,8 @@ def test_baseline_of_a_bare_capture_exits_0_or_1_with_one_error_line(rows):
         flows = Path(tmp) / "flows.csv"
         flows.write_text("window_index,flow_id,bytes\n"
                          + "".join(f"{w},{fid},{b}\n" for w, fid, b in rows))
-        run("baseline", "--flows", flows, "--window-ms", 200, "--out", Path(tmp) / "b.json")
+        run("baseline", "--flows", flows, "--window-ms", 200, "--out", Path(tmp) / "b.json",
+            names=[flows])
 
 
 # sidecar counts at the gap bound's edges after window 0, and at and past 2**63
@@ -117,7 +131,7 @@ WINDOW_COUNTS = st.one_of(
 )
 
 
-@settings(CONTRACT, max_examples=30)
+@settings(CONTRACT, max_examples=30 * DEPTH)
 @given(rows=FLOW_ROWS, count=WINDOW_COUNTS)
 @example(rows=[(0, "a", 5), (1, "b", 7)], count=10**30)
 @example(rows=[(0, "a", 5)], count=MAX_GAP_WINDOWS + 2)
@@ -127,13 +141,96 @@ def test_baseline_and_calibrate_of_a_counted_capture_exit_0_or_1_with_one_error_
         flows = Path(tmp) / "flows.csv"
         flows.write_text("window_index,flow_id,bytes\n"
                          + "".join(f"{w},{fid},{b}\n" for w, fid, b in rows))
-        (Path(tmp) / "flows.meta.json").write_text(
-            json.dumps({"config": {"window_length_ms": 200.0, "num_windows": count}}))
-        run("baseline", "--flows", flows, "--out", Path(tmp) / "b.json")
+        meta = Path(tmp) / "flows.meta.json"
+        meta.write_text(json.dumps({"config": {"window_length_ms": 200.0, "num_windows": count}}))
+        run("baseline", "--flows", flows, "--out", Path(tmp) / "b.json", names=[flows, meta])
         baseline = Path(tmp) / "zero.json"
         baseline.write_text('{"h_n": 0.5, "threshold": 0.0, "training_windows": 10}')
         run("calibrate", "--run", f"10={flows}", "--run", f"20={flows}",
-            "--baseline", baseline, "--out", Path(tmp) / "cal.csv")
+            "--baseline", baseline, "--out", Path(tmp) / "cal.csv", names=[flows, meta])
+
+
+def spelled(values, spellings):
+    """(value, text) pairs: each value mostly written plainly, else in one of spellings."""
+    return st.tuples(values, st.sampled_from(["{}"] * 6 + spellings)).map(
+        lambda pair: (pair[0], pair[1].format(pair[0])))
+
+
+# ids with quotes, commas, spaces, no text or non-ASCII text
+ODD_FLOW_IDS = st.one_of(
+    st.sampled_from(["a", "b", "c"]),
+    st.sampled_from(['"a"', '"a,b"', '"a""b"', 'a"b', '"', " a", "a ", "", "é", "流", "a\tb"]),
+    st.text(alphabet='ab ",é', max_size=3),
+)
+# numbers signed, spaced, fractional, with an underscore or a leading zero
+ODD_SPELLINGS = ["+{}", " {}", "{} ", "{}.0", "1_{}", "0{}", "{}e0", "-{}"]
+ODD_FLOW_ROWS = st.lists(
+    st.tuples(
+        spelled(st.one_of(st.integers(0, 8), st.sampled_from([MAX_GAP_WINDOWS + 1, 2**63])),
+                ODD_SPELLINGS),
+        ODD_FLOW_IDS,
+        spelled(st.one_of(st.integers(0, 1000), st.sampled_from([2**63 - 1, 2**63, 2**64])),
+                ODD_SPELLINGS),
+    ),
+    min_size=1, max_size=12,
+).map(lambda rows: sorted(rows, key=lambda row: row[0][0]))
+
+
+@CONTRACT
+@given(rows=ODD_FLOW_ROWS, newline=st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n"]),
+       count=st.one_of(st.none(), st.integers(1, 12)))
+@example(rows=[((0, "0"), '"a,b"', (5, "5"))], newline="\n", count=None)
+def test_oddly_spelled_flow_csvs_exit_0_or_1_naming_the_run(rows, newline, count):
+    with tempfile.TemporaryDirectory() as tmp:
+        flows, meta = Path(tmp) / "flows.csv", Path(tmp) / "flows.meta.json"
+        flows.write_bytes(newline.join(
+            ["window_index,flow_id,bytes"] + [f"{w},{fid},{b}" for (_, w), fid, (_, b) in rows]
+        ).encode("utf-8") + newline.encode())
+        window_ms = ()
+        if count is None:
+            window_ms = ("--window-ms", 200)
+        else:
+            meta.write_text(json.dumps({"config": {"window_length_ms": 200.0,
+                                                   "num_windows": count}}))
+        run("baseline", "--flows", flows, "--out", Path(tmp) / "b.json", *window_ms,
+            names=[flows, meta])
+        baseline = Path(tmp) / "zero.json"
+        baseline.write_text('{"h_n": 0.5, "threshold": 0.0, "training_windows": 10}')
+        run("calibrate", "--run", f"10={flows}", "--run", f"20={flows}", *window_ms,
+            "--baseline", baseline, "--out", Path(tmp) / "cal.csv", names=[flows, meta])
+
+
+EVENT_FLOATS = st.one_of(
+    EDGE_FLOATS.map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "NaN", "Infinity", "",
+                     " 0.5", "0x1p-2", "1_0.5", "0.5.5"]),
+)
+EVENT_INDICES = spelled(
+    st.one_of(st.integers(-2, 6), st.sampled_from([2**63 - 1, 2**63, 10**30])), ODD_SPELLINGS)
+EVENT_FLAGS = st.sampled_from(["true"] * 4 + ["false"] * 2 + ["True", "1", "", " true", "yes"])
+# events rows in the order drawn, so indices may repeat or step down
+EVENTS_TEXT = st.one_of(
+    st.lists(st.tuples(EVENT_INDICES, EVENT_FLOATS, EVENT_FLOATS, EVENT_FLAGS), max_size=8).map(
+        lambda rows: "window_index,h_c,deviation,attack_flag\n"
+        + "".join(f"{w},{h},{d},{flag}\n" for (_, w), h, d, flag in rows)),
+    st.lists(st.tuples(EVENT_FLOATS, EVENT_FLOATS), max_size=8).map(
+        lambda rows: "deviation,strength_mbps\n" + "".join(f"{x},{y}\n" for x, y in rows)),
+)
+
+
+@CONTRACT
+@given(text=EVENTS_TEXT)
+@example(text="window_index,h_c,deviation,attack_flag\n0,1.0,nan,true\n")
+@example(text="window_index,h_c,deviation,attack_flag\n0,1.0,0.5,true\n0,1.0,0.5,true\n")
+def test_events_csvs_through_estimate_exit_0_or_1_naming_them(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cal, events = write_calibration(tmp), Path(tmp) / "events.csv"
+        events.write_text(text)
+        for tag in ("linear", "power", "exponential"):
+            model = Path(tmp) / f"{tag}.json"
+            assert run("fit", "--model", tag, "--data", cal, "--out", model) == 0
+            run("estimate", "--model", model, "--events", events,
+                "--out", Path(tmp) / "est.csv", names=[events])
 
 
 # a JSON value of each type, the NaN, Infinity and 1e999 literals that json.load takes,

@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import sys
+import tracemalloc
 import warnings
 from collections import namedtuple
 from itertools import chain
@@ -19,6 +20,7 @@ from floodgauge import entropy_core
 from floodgauge.detector import Baseline
 from floodgauge.entropy_core import (
     MAX_GAP_WINDOWS,
+    EntropyValue,
     FlowRecord,
     FlowRecordSeries,
     WindowCounts,
@@ -341,21 +343,82 @@ def test_rows_with_a_negative_window_are_refused():
         FlowRecordSeries([Row(-1, "a", 1), Row(0, "b", 2)], config)
 
 
-@pytest.mark.parametrize("rows, window, empty", [
-    ([[1]] + [[0]] * (MAX_GAP_WINDOWS + 1) + [[1]], MAX_GAP_WINDOWS + 2, MAX_GAP_WINDOWS + 1),
-    ([[0]] * (MAX_GAP_WINDOWS + 1) + [[1]], MAX_GAP_WINDOWS + 1, MAX_GAP_WINDOWS + 1),
-    # the first gap past the bound is named
-    ([[0]] * 3 + [[1]] + [[0]] * (MAX_GAP_WINDOWS + 5) + [[1]] + [[0]] * (MAX_GAP_WINDOWS + 9)
-     + [[1]], MAX_GAP_WINDOWS + 9, MAX_GAP_WINDOWS + 5),
-], ids=["between", "before-the-first", "first-of-two"])
-def test_from_volumes_refuses_a_gap_before_or_between_records(rows, window, empty):
-    # read_series refuses such a run, so it is not built either
-    config = {"config": {"window_length_ms": 200.0, "num_windows": len(rows)}}
-    message = (f"window {window} follows {empty} empty windows; "
-               f"a run may skip at most {MAX_GAP_WINDOWS}")
-    with pytest.raises(InputError) as info:
-        FlowRecordSeries.from_volumes(["a"], rows, config)
-    assert str(info.value) == message
+M = MAX_GAP_WINDOWS
+SKIP = f"a run may skip at most {M}"
+# (the windows with records, the window count or None, the refusal or None): a gap of the
+# bound and one past it before the first window, between two and after the last up to
+# the count; windows past the count; and runs with no count. One rule refuses the first
+# bad window in window order, for every constructor alike.
+WINDOW_RULE_CASES = {
+    "before-the-first": ([M], M + 1, None),
+    "before-the-first+1": ([M + 1], M + 2, f"window {M + 1} follows {M + 1} empty windows; {SKIP}"),
+    "between": ([0, M + 1], M + 2, None),
+    "between+1": ([0, M + 2], M + 3, f"window {M + 2} follows {M + 1} empty windows; {SKIP}"),
+    "first-of-two": ([3, M + 9, 2 * M + 19], 2 * M + 20,
+                     f"window {M + 9} follows {M + 5} empty windows; {SKIP}"),
+    "after-the-last": ([0], M + 1, None),
+    "after-the-last+1": ([0], M + 2, f"num_windows={M + 2} ends in {M + 1} empty windows; {SKIP}"),
+    "past-the-count": ([0, 5, 7], 4, "num_windows=4 but records reach window 5"),
+    "a-gap-before-past-the-count": ([0, M + 2, M + 9], M + 5,
+                                    f"window {M + 2} follows {M + 1} empty windows; {SKIP}"),
+    "no-count": ([0, 2, 3], None, None),
+    "no-count-before-the-first": ([M], None, None),
+    "no-count-before-the-first+1": ([M + 1], None, f"window {M + 1} follows {M + 1} empty "
+                                    f"windows; a run with no window count may skip at most {M}"),
+    "no-records": ([], 4, None),
+    "no-records-no-count": ([], None, None),
+}
+
+
+@pytest.mark.parametrize("windows, count, refusal", WINDOW_RULE_CASES.values(),
+                         ids=WINDOW_RULE_CASES)
+def test_every_constructor_holds_the_same_run_or_gives_the_same_refusal(
+        windows, count, refusal):
+    config = {"window_length_ms": 200.0}
+    if count is not None:
+        config["num_windows"] = count
+    metadata = {"config": config}
+    held = set(windows)
+    # the count matrix ends at its last window with a count, short of any window count
+    matrix = [[w + 1 if w in held else 0] for w in range(windows[-1] + 1 if windows else 2)]
+    builds = [
+        lambda: FlowRecordSeries.from_volumes(["a"], matrix, metadata),
+        lambda: FlowRecordSeries.from_rows([(w, ("a",), (w + 1,)) for w in windows], metadata),
+        lambda: FlowRecordSeries([FlowRecord(w, "a", w + 1) for w in windows], metadata),
+    ]
+    if refusal is not None:
+        for build in builds:
+            with pytest.raises(InputError) as info:
+                build()
+            assert str(info.value) == refusal
+        return
+    expected = None
+    for build in builds:
+        series = build()
+        view = (entropy_hexes(series), series.windows(), series.records, series.record_count)
+        if expected is None:
+            expected = view
+        assert view == expected
+    end = count if count is not None else (windows[-1] + 1 if windows else 0)
+    assert len(expected[1]) == end
+    assert [w.window_index for w in expected[1] if w.counts] == windows
+    assert expected[2] == tuple(FlowRecord(w, "a", w + 1) for w in windows)
+
+
+def test_a_count_past_a_count_matrix_pads_no_window():
+    # the run keeps its one row; entropies() makes each empty window as it reaches it
+    ids = [f"f{i:03d}" for i in range(100)]
+    config = {"config": {"window_length_ms": 200.0, "num_windows": MAX_GAP_WINDOWS + 1}}
+    tracemalloc.start()  # numpy is imported already, so its import is not traced
+    try:
+        entropies = FlowRecordSeries.from_volumes(ids, [[1] * 100], config).entropies()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(entropies) == MAX_GAP_WINDOWS + 1
+    assert entropies[0] == EntropyValue(math.log2(100), 100)
+    assert set(entropies[1:]) == {EntropyValue(0.0, 0)}
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize("rows", [

@@ -139,7 +139,8 @@ no_nan = st.floats(allow_nan=False)
 index = st.integers(min_value=0, max_value=10**12)
 
 OBJECTS = {
-    "events": st.builds(DetectionEvent, index, no_nan, no_nan, st.booleans()),
+    # an events row refuses a non-finite h_c or deviation, which the detector never writes
+    "events": st.builds(DetectionEvent, index, finite, finite, st.booleans()),
     "calibration": st.builds(CalibrationSample, finite, finite),
     "estimates": st.builds(StrengthEstimate, index, no_nan, no_nan, st.booleans()),
     "report": st.tuples(
