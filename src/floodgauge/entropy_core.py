@@ -230,21 +230,23 @@ def run_config(metadata: dict) -> tuple[float, int | None]:
         ) from exc
     if not math.isfinite(length) or length <= 0:
         raise InputError("window_length_ms must be finite and positive")
+    if count is not None and count < 0:
+        raise InputError(f"num_windows must be >= 0, got {count}")
     return length, count
 
 
 def _positive_totals(rows: Iterable[tuple]) -> Iterator[tuple]:
-    """Each window's (flows, counts) summed per flow, what is not positive dropped as in
-    WindowCounts.build; a row of distinct flows and positive counts is its own total."""
+    """Each window's (flows, counts >= 0) summed per flow, zero totals dropped as in
+    WindowCounts.build; a row of distinct flows and no zero count is its own total."""
     distinct = None  # the last id tuple found to hold no id twice
     for fids, counts in rows:
         if fids is not distinct and len(set(fids)) == len(fids):
             distinct = fids
-        if fids is not distinct or min(counts, default=1) <= 0:
+        if fids is not distinct or 0 in counts:
             summed: dict[str, int] = {}
             for fid, b in zip(fids, counts):
                 summed[fid] = summed.get(fid, 0) + b
-            summed = {fid: c for fid, c in summed.items() if c > 0}
+            summed = {fid: c for fid, c in summed.items() if c}
             fids, counts = tuple(summed), tuple(summed.values())
         yield fids, counts
 
@@ -259,28 +261,26 @@ def _rows_by_window(records: Iterable[FlowRecord]) -> Iterator[WindowRow]:
 class FlowRecordSeries:
     """Flow records of one run, held per window, plus the metadata to replay it.
 
-    ``records`` are FlowRecord objects ordered by window. ``metadata["config"]``
-    gives the window length and count; without a count the run ends at its last
-    record. The run keeps only its windows with records, each as one row of its
-    records' flow ids and counts in input order, keyed by window index; an empty
-    window is made when it is read. ``from_rows`` takes the rows ready made, and a
-    run from ``from_volumes`` keeps its count matrix instead.
+    ``records`` are ordered by window; one that is not a FlowRecord is made one,
+    so every row the run stores was checked once, when the run was made.
+    ``metadata["config"]`` gives the window length and count; without a count the
+    run ends at its last record. The run keeps only its windows with records, each
+    as one row of its records' flow ids and counts in input order, keyed by window
+    index; an empty window is made when it is read. A run from ``from_volumes``
+    keeps its count matrix instead.
     """
 
     _volumes = None  # from_volumes' int64 counts, one row per window and one column per flow
     _NO_ROW = ((), ())  # an empty window's (flow ids, counts)
 
     def __init__(self, records: Iterable[FlowRecord], metadata: dict) -> None:
+        records = (r if type(r) is FlowRecord else FlowRecord(r.window_index, r.flow_id, r.bytes)
+                   for r in records)
         self._take_rows(_rows_by_window(records), metadata)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[WindowRow], metadata: dict) -> "FlowRecordSeries":
-        """A run from one ``(window_index, flow_ids, counts)`` row per window with records.
-
-        Rows come in window order, ids valid and counts >= 0, as ``read_flow_windows``
-        gives them; a row that reuses the previous row's id tuple is not checked for a
-        repeated id again.
-        """
+    def _from_rows(cls, rows: Iterable[WindowRow], metadata: dict) -> "FlowRecordSeries":
+        """A run from the rows ``read_flow_windows`` gives, which it checked already."""
         series = cls.__new__(cls)
         series._take_rows(rows, metadata)
         return series
@@ -324,16 +324,15 @@ class FlowRecordSeries:
         MAX_GAP_WINDOWS before the first, between two or after the last up to the count."""
         last = -1
         for w in windows:
-            if w <= last:  # a step down, or a negative first window
-                raise InputError("records must be ordered by window_index" if last >= 0
-                                 else f"window_index must be >= 0, got {w}")
+            if w <= last:
+                raise InputError("records must be ordered by window_index")
             if self.num_windows is not None and w >= self.num_windows:
                 raise InputError(f"num_windows={self.num_windows} but records reach window {w}")
             self._check_gap(w - last - 1, f"window {w} follows")
             last = w
         count = last + 1 if self.num_windows is None else self.num_windows
         self._check_gap(count - last - 1, f"num_windows={count} ends in")
-        return max(count, 0)
+        return count
 
     def _check_gap(self, empty: int, where: str) -> None:
         """Refuse a gap of more than MAX_GAP_WINDOWS empty windows."""
@@ -364,13 +363,10 @@ class FlowRecordSeries:
 
     @property
     def records(self) -> tuple[FlowRecord, ...]:
-        """The run's records, built anew on each access: hold it to use it twice.
-
-        A ``from_volumes`` run checked its ids and counts when it was made, so its
-        records are not checked again; every other run's rows are, one by one."""
-        build = FlowRecord if self._volumes is None else _checked_record
+        """The run's records, built anew on each access: hold it to use it twice."""
         rows = enumerate(self._per_window(summed=False))
-        return tuple(chain.from_iterable(map(build, repeat(w), f, c) for w, (f, c) in rows))
+        return tuple(chain.from_iterable(
+            map(_checked_record, repeat(w), f, c) for w, (f, c) in rows))
 
     def windows(self) -> list[WindowCounts]:
         """The run's per-window byte totals, trailing empty windows included.
@@ -408,7 +404,7 @@ FLOW_LINE = "%s,%s,%s"  # one row of the flow CSV, in FLOW_HEADER's order
 def read_flow_csv(path) -> list[FlowRecord]:
     """read_flow_windows as one FlowRecord per row of the file; kept only because
     perfbench/tracing.TARGETS and tests/test_benchmark_contract.py name it."""
-    return [FlowRecord(w, fid, b)
+    return [_checked_record(w, fid, b)
             for w, fids, counts in read_flow_windows(path) for fid, b in zip(fids, counts)]
 
 

@@ -102,7 +102,10 @@ def read_table(path: str | Path, *tables: Table) -> list:
         try:
             rows.append(parsers[header](row))
         except (ValueError, InputError) as exc:
-            raise InputError(f"{path}:{line}: {exc}") from exc
+            message = str(exc)
+            for field in row:  # float() quotes a bad field whole: cut it as brief_repr does
+                message = message.replace(repr(field), brief_repr(field))
+            raise InputError(f"{path}:{line}: {message}") from exc
     return rows
 
 

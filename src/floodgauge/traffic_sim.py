@@ -209,6 +209,6 @@ def read_series(csv_path, window_length_ms: float | None = None) -> FlowRecordSe
         metadata, origin = read_json(meta_path, _checked_metadata), meta_path
     rows = read_flow_windows(csv_path)
     try:
-        return FlowRecordSeries.from_rows(rows, metadata)
+        return FlowRecordSeries._from_rows(rows, metadata)
     except InputError as exc:
         raise InputError(f"{origin}: {exc}") from exc

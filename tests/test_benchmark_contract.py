@@ -3,7 +3,9 @@
 perfbench/tracing.py names each target as ``module.function``, and
 perfbench/workloads.py calls ``module.attr`` on the floodgauge modules it
 imports; if a refactor renames or moves one of these, the benchmark
-fails. This checks the names without running the benchmark.
+fails. This checks the names without running the benchmark, and runs each
+workload once at its tiny size: its check must pass a pass's outputs and
+refuse them once corrupted.
 """
 
 import ast
@@ -20,11 +22,19 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = PERFBENCH.parent / "src"
 
 
-def load_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return sorted(module.TARGETS)
+    return module
+
+
+def load_targets():
+    return sorted(load_perfbench("tracing").TARGETS)
+
+
+WORKLOADS = load_perfbench("workloads").WORKLOADS
 
 
 def workload_imports():
@@ -72,3 +82,18 @@ def test_workload_imports_load_every_traced_module():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_a_tiny_pass_checks_out_and_a_corrupted_one_does_not(name, tmp_path, monkeypatch):
+    # readme-workflow runs the CLI in child processes, which find the package on PYTHONPATH
+    monkeypatch.setenv("PYTHONPATH", str(SRC))
+    workload = WORKLOADS[name](True)
+    workdir, outdir = tmp_path / "work", tmp_path / "out"
+    workdir.mkdir()
+    outdir.mkdir()
+    workload.setup(1203, workdir)
+    workload.run_pass(outdir)
+    assert workload.check(outdir) == []
+    workload.corrupt(outdir)
+    assert workload.check(outdir) != []

@@ -774,6 +774,29 @@ def test_an_error_quoting_a_large_value_stays_one_short_line(tmp_path, capsys):
     assert len(line) <= 300 and "expected a number, got 'xxxx" in line
 
 
+def test_a_csv_field_quoted_in_an_error_is_cut_to_one_short_line(tmp_path, capsys):
+    model, events, cal = tmp_path / "m.json", tmp_path / "events.csv", tmp_path / "cal.csv"
+    model.write_text(LINEAR_MODEL)
+    huge = "x" * 5000
+    events.write_text(f"window_index,h_c,deviation,attack_flag\n0,1.0,{huge},true\n")
+    cal.write_text(f"deviation,strength_mbps\n0.5,{huge}\n0.6,2\n")
+    for data, argv in ((events, ("estimate", "--model", model, "--events", events)),
+                       (cal, ("fit", "--data", cal, "--model", "linear", "--out", model))):
+        assert run_cli(*argv) == 1
+        line = one_error_line(capsys, f"{data}:2")
+        assert line == f"error: {data}:2: could not convert string to float: '{'x' * 79}…"
+        assert len(line) <= 300
+
+
+@pytest.mark.parametrize("rows", ["", "0,a,5\n"], ids=["header-only", "one-record"])
+def test_a_negative_window_count_in_the_sidecar_is_refused(tmp_path, capsys, rows):
+    flows, meta = tmp_path / "o.csv", tmp_path / "o.meta.json"
+    flows.write_text("window_index,flow_id,bytes\n" + rows)
+    meta.write_text(json.dumps({"config": {"window_length_ms": 200.0, "num_windows": -3}}))
+    assert run_cli("baseline", "--flows", flows, "--out", tmp_path / "b.json") == 1
+    assert one_error_line(capsys, meta) == f"error: {meta}: num_windows must be >= 0, got -3"
+
+
 @pytest.mark.parametrize("row, message", [
     ("0,1.0,nan,true", "deviation must be finite, got nan"),
     ("0,1.0,inf,true", "deviation must be finite, got inf"),

@@ -6,10 +6,11 @@ a Python ``(errno, 'text')`` tuple. Six kinds of input are generated:
 calibration CSVs of edge floats, run through compare, fit, evaluate and
 estimate; bare flow CSVs whose window indices reach past 2**63, run through
 ``baseline --window-ms``; the same flow CSVs beside a sidecar whose
-``num_windows`` reaches past the gap bound and 2**63, run through baseline and
-calibrate; flow CSVs spelled oddly (ids with quotes, spaces or non-ASCII
-text, signed, spaced or fractional numbers, CRLF and blank lines), with and
-without a sidecar, run through baseline and calibrate; events CSVs under
+``num_windows`` is negative or reaches past the gap bound and 2**63, run
+through baseline and calibrate; flow CSVs spelled oddly (ids with quotes,
+spaces or non-ASCII text, signed, spaced or fractional numbers, CRLF and
+blank lines), with and without a sidecar, run through baseline and
+calibrate; events CSVs under
 both headers, with window indices that repeat, step down, are negative or
 pass 2**63, non-finite floats and odd flags, run through estimate with fitted
 linear, power and exponential models; and baseline and model JSON files with
@@ -123,11 +124,11 @@ def test_baseline_of_a_bare_capture_exits_0_or_1_with_one_error_line(rows):
             names=[flows])
 
 
-# sidecar counts at the gap bound's edges after window 0, and at and past 2**63
+# sidecar counts at the gap bound's edges after window 0, at and past 2**63, and below 0
 WINDOW_COUNTS = st.one_of(
     st.integers(1, 16),
     st.sampled_from([MAX_GAP_WINDOWS - 1, MAX_GAP_WINDOWS, MAX_GAP_WINDOWS + 1,
-                     MAX_GAP_WINDOWS + 2, 2**63, 10**30]),
+                     MAX_GAP_WINDOWS + 2, 2**63, 10**30, -1]),
 )
 
 
@@ -135,6 +136,7 @@ WINDOW_COUNTS = st.one_of(
 @given(rows=FLOW_ROWS, count=WINDOW_COUNTS)
 @example(rows=[(0, "a", 5), (1, "b", 7)], count=10**30)
 @example(rows=[(0, "a", 5)], count=MAX_GAP_WINDOWS + 2)
+@example(rows=[], count=-1)
 def test_baseline_and_calibrate_of_a_counted_capture_exit_0_or_1_with_one_error_line(
         rows, count):
     with tempfile.TemporaryDirectory() as tmp:

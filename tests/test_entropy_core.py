@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from floodgauge import entropy_core
@@ -42,7 +42,7 @@ def counts(window_index=0, window_length_ms=200.0, **flows):
     return WindowCounts.build(window_index, flows, window_length_ms)
 
 
-# a record's fields with no checks: FlowRecordSeries takes any objects that have them
+# a record's fields with no checks; FlowRecordSeries makes such a duck record a FlowRecord
 Row = namedtuple("Row", "window_index flow_id bytes")
 
 
@@ -275,12 +275,11 @@ def window_rows_of(per_window):
 
 
 # a window is a few rows over a few ids, so (window, flow) pairs repeat,
-# zero-byte rows occur, and empty and single-flow windows are common; the
-# rows go in unchecked, so a negative count is dropped like a zero one
+# zero-byte rows occur, and empty and single-flow windows are common
 window_rows = st.lists(
     st.tuples(
         st.sampled_from(["a", "b", "c", "legit-0001"]),
-        st.one_of(st.sampled_from([0, 1, -1, 2**53]), st.integers(-5, 10**9)),
+        st.one_of(st.sampled_from([0, 1, 2**53]), st.integers(0, 10**9)),
     ),
     max_size=6,
 )
@@ -294,7 +293,7 @@ def test_entropies_are_bit_identical_to_compute_entropy_of_windows(per_window, t
     config = {"window_length_ms": 200.0}
     if trailing is not None:
         config["num_windows"] = last + 1 + trailing
-    series = FlowRecordSeries.from_rows(window_rows_of(per_window), {"config": config})
+    series = FlowRecordSeries._from_rows(window_rows_of(per_window), {"config": config})
     summed = [{} for _ in range(config.get("num_windows", last + 1))]
     for w, fid, b in rows:
         summed[w][fid] = summed[w].get(fid, 0) + b
@@ -338,8 +337,6 @@ def test_rows_with_a_negative_window_are_refused():
     # windows are counted from 0, so such a row would land in window 0
     config = {"config": {"window_length_ms": 200.0}}
     with pytest.raises(InputError, match="window_index must be >= 0, got -1"):
-        FlowRecordSeries.from_rows([(-1, ("a",), (1,)), (0, ("b",), (2,))], config)
-    with pytest.raises(InputError, match="window_index must be >= 0, got -1"):
         FlowRecordSeries([Row(-1, "a", 1), Row(0, "b", 2)], config)
 
 
@@ -367,6 +364,8 @@ WINDOW_RULE_CASES = {
                                     f"windows; a run with no window count may skip at most {M}"),
     "no-records": ([], 4, None),
     "no-records-no-count": ([], None, None),
+    "negative-count": ([0], -3, "num_windows must be >= 0, got -3"),
+    "negative-count-no-records": ([], -1, "num_windows must be >= 0, got -1"),
 }
 
 
@@ -383,7 +382,7 @@ def test_every_constructor_holds_the_same_run_or_gives_the_same_refusal(
     matrix = [[w + 1 if w in held else 0] for w in range(windows[-1] + 1 if windows else 2)]
     builds = [
         lambda: FlowRecordSeries.from_volumes(["a"], matrix, metadata),
-        lambda: FlowRecordSeries.from_rows([(w, ("a",), (w + 1,)) for w in windows], metadata),
+        lambda: FlowRecordSeries._from_rows([(w, ("a",), (w + 1,)) for w in windows], metadata),
         lambda: FlowRecordSeries([FlowRecord(w, "a", w + 1) for w in windows], metadata),
     ]
     if refusal is not None:
@@ -590,12 +589,15 @@ def test_order_check_sees_a_step_down_anywhere(size):
     spots = {1, size - 1} | {k * 4096 + d for k in range(1, 4) for d in (-1, 0, 1)}
     for i in sorted(j for j in spots if 0 < j < size):
         stepped = column[:i] + [column[i - 1] - 1] + column[i + 1:]
-        with pytest.raises(InputError, match="records must be ordered by window_index"):
+        # FlowRecord refuses a step down to -1 as a negative window, before the order check
+        match = "records must be ordered by window_index" if column[i - 1] else "got -1"
+        with pytest.raises(InputError, match=match):
             series_of_windows(stepped)
     with pytest.raises(InputError, match="records must be ordered by window_index"):
-        series_of_windows([0, -1])
-    with pytest.raises(InputError, match="window_index must be >= 0, got -1"):
-        series_of_windows([-1, 0])
+        series_of_windows([1, 0])
+    for negative in ([0, -1], [-1, 0]):
+        with pytest.raises(InputError, match="window_index must be >= 0, got -1"):
+            series_of_windows(negative)
 
 
 def test_build_drops_non_positive_counts_and_copies():
@@ -763,7 +765,7 @@ def test_split_flows_across_blocks_read_as_the_row_loop_does(tmp_path, monkeypat
     path.write_text(split_flow_capture(), encoding="utf-8")
     metadata = {"config": {"window_length_ms": 200.0, "num_windows": 9}}
     (tmp_path / "split.meta.json").write_text(json.dumps(metadata))
-    expected = FlowRecordSeries.from_rows(_read_flow_rows(path), metadata)
+    expected = FlowRecordSeries._from_rows(_read_flow_rows(path), metadata)
     # the row ending the first 64 KiB block and the row after it share a window
     data = path.read_bytes()
     header = data.index(b"\n") + 1
@@ -842,7 +844,7 @@ def test_records_of_every_run_equal_records_checked_one_by_one(
         "simulate": (simulated, written),
         "read_series": (read_series(csv_path), written),
         "row loop": (read_series(crlf_path), written),
-        "from_rows": (FlowRecordSeries.from_rows(window_rows_of(per_window), config), rows),
+        "_from_rows": (FlowRecordSeries._from_rows(window_rows_of(per_window), config), rows),
         "records": (FlowRecordSeries([FlowRecord(*row) for row in rows], config), rows),
         "from_volumes": (FlowRecordSeries.from_volumes(ids, matrix, config),
                          [(w, fid, b) for w, counts in enumerate(matrix)
@@ -856,23 +858,87 @@ def test_records_of_every_run_equal_records_checked_one_by_one(
             (int, str, int)}, name
 
 
-def test_records_of_unchecked_rows_are_still_checked_one_by_one():
+def test_duck_records_are_checked_when_the_run_is_built():
+    # a record that is not a FlowRecord is made one, so the run stores no row that the
+    # flow CSV cannot hold and .records has nothing left to check
     config = {"config": {"window_length_ms": 200.0}}
-    runs = [
-        (FlowRecordSeries.from_rows([(0, ("a",), (1,)), (1, ("b,c",), (2,))], config),
-         "flow_id 'b,c' must not contain commas or newlines"),
-        (FlowRecordSeries.from_rows([(0, ("a",), (2.5,))], config),
-         "bytes must be an integer, got 2.5"),
-        (FlowRecordSeries.from_rows([(0, ("a", "a"), (-1, 3))], config),
-         "negative byte count -1 for flow 'a'"),
-        (FlowRecordSeries.from_rows([(0, ("a", ""), (1, 2))], config),
-         "flow_id must be non-empty"),
-        # records that are not FlowRecords were never checked
-        (FlowRecordSeries([FlowRecord(0, "a", 1), Row(0, '"q', 2)], config),
+    cases = [
+        ([Row(0, "a", 1), Row(1, "b,c", 2)], "flow_id 'b,c' must not contain commas or newlines"),
+        ([Row(0, "a", 2.5)], "bytes must be an integer, got 2.5"),
+        ([Row(0, "a", -1), Row(0, "a", 3)], "negative byte count -1 for flow 'a'"),
+        ([Row(0, "a", 1), Row(0, "", 2)], "flow_id must be non-empty"),
+        ([FlowRecord(0, "a", 1), Row(0, '"q', 2)],
          "flow_id '\"q' must not start with a double quote"),
     ]
-    for series, message in runs:
-        series.windows()  # the series itself takes such rows, as before
+    for records, message in cases:
         with pytest.raises(InputError) as info:
-            series.records
+            FlowRecordSeries(records, config)
         assert str(info.value) == message
+
+
+def mostly(common, rare):
+    """common about five times in six, else rare."""
+    return st.sampled_from([common] * 5 + [rare]).flatmap(lambda strategy: strategy)
+
+
+# record fields a FlowRecord takes, a few past the window-index rule's gap bound
+good_windows = mostly(st.integers(0, 4), st.sampled_from([MAX_GAP_WINDOWS + 1, 2**63]))
+good_ids = st.sampled_from(["a", "b", "legit-0001", 'q"', " a", "é"])
+good_counts = mostly(st.integers(0, 9), st.sampled_from([2**53, 2**63, 10**30]))
+# and fields it refuses or turns into ints: float, negative and huge numbers, and ids
+# that are empty, not a str, or hold a comma, a newline or a leading quote
+odd_windows = st.one_of(good_windows, st.sampled_from(
+    [-1, -(2**63), 0.5, 2.0, math.nan, True, np.int64(3), np.float64(1.0)]))
+odd_ids = st.one_of(good_ids, st.sampled_from(["", "a,b", '"q', "a\nb", "a\r", 5, None, b"a"]),
+                    st.text(alphabet='ab,"\n', max_size=3))
+odd_counts = st.one_of(good_counts, st.sampled_from(
+    [-4, -1, 2.5, 3.0, math.nan, "5", True, np.int64(7), np.int64(-2), np.uint64(2**63)]))
+# real FlowRecords, and duck records that mostly hold what a FlowRecord would
+records = st.one_of(
+    st.builds(FlowRecord, good_windows, good_ids, good_counts),
+    mostly(st.builds(Row, good_windows, good_ids, good_counts),
+           st.builds(Row, odd_windows, odd_ids, odd_counts)))
+record_runs = st.tuples(st.lists(records, max_size=8), mostly(st.just(True), st.just(False))).map(
+    lambda run: ("records", sorted(run[0], key=lambda r: r.window_index) if run[1] else run[0]))
+volume_counts = mostly(st.integers(0, 9), st.sampled_from([-1, 2**53, 2**63 - 1, 2**63, 2.5]))
+volume_runs = st.lists(mostly(good_ids, odd_ids), max_size=4, unique_by=repr).flatmap(
+    lambda ids: st.tuples(st.just("volumes"), st.just(ids), st.lists(
+        st.lists(volume_counts, min_size=len(ids), max_size=len(ids)), max_size=5)))
+sidecar_counts = mostly(st.one_of(st.none(), st.integers(5, 12)), st.one_of(
+    st.integers(-2, 4), st.sampled_from([2.0, 2.5, MAX_GAP_WINDOWS + 6, 2**63])))
+
+
+def built_run(run, count):
+    """The run's series, or None if it is refused when built."""
+    config = {"window_length_ms": 200.0}
+    if count is not None:
+        config["num_windows"] = count
+    try:
+        if run[0] == "records":
+            return FlowRecordSeries(run[1], {"config": config})
+        return FlowRecordSeries.from_volumes(run[1], run[2], {"config": config})
+    except InputError:
+        return None
+
+
+@settings(max_examples=300, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=st.one_of(record_runs, volume_runs), count=sidecar_counts)
+@example(run=("records", [Row(0, "a,b", 5)]), count=None)
+@example(run=("records", [Row(0, "a", -4)]), count=None)
+@example(run=("records", [Row(0, "a", 2.5)]), count=None)
+@example(run=("records", [Row(0.5, "a", 3)]), count=None)
+@example(run=("records", [Row(0, "a", 1), Row(0.5, "b", 3)]), count=2)
+@example(run=("volumes", ["a"], [[0], [0]]), count=-1)
+def test_every_run_is_refused_when_built_or_reads_back_as_itself(tmp_path, run, count):
+    # a run stores only rows that FlowRecord takes, so whatever it writes reads back
+    series = built_run(run, count)
+    if series is None:
+        return
+    path = tmp_path / "run.csv"
+    write_series(path, series)
+    loaded = read_series(path)
+    assert loaded.records == series.records
+    assert loaded.record_count == series.record_count == len(series.records)
+    assert loaded.num_windows == series.num_windows
+    assert entropy_hexes(loaded) == entropy_hexes(series)

@@ -454,7 +454,7 @@ def _chunks_failing_after_the_first():
 
 @pytest.mark.parametrize("write, error", [
     # window 0 is written, then window 1's count fails to format
-    (lambda path: write_series(path, FlowRecordSeries.from_rows(
+    (lambda path: write_series(path, FlowRecordSeries._from_rows(
         [(0, ("a", "b"), (5, 7)), (1, ("a",), (_UnwritableCount(9),))],
         {"config": {"window_length_ms": 200.0}})), OSError),
     (lambda path: atomic_write(path, _chunks_failing_after_the_first()), OSError),
@@ -901,7 +901,7 @@ def test_read_series_with_reused_flow_lists_matches_the_row_loop(tmp_path, run, 
     for (_, before, _), (_, after, _) in zip(blocks, blocks[1:]):
         assert (after is before) == (after == before)
     loaded = read_series(path)
-    expected = FlowRecordSeries.from_rows(_read_flow_rows(path), metadata)
+    expected = FlowRecordSeries._from_rows(_read_flow_rows(path), metadata)
     assert loaded.windows() == expected.windows()
     assert [(e.value.hex(), e.flow_count) for e in loaded.entropies()] == [
         (e.value.hex(), e.flow_count) for e in expected.entropies()
