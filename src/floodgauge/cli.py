@@ -12,7 +12,6 @@ stderr), 2 on usage errors (argparse).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import math
 import os
@@ -20,7 +19,7 @@ import sys
 from typing import Sequence
 
 # each handler imports the modules it runs, so parsing loads only these
-from .errors import ConfigError, EmptyRunError, FloodgaugeError, InputError
+from .errors import ConfigError, EmptyRunError, FloodgaugeError, InputError, naming
 from .families import MAX_POLY_DEGREE, MODEL_FAMILIES, SELECTION_CRITERIA
 
 SEED_ENV_VAR = "FLOODGAUGE_SEED"
@@ -35,16 +34,6 @@ def _table(rows: Sequence[Sequence[str]]) -> str:
         cells.extend(cell.rjust(w) for cell, w in zip(row[1:], widths[1:]))
         out.append("  ".join(cells).rstrip())
     return "\n".join(out)
-
-
-@contextlib.contextmanager
-def _naming(path):
-    """Prefix path to the message of a FloodgaugeError raised within: the data the
-    failing step read."""
-    try:
-        yield
-    except FloodgaugeError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -119,7 +108,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     from .traffic_sim import read_series
     entropies = read_series(args.flows, args.window_ms).entropies()
     threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-    with _naming(args.flows):
+    with naming(args.flows):
         baseline = build_baseline(entropies, threshold=threshold)
     save_baseline(args.out, baseline)
     empty = sum(1 for e in entropies if e.flow_count == 0)
@@ -157,7 +146,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     from .regression import ModelKind, fit, save_model
     data = read_calibration_csv(args.data)
     kind = ModelKind(args.model, args.degree)
-    with _naming(args.data):
+    with naming(args.data):
         model = fit(data, kind)
     save_model(args.out, model)
     coeffs = ", ".join(f"b{i}={c:.6g}" for i, c in enumerate(model.coefficients))
@@ -174,7 +163,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .regression import load_model, predict_all
     model = load_model(args.model)
     data = read_calibration_csv(args.data)
-    with _naming(args.data):
+    with naming(args.data):
         report = evaluate(data.y, predict_all(model, data.x.values))
     rows = [["metric", "value"]]
     rows.extend([label, f"{getattr(report, field):.2f}"] for field, label in METRICS)
@@ -197,7 +186,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         compare_models, comparison_to_csv, comparison_to_dict, read_calibration_csv,
     )
     data = read_calibration_csv(args.data)
-    with _naming(args.data):
+    with naming(args.data):
         comparison = compare_models(data, degree=args.degree, criterion=args.criterion)
     rows = [["model"] + [label for _, label in METRICS]]
     rows.extend([tag] + [f"{v:.2f}" for v in metric_values(report)]

@@ -17,6 +17,7 @@ from .fileio import (
     atomic_write_text,
     format_flag,
     format_float,
+    json_field,
     json_number,
     parse_finite,
     parse_flag,
@@ -106,9 +107,9 @@ def save_baseline(path, baseline: Baseline) -> None:
 
 def load_baseline(path) -> Baseline:
     return read_json(path, lambda obj: Baseline(
-        json_number(obj["h_n"]),
-        json_number(obj["threshold"]),
-        json_number(obj["training_windows"], whole=True),
+        json_field(obj, "h_n", json_number),
+        json_field(obj, "threshold", json_number),
+        json_field(obj, "training_windows", lambda v: json_number(v, whole=True)),
     ))
 
 

@@ -15,7 +15,7 @@ from operator import attrgetter, index, mul, truediv
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, brief_repr
-from .fileio import header_cells, json_number, table_rows
+from .fileio import header_cells, json_field, json_number, table_rows
 
 # the most empty windows a run may hold in a row, before its first record, between two or
 # after its last up to its window count; a run stores none of them
@@ -219,15 +219,9 @@ def _count_matrix(rows, width: int):
 
 def run_config(metadata: dict) -> tuple[float, int | None]:
     """``metadata["config"]``'s window length and count, None if it has none."""
-    try:
-        config = metadata["config"]
-        length = json_number(config["window_length_ms"])
-        count = config.get("num_windows")
-        count = None if count is None else json_number(count, whole=True)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(
-            f"metadata lacks a valid config.window_length_ms or num_windows: {exc!r}"
-        ) from exc
+    length = json_field(metadata, "config.window_length_ms", json_number)
+    count = json_field(metadata, "config.num_windows", lambda v: json_number(v, whole=True),
+                       optional=True)
     if not math.isfinite(length) or length <= 0:
         raise InputError("window_length_ms must be finite and positive")
     if count is not None and count < 0:

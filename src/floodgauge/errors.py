@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 def brief_repr(value: object) -> str:
     """repr(value) for an error message, cut to 80 characters and an ellipsis, so that a
@@ -10,6 +12,15 @@ def brief_repr(value: object) -> str:
 
 class FloodgaugeError(Exception):
     """Base class for every error this package raises on purpose."""
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Prefix path, the file the failing step read, to a FloodgaugeError raised within."""
+    try:
+        yield
+    except FloodgaugeError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 class InputError(FloodgaugeError):

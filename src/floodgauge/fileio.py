@@ -5,12 +5,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import FloodgaugeError, InputError, brief_repr
+from .errors import InputError, brief_repr, naming
 
 
 def format_float(value: float) -> str:
@@ -163,30 +164,46 @@ def _new_temp_file(path: Path) -> tuple[int, Path]:
 def json_number(value: Any, whole: bool = False) -> float | int:
     """A JSON number as float, or as int when ``whole``.
 
-    A bool, a string or, when ``whole``, a fraction is a ValueError, not coerced.
+    A non-number (a bool too) or, when ``whole``, a fraction is a ValueError, not coerced.
     """
-    if isinstance(value, (bool, str)) or (whole and value != int(value)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+            whole and not isinstance(value, int) and not float(value).is_integer()):
         raise ValueError(f"expected a {'whole ' if whole else ''}number, got {brief_repr(value)}")
     return int(value) if whole else float(value)
+
+
+def _json_object(value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def json_field(obj: dict, key: str, parse: Callable[[Any], Any] | None = None,
+               optional: bool = False) -> Any:
+    """``obj[key]`` through ``parse``; None if the key is absent or null and ``optional``. A
+    dotted key such as ``config.num_windows`` reads within the object at ``config``, if any.
+    A missing or ill-typed field is an InputError that names the field."""
+    value = obj
+    try:
+        for name in key.split("."):
+            value = None if value is None else _json_object(value).get(name)
+        if value is None and not optional:
+            raise ValueError("missing")
+        return value if value is None or parse is None else parse(value)
+    except (InputError, ValueError, TypeError, OverflowError) as exc:
+        raise InputError(f"missing or ill-typed field: {key}: {exc}") from exc
 
 
 def write_json(path: str | Path, obj: object) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path, parse: Callable[[Any], Any]) -> Any:
-    """Build an object from a JSON file with ``parse``; every error names the file.
-
-    A missing or ill-typed field becomes InputError; a FloodgaugeError keeps its class.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
+def read_json(path: str | Path, parse: Callable[[dict], Any]) -> Any:
+    """Build an object from a JSON file's top-level object with ``parse``; every error
+    names the file, and a number past the integer-digit limit is invalid JSON."""
+    with open(path, "r", encoding="utf-8") as fh, naming(path):
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return parse(obj)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise InputError(f"{path}: missing or ill-typed field: {exc!r}") from exc
-    except FloodgaugeError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"invalid JSON: {exc}") from exc
+        return parse(_json_object(obj))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import ConfigError, DegenerateDataError, DomainError, EmptyRunError, InputError
+from .errors import ConfigError, DegenerateDataError, DomainError, EmptyRunError, naming
 from .fileio import (
     Table,
     atomic_write_text,
@@ -207,9 +207,8 @@ def write_calibration_csv(path, data: CalibrationDataset) -> None:
 
 def read_calibration_csv(path) -> CalibrationDataset:
     samples = read_table(path, CALIBRATION_TABLE)
-    if len(samples) < 2:
-        raise InputError(f"{path}: calibration needs >= 2 samples, got {len(samples)}")
-    return CalibrationDataset(tuple(samples))
+    with naming(path):
+        return CalibrationDataset(tuple(samples))
 
 
 def comparison_to_csv(report: ModelComparisonReport) -> str:

@@ -28,7 +28,7 @@ from .errors import DegenerateDataError, DomainError, InputError, brief_repr
 # defined apart so that the command-line parser need not load this module; still
 # importable from here
 from .families import MAX_POLY_DEGREE, MODEL_FAMILIES, SELECTION_CRITERIA
-from .fileio import json_number, read_json, write_json
+from .fileio import json_field, json_number, read_json, write_json
 from .metrics import Column, ResidualSeries, _kept, overflow_error
 
 DEFAULT_POLY_DEGREE = 2
@@ -306,9 +306,10 @@ def save_model(path, model: FittedModel) -> None:
 
 def load_model(path) -> FittedModel:
     return read_json(path, lambda obj: FittedModel(
-        ModelKind(obj["kind"], None if obj.get("degree") is None
-                  else json_number(obj["degree"], whole=True)),
-        tuple(map(json_number, obj["coefficients"])),
-        obj["fit_method"],
-        obj["trained_on"],
+        ModelKind(json_field(obj, "kind"),
+                  json_field(obj, "degree", lambda v: json_number(v, whole=True),
+                             optional=True)),
+        json_field(obj, "coefficients", lambda v: tuple(map(json_number, v))),
+        json_field(obj, "fit_method"),
+        json_field(obj, "trained_on"),
     ))

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 from .entropy_core import FlowRecordSeries, flow_csv_chunks, read_flow_windows, run_config
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, naming
 from .fileio import atomic_write, read_json, write_json
 
 GENERATOR_NAME = "numpy-pcg64"
@@ -186,29 +186,23 @@ def write_series(csv_path, series: FlowRecordSeries) -> None:
     write_json(_sidecar_path(csv_path), series.metadata)
 
 
-def _checked_metadata(metadata: dict) -> dict:
-    """A sidecar's metadata, once run_config finds its window length and count valid."""
-    run_config(metadata)
-    return metadata
-
-
 def read_series(csv_path, window_length_ms: float | None = None) -> FlowRecordSeries:
     """Read a run's flow CSV into a series; errors name the CSV line or the sidecar.
 
-    Without ``window_length_ms`` the metadata sidecar must exist, and is
-    checked before the CSV is read; it gives the window length and count.
-    With it the sidecar is not read and the run ends at its last record.
+    Without ``window_length_ms`` the metadata sidecar must exist, and gives the
+    window length and count; with it the sidecar is not read and the run ends at
+    its last record. Either is checked before the CSV is read.
     """
     meta_path = _sidecar_path(csv_path)
     if window_length_ms is not None:
         metadata, origin = {"config": {"window_length_ms": window_length_ms}}, csv_path
+    elif os.path.exists(meta_path):
+        metadata, origin = read_json(meta_path, dict), meta_path
     else:
-        if not os.path.exists(meta_path):
-            open(csv_path, "rb").close()  # a missing CSV is reported under its own name
-            raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
-        metadata, origin = read_json(meta_path, _checked_metadata), meta_path
+        open(csv_path, "rb").close()  # a missing CSV is reported under its own name
+        raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
+    with naming(origin):
+        run_config(metadata)  # a bad window length or count is refused before the CSV is read
     rows = read_flow_windows(csv_path)
-    try:
+    with naming(origin):
         return FlowRecordSeries._from_rows(rows, metadata)
-    except InputError as exc:
-        raise InputError(f"{origin}: {exc}") from exc

@@ -174,6 +174,52 @@ def test_out_of_range_json_numbers_name_their_file(workflow, capsys):
     assert capsys.readouterr().err.startswith(f"error: {sidecar}: ")
 
 
+def json_command(tmp_path, kind, text):
+    """The argv of a command that reads a JSON file of kind (baseline, model or sidecar)
+    before any other input, and that file, written with text."""
+    run = tmp_path / "run.csv"
+    run.write_text("window_index,flow_id,bytes\n0,a,5\n")
+    path = {"baseline": tmp_path / "b.json", "model": tmp_path / "m.json",
+            "sidecar": tmp_path / "run.meta.json"}[kind]
+    path.write_text(text)
+    return {
+        "baseline": ("calibrate", "--baseline", path, "--out", tmp_path / "c.csv",
+                     "--run", f"5={run}"),
+        "model": ("estimate", "--model", path, "--events", run),
+        "sidecar": ("baseline", "--flows", run, "--out", tmp_path / "b2.json"),
+    }[kind], path
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    pytest.param("baseline", '{"h_n": 1.0, "threshold": 0.1}',
+                 "missing or ill-typed field: training_windows: missing", id="baseline-missing"),
+    pytest.param("baseline", '{"h_n": [1], "threshold": 0.1, "training_windows": 12}',
+                 "missing or ill-typed field: h_n: expected a number, got [1]", id="baseline-list"),
+    pytest.param("baseline", '{"h_n": 1' + "0" * 400 + ', "threshold": 0.1, '
+                 '"training_windows": 12}', "missing or ill-typed field: h_n: "
+                 "int too large to convert to float",
+                 id="baseline-past-the-float-range"),
+    pytest.param("model", '{"kind": "linear", "coefficients": 5, "fit_method": "raw_ols", '
+                 '"trained_on": "x"}', "missing or ill-typed field: coefficients: "
+                 "'int' object is not iterable", id="model-coefficients"),
+    pytest.param("sidecar", '{"config": 5}', "missing or ill-typed field: "
+                 "config.window_length_ms: expected a JSON object, got int", id="sidecar-config"),
+    *(pytest.param(kind, "[1, 2]", "expected a JSON object, got list", id=f"{kind}-top-level")
+      for kind in ("baseline", "model", "sidecar")),
+])
+def test_a_json_field_error_names_the_field(tmp_path, capsys, kind, text, message):
+    argv, path = json_command(tmp_path, kind, text)
+    assert run_cli(*argv) == 1
+    assert one_error_line(capsys, path) == f"error: {path}: {message}"
+
+
+@pytest.mark.parametrize("kind", ["baseline", "model", "sidecar"])
+def test_a_json_integer_past_the_digit_limit_is_invalid_json(tmp_path, capsys, kind):
+    argv, path = json_command(tmp_path, kind, '{"n": ' + "9" * 5001 + "}")
+    assert run_cli(*argv) == 1
+    assert one_error_line(capsys, path).startswith(f"error: {path}: invalid JSON: ")
+
+
 def test_full_workflow(workflow, capsys):
     tmp_path, cal = workflow
     data = read_calibration_csv(cal)

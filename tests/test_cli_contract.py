@@ -2,7 +2,7 @@
 
 ``cli.main`` returns 0, or 1 with one ``error: `` line on stderr that names
 the generated input file; no exception escapes it, and no printed line holds
-a Python ``(errno, 'text')`` tuple. Six kinds of input are generated:
+a Python ``(errno, 'text')`` tuple. Seven kinds of input are generated:
 calibration CSVs of edge floats, run through compare, fit, evaluate and
 estimate; bare flow CSVs whose window indices reach past 2**63, run through
 ``baseline --window-ms``; the same flow CSVs beside a sidecar whose
@@ -13,9 +13,12 @@ blank lines), with and without a sidecar, run through baseline and
 calibrate; events CSVs under
 both headers, with window indices that repeat, step down, are negative or
 pass 2**63, non-finite floats and odd flags, run through estimate with fitted
-linear, power and exponential models; and baseline and model JSON files with
-missing, extra and ill-typed fields, non-finite literals and deep nesting, run
-through calibrate, evaluate and estimate. Every command runs in this process.
+linear, power and exponential models; baseline and model JSON files with
+missing, extra and ill-typed fields, non-finite literals, an integer past the
+interpreter's digit limit and deep nesting, run through calibrate, evaluate
+and estimate; and sidecar JSON files whose config is varied the same way, or
+whose top-level value is not an object, run through baseline and calibrate.
+Every command runs in this process.
 
 ``pytest --hypothesis-profile=ci-deep`` runs each test here on ten times its
 examples (the profile is registered in ``tests/conftest.py``).
@@ -38,6 +41,7 @@ from floodgauge.detector import load_baseline
 from floodgauge.entropy_core import MAX_GAP_WINDOWS
 from floodgauge.errors import FloodgaugeError
 from floodgauge.regression import MODEL_FAMILIES, load_model
+from floodgauge.traffic_sim import read_series
 
 # ten times the examples under the ci-deep profile
 DEPTH = 10 if settings.get_current_profile_name() == "ci-deep" else 1
@@ -235,8 +239,13 @@ def test_events_csvs_through_estimate_exit_0_or_1_naming_them(text):
                 "--out", Path(tmp) / "est.csv", names=[events])
 
 
+# an integer past the interpreter's 4,300-digit limit for int(), which json.load refuses
+PAST_THE_DIGIT_LIMIT = "9" * 5000
+
+
 # a JSON value of each type, the NaN, Infinity and 1e999 literals that json.load takes,
-# and lists and objects nested up to and past the parser's depth
+# an integer past the digit limit, and lists and objects nested up to and past the
+# parser's depth
 def nested(depth, opening, closing):
     return opening * depth + "1" + closing * depth
 
@@ -245,7 +254,7 @@ DEPTHS = st.one_of(st.integers(1, 1200), st.sampled_from([990, 1000, 1010, 100_0
 JSON_VALUES = st.one_of(
     st.sampled_from(["null", "true", "false", "0", "-1", "2", "10", "0.5", "1e308", '""',
                      '"x"', '"linear"', '"raw_ols"', "[]", "{}", "[1.0, 2.0]", '["1", 2]',
-                     "NaN", "Infinity", "-Infinity", "1e999", "-1e999"]),
+                     "NaN", "Infinity", "-Infinity", "1e999", "-1e999", PAST_THE_DIGIT_LIMIT]),
     DEPTHS.map(lambda d: nested(d, "[", "]")),
     DEPTHS.map(lambda d: nested(d, '{"a": ', "}")),
 )
@@ -258,6 +267,7 @@ VALID_MODELS = [
      "fit_method": '"log_linearized"', "trained_on": '"0123abcd"'},
 ]
 VALID_BASELINE = {"h_n": "0.5", "threshold": "0.0", "training_windows": "10"}
+VALID_CONFIG = {"window_length_ms": "200.0", "num_windows": "12"}
 
 
 def object_text(pairs):
@@ -317,6 +327,7 @@ def calibrate_argv(tmp, flows, baseline):
 
 @CONTRACT
 @given(text=st.sampled_from(VALID_MODELS).flatmap(json_files))
+@example(text=object_text({**VALID_MODELS[0], "degree": PAST_THE_DIGIT_LIMIT}.items()))
 def test_model_json_through_evaluate_and_estimate_exits_0_or_1_naming_it(text):
     with tempfile.TemporaryDirectory() as tmp:
         cal, model = write_calibration(tmp), Path(tmp) / "model.json"
@@ -327,11 +338,40 @@ def test_model_json_through_evaluate_and_estimate_exits_0_or_1_naming_it(text):
 
 @CONTRACT
 @given(text=json_files(VALID_BASELINE))
+@example(text=object_text({**VALID_BASELINE, "h_n": PAST_THE_DIGIT_LIMIT}.items()))
 def test_baseline_json_through_calibrate_exits_0_or_1_naming_it(text):
     with tempfile.TemporaryDirectory() as tmp:
         flows, baseline = write_labeled_run(tmp), Path(tmp) / "baseline.json"
         baseline.write_text(text)
         check_json_command(baseline, load_baseline, calibrate_argv(tmp, flows, baseline))
+
+
+@st.composite
+def sidecar_files(draw):
+    """A sidecar's text: json_files of its config, nested under "config", or now and then
+    a value that is not an object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    return object_text([("config", draw(json_files(VALID_CONFIG)))])
+
+
+@CONTRACT
+@given(text=sidecar_files())
+@example(text=object_text([("config", object_text(
+    {**VALID_CONFIG, "num_windows": PAST_THE_DIGIT_LIMIT}.items()))]))
+def test_sidecar_json_through_baseline_and_calibrate_exits_0_or_1_naming_it(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        flows, baseline = write_labeled_run(tmp), Path(tmp) / "baseline.json"
+        baseline.write_text(object_text(VALID_BASELINE.items()))
+        meta = Path(tmp) / "flows.meta.json"
+        meta.write_text(text)
+
+        def load(_):  # a sidecar is read with its run
+            return read_series(flows)
+
+        check_json_command(meta, load,
+                           ("baseline", "--flows", flows, "--out", Path(tmp) / "b.json"))
+        check_json_command(meta, load, calibrate_argv(tmp, flows, baseline))
 
 
 def test_the_valid_json_files_run():

@@ -153,6 +153,14 @@ def test_windowize_num_windows_extends_and_validates():
             windowize([], length, num_windows=0)
 
 
+def test_windowize_takes_numpy_numbers_but_refuses_a_fraction_of_a_window():
+    records = [FlowRecord(1, "a", 5)]
+    windows = windowize(records, np.float32(200.0), num_windows=np.int64(4))
+    assert len(windows) == 4 and windows[0].window_length_ms == 200.0
+    with pytest.raises(InputError, match=r"field: config\.num_windows: expected a whole number"):
+        windowize(records, 200.0, num_windows=np.float32(4.5))
+
+
 def test_windowize_empty_records():
     assert windowize([], 200.0) == []
     assert len(windowize([], 200.0, num_windows=3)) == 3

@@ -746,7 +746,7 @@ def test_read_series_refuses_sidecar_values_it_would_coerce(tmp_path, field, val
     text, replaced = re.subn(rf'"{field}": [^,\n]+', f'"{field}": {value}', meta.read_text())
     assert replaced == 1
     meta.write_text(text)
-    message = rf"^{re.escape(str(meta))}: metadata lacks a valid config"
+    message = rf"^{re.escape(str(meta))}: missing or ill-typed field: config\.{field}: "
     with pytest.raises(InputError, match=message):
         read_series(path)
 
