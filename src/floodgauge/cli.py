@@ -87,7 +87,8 @@ def _parse_run_arg(text: str) -> tuple[float, str]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .traffic_sim import ScenarioConfig, simulate, write_series
+    from .entropy_core import write_series
+    from .traffic_sim import ScenarioConfig, simulate
     # a flag left out is absent from args, so ScenarioConfig's default holds
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScenarioConfig)
              if f.name in args}
@@ -105,7 +106,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     from .detector import DEFAULT_THRESHOLD, build_baseline, save_baseline
-    from .traffic_sim import read_series
+    from .entropy_core import read_series
     entropies = read_series(args.flows, args.window_ms).entropies()
     threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
     with naming(args.flows):
@@ -122,8 +123,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .detector import load_baseline
+    from .entropy_core import read_series
     from .pipeline import calibrate, write_calibration_csv
-    from .traffic_sim import read_series
     baseline = load_baseline(args.baseline)
     path = None  # the --run file calibrate read last
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import InputError, InsufficientBaselineError
+from .errors import InputError, InsufficientBaselineError, brief_repr
 from .fileio import (
     Table,
     atomic_write_text,
@@ -46,7 +46,7 @@ class Baseline:
         if self.training_windows < MIN_TRAINING_WINDOWS:
             raise InsufficientBaselineError(
                 f"baseline needs >= {MIN_TRAINING_WINDOWS} training windows, "
-                f"got {self.training_windows}"
+                f"got {brief_repr(self.training_windows)}"
             )
         if not math.isfinite(self.h_n) or self.h_n < 0:
             raise InputError(f"baseline entropy must be finite and >= 0, got {self.h_n}")

@@ -1,21 +1,23 @@
-"""Sample entropy of per-flow byte counts in fixed time windows.
+"""Sample entropy of per-flow byte counts in fixed time windows, and a run's files.
 
-Traffic is summarised per tumbling window as a byte count per flow. The
-entropy of that distribution measures how dispersed or concentrated the
-window's traffic is across flows, in bits.
+Traffic is summarised per tumbling window as a byte count per flow; the entropy of
+that distribution measures how dispersed the window's traffic is across flows, in
+bits. A run's files, a flow CSV and its metadata sidecar, are read and written here.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat
 from operator import attrgetter, index, mul, truediv
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import InputError, brief_repr
-from .fileio import header_cells, json_field, json_number, table_rows
+from .errors import InputError, brief_repr, naming
+from .fileio import (atomic_write, header_cells, json_field, json_number, read_json,
+                     table_rows, write_json)
 
 # the most empty windows a run may hold in a row, before its first record, between two or
 # after its last up to its window count; a run stores none of them
@@ -70,14 +72,15 @@ class FlowRecord:
             raise InputError(
                 f"window_index must be an integer, got {brief_repr(window_index)}") from None
         if window_index < 0:
-            raise InputError(f"window_index must be >= 0, got {window_index}")
+            raise InputError(f"window_index must be >= 0, got {brief_repr(window_index)}")
         _checked_flow_id(flow_id)
         try:
             bytes = index(bytes)
         except TypeError:
             raise InputError(f"bytes must be an integer, got {brief_repr(bytes)}") from None
         if bytes < 0:
-            raise InputError(f"negative byte count {bytes} for flow {brief_repr(flow_id)}")
+            raise InputError(
+                f"negative byte count {brief_repr(bytes)} for flow {brief_repr(flow_id)}")
         _set_window_index(self, window_index)
         _set_flow_id(self, flow_id)
         _set_bytes(self, bytes)
@@ -160,7 +163,11 @@ def compute_entropy(w: WindowCounts) -> EntropyValue:
 
 def _entropy(counts: Collection[int], total: int) -> EntropyValue:
     """compute_entropy of positive byte counts summing to total, in any order."""
-    return _share_entropy(list(map(truediv, counts, repeat(float(total)))))
+    try:
+        return _share_entropy(list(map(truediv, counts, repeat(float(total)))))
+    except OverflowError:  # a total past the float range: int division; a 0 share adds 0 bits
+        shares = list(filter(None, map(truediv, counts, repeat(total))))
+        return EntropyValue(_share_entropy(shares).value, len(counts))
 
 
 def _share_entropy(shares: list[float]) -> EntropyValue:
@@ -225,7 +232,7 @@ def run_config(metadata: dict) -> tuple[float, int | None]:
     if not math.isfinite(length) or length <= 0:
         raise InputError("window_length_ms must be finite and positive")
     if count is not None and count < 0:
-        raise InputError(f"num_windows must be >= 0, got {count}")
+        raise InputError(f"num_windows must be >= 0, got {brief_repr(count)}")
     return length, count
 
 
@@ -321,18 +328,19 @@ class FlowRecordSeries:
             if w <= last:
                 raise InputError("records must be ordered by window_index")
             if self.num_windows is not None and w >= self.num_windows:
-                raise InputError(f"num_windows={self.num_windows} but records reach window {w}")
-            self._check_gap(w - last - 1, f"window {w} follows")
+                raise InputError(f"num_windows={brief_repr(self.num_windows)} but records "
+                                 f"reach window {brief_repr(w)}")
+            self._check_gap(w - last - 1, f"window {brief_repr(w)} follows")
             last = w
         count = last + 1 if self.num_windows is None else self.num_windows
-        self._check_gap(count - last - 1, f"num_windows={count} ends in")
+        self._check_gap(count - last - 1, f"num_windows={brief_repr(count)} ends in")
         return count
 
     def _check_gap(self, empty: int, where: str) -> None:
         """Refuse a gap of more than MAX_GAP_WINDOWS empty windows."""
         if empty > MAX_GAP_WINDOWS:
             run = "a run" if self.num_windows is not None else "a run with no window count"
-            raise InputError(f"{where} {empty} empty windows; {run} may skip at most "
+            raise InputError(f"{where} {brief_repr(empty)} empty windows; {run} may skip at most "
                              f"{MAX_GAP_WINDOWS}")
 
     def _per_window(self, summed: bool) -> Iterable[tuple[Sequence[str], Sequence[int]]]:
@@ -349,11 +357,8 @@ class FlowRecordSeries:
 
     @property
     def record_count(self) -> int:
-        """Number of rows in the run, counted without building them."""
-        if self._volumes is not None:
-            import numpy as np
-            return int(np.count_nonzero(self._volumes))
-        return sum(len(f) for f, _ in self._rows.values())
+        """Number of rows in the run, counted a window at a time without building records."""
+        return sum(len(f) for f, _ in self._per_window(summed=False))
 
     @property
     def records(self) -> tuple[FlowRecord, ...]:
@@ -426,22 +431,16 @@ class _FlowIds(dict):
 
 
 def _read_flow_blocks(path) -> list[tuple[int, tuple[str, ...], list[int]]]:
-    """_block_windows with each window's ids decoded and checked, as one tuple of the
-    flow's shared id strings; a window listing the previous window's id bytes reuses
-    its tuple."""
-    rows = []
-    ids = _FlowIds()
-    last_keys, fids = None, ()
-    for w, keys, counts in _block_windows(path):
-        if keys != last_keys:
-            last_keys, fids = keys, tuple(map(ids.__getitem__, keys))
-        rows.append((w, fids, counts))
-    return rows
+    """The flow CSV split on commas and newlines into one (window, flow ids, counts) row per
+    window with rows; ValueError where csv.reader might differ. A window's ids become one tuple
+    of checked, shared id strings, the previous window's tuple if it lists the same id bytes."""
+    rows, ids, last = [], _FlowIds(), [None, ()]  # last: the last window's id bytes and ids
 
+    def add(window: int, keys: list[bytes], counts: list[int]) -> None:
+        if keys != last[0]:
+            last[:] = keys, tuple(map(ids.__getitem__, keys))
+        rows.append((window, last[1], counts))
 
-def _block_windows(path) -> Iterator[tuple[int, list[bytes], list[int]]]:
-    """The flow CSV split on commas and newlines into (window, id bytes, counts), one per
-    window with rows; ValueError where csv.reader might differ."""
     window, keys, counts = 0, [], []  # the window being read, which may go on past a block
     with open(path, "rb") as fh:
         if header_cells(fh.readline().decode("utf-8").split(",")) != FLOW_HEADER:
@@ -468,12 +467,13 @@ def _block_windows(path) -> Iterator[tuple[int, list[bytes], list[int]]]:
                     if w < window:
                         raise ValueError("a window out of order or negative")
                     if keys:
-                        yield window, keys, counts
+                        add(window, keys, counts)
                     window, keys, counts = w, [], []
                 keys += flows[start:end]
                 counts += nbytes[start:end]
     if keys:
-        yield window, keys, counts
+        add(window, keys, counts)
+    return rows
 
 
 def _read_flow_rows(path) -> Iterator[WindowRow]:
@@ -494,10 +494,45 @@ def _read_flow_rows(path) -> Iterator[WindowRow]:
     return _rows_by_window(records)
 
 
-def flow_csv_chunks(series: FlowRecordSeries) -> Iterator[str]:
+def _flow_csv_chunks(series: FlowRecordSeries) -> Iterator[str]:
     """The run's flow CSV: the header line, then one chunk per window with records,
     each built from the run's own storage when it is asked for."""
     yield ",".join(FLOW_HEADER) + "\n"
     for w, (fids, counts) in enumerate(series._per_window(summed=False)):
         if fids:
             yield "\n".join(map(FLOW_LINE.__mod__, zip(repeat(w), fids, counts))) + "\n"
+
+
+def _sidecar_path(csv_path) -> str:
+    """The metadata sidecar beside a flow CSV: ``run.csv`` -> ``run.meta.json``."""
+    root, _ = os.path.splitext(os.fspath(csv_path))
+    return root + ".meta.json"
+
+
+def write_series(csv_path, series: FlowRecordSeries) -> None:
+    """Write records as flow CSV, a window at a time with no copy of the file held,
+    then a metadata sidecar JSON."""
+    atomic_write(csv_path, _flow_csv_chunks(series))
+    write_json(_sidecar_path(csv_path), series.metadata)
+
+
+def read_series(csv_path, window_length_ms: float | None = None) -> FlowRecordSeries:
+    """Read a run's flow CSV into a series; errors name the CSV line or the sidecar.
+
+    Without ``window_length_ms`` the metadata sidecar must exist, and gives the
+    window length and count; with it the sidecar is not read and the run ends at
+    its last record. Either is checked before the CSV is read.
+    """
+    meta_path = _sidecar_path(csv_path)
+    if window_length_ms is not None:
+        metadata, origin = {"config": {"window_length_ms": window_length_ms}}, csv_path
+    elif os.path.exists(meta_path):
+        metadata, origin = read_json(meta_path, dict), meta_path
+    else:
+        open(csv_path, "rb").close()  # a missing CSV is reported under its own name
+        raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
+    with naming(origin):
+        run_config(metadata)  # a bad window length or count is refused before the CSV is read
+    rows = read_flow_windows(csv_path)
+    with naming(origin):
+        return FlowRecordSeries._from_rows(rows, metadata)

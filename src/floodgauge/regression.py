@@ -57,9 +57,8 @@ class ModelKind:
             if self.degree is None:
                 object.__setattr__(self, "degree", DEFAULT_POLY_DEGREE)
             elif not 1 <= self.degree <= MAX_POLY_DEGREE:
-                raise InputError(
-                    f"polynomial degree must be in 1..{MAX_POLY_DEGREE}, got {self.degree}"
-                )
+                raise InputError(f"polynomial degree must be in 1..{MAX_POLY_DEGREE}, "
+                                 f"got {brief_repr(self.degree)}")
         elif self.degree is not None:
             raise InputError(f"degree only applies to polynomial, not {self.tag}")
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
-from .entropy_core import FlowRecordSeries, flow_csv_chunks, read_flow_windows, run_config
-from .errors import ConfigError, InputError, naming
-from .fileio import atomic_write, read_json, write_json
+# read_series and write_series live beside the flow CSV codec; perfbench names them here
+from .entropy_core import FlowRecordSeries, read_series, write_series
+from .errors import ConfigError
 
 GENERATOR_NAME = "numpy-pcg64"
 LEGIT_PREFIX = "legit-"
@@ -27,7 +26,7 @@ _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _MAX_BYTES_PER_WINDOW = 2**53
 
 
-def _bytes_per_window(rate_mbps: float, window_length_ms: float) -> float:
+def _window_bytes(rate_mbps: float, window_length_ms: float) -> float:
     return rate_mbps * (window_length_ms / 1000.0) * 1e6 / 8.0
 
 
@@ -58,7 +57,7 @@ class ScenarioConfig:
             rate = getattr(self, name)
             if not math.isfinite(rate) or rate < 0:
                 raise ConfigError(f"{name} must be finite and >= 0, got {rate}")
-            per_window = _bytes_per_window(rate, self.window_length_ms)
+            per_window = _window_bytes(rate, self.window_length_ms)
             if per_window > _MAX_BYTES_PER_WINDOW:
                 raise ConfigError(
                     f"{name} yields {per_window:.3g} bytes per window, "
@@ -83,8 +82,8 @@ def expected_deviation(cfg: ScenarioConfig) -> float:
     flows of a bytes, so its entropy is log2 T - (N r log2 r + Z a log2 a) / T
     with T = N r + Z a; a clean run's is log2 N.
     """
-    r = _bytes_per_window(cfg.legit_mean_rate_mbps_per_client, cfg.window_length_ms)
-    a = round(_bytes_per_window(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms))
+    r = _window_bytes(cfg.legit_mean_rate_mbps_per_client, cfg.window_length_ms)
+    a = round(_window_bytes(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms))
 
     def entropy(zombies: int) -> float:
         groups = [(cfg.legit_clients, r), (zombies, a)]
@@ -112,9 +111,9 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
     import numpy as np  # here, not at module top: loading the package needs no numpy
     seed = cfg.seed & _SEED_MASK
     rng = np.random.default_rng(seed)
-    lam = _bytes_per_window(cfg.legit_mean_rate_mbps_per_client, cfg.window_length_ms)
+    lam = _window_bytes(cfg.legit_mean_rate_mbps_per_client, cfg.window_length_ms)
     zombie_bytes = round(
-        _bytes_per_window(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms)
+        _window_bytes(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms)
     )
     # one column per flow, legit clients first
     volumes = np.hstack([
@@ -171,38 +170,3 @@ def sweep(
         )
         configs.append((float(strength), cfg))
     return _SweepRuns(tuple(configs))
-
-
-def _sidecar_path(csv_path) -> str:
-    """The metadata sidecar beside a flow CSV: ``run.csv`` -> ``run.meta.json``."""
-    root, _ = os.path.splitext(os.fspath(csv_path))
-    return root + ".meta.json"
-
-
-def write_series(csv_path, series: FlowRecordSeries) -> None:
-    """Write records as flow CSV, a window at a time with no copy of the file held,
-    then a metadata sidecar JSON."""
-    atomic_write(csv_path, flow_csv_chunks(series))
-    write_json(_sidecar_path(csv_path), series.metadata)
-
-
-def read_series(csv_path, window_length_ms: float | None = None) -> FlowRecordSeries:
-    """Read a run's flow CSV into a series; errors name the CSV line or the sidecar.
-
-    Without ``window_length_ms`` the metadata sidecar must exist, and gives the
-    window length and count; with it the sidecar is not read and the run ends at
-    its last record. Either is checked before the CSV is read.
-    """
-    meta_path = _sidecar_path(csv_path)
-    if window_length_ms is not None:
-        metadata, origin = {"config": {"window_length_ms": window_length_ms}}, csv_path
-    elif os.path.exists(meta_path):
-        metadata, origin = read_json(meta_path, dict), meta_path
-    else:
-        open(csv_path, "rb").close()  # a missing CSV is reported under its own name
-        raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
-    with naming(origin):
-        run_config(metadata)  # a bad window length or count is refused before the CSV is read
-    rows = read_flow_windows(csv_path)
-    with naming(origin):
-        return FlowRecordSeries._from_rows(rows, metadata)

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from floodgauge import traffic_sim
+from floodgauge import entropy_core, traffic_sim
 from floodgauge.cli import build_parser, main
 from floodgauge.detector import load_baseline
 from floodgauge.fileio import read_table
@@ -65,14 +65,14 @@ def test_calibrate_reads_one_run_at_a_time(tmp_path, monkeypatch):
     alive = weakref.WeakSet()
     peak = 0
 
-    def tracked(path, window_ms, real=traffic_sim.read_series):
+    def tracked(path, window_ms, real=entropy_core.read_series):
         nonlocal peak
         series = real(path, window_ms)
         alive.add(series)
         peak = max(peak, len(alive))
         return series
 
-    monkeypatch.setattr(traffic_sim, "read_series", tracked)
+    monkeypatch.setattr(entropy_core, "read_series", tracked)
     assert run_cli(*args) == 0
     assert len(read_calibration_csv(tmp_path / "cal.csv").samples) == 3
     assert peak <= 2

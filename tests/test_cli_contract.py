@@ -1,12 +1,14 @@
 """The command-line contract over generated input files.
 
 ``cli.main`` returns 0, or 1 with one ``error: `` line on stderr that names
-the generated input file; no exception escapes it, and no printed line holds
-a Python ``(errno, 'text')`` tuple. Seven kinds of input are generated:
-calibration CSVs of edge floats, run through compare, fit, evaluate and
-estimate; bare flow CSVs whose window indices reach past 2**63, run through
-``baseline --window-ms``; the same flow CSVs beside a sidecar whose
-``num_windows`` is negative or reaches past the gap bound and 2**63, run
+the generated input file and holds at most 1,000 characters after its name;
+no exception escapes it, and no printed line holds a Python ``(errno,
+'text')`` tuple. Seven kinds of input are generated: calibration CSVs of
+edge floats, run through compare, fit, evaluate and estimate; bare flow CSVs
+whose window indices reach past 2**63 and whose window indices and byte
+counts may be 4,000-digit integers of either sign, run through ``baseline
+--window-ms``; the same flow CSVs beside a sidecar whose ``num_windows`` is
+negative or reaches past the gap bound and 2**63, up to 4,000 digits, run
 through baseline and calibrate; flow CSVs spelled oddly (ids with quotes,
 spaces or non-ASCII text, signed, spaced or fractional numbers, CRLF and
 blank lines), with and without a sidecar, run through baseline and
@@ -14,11 +16,11 @@ calibrate; events CSVs under
 both headers, with window indices that repeat, step down, are negative or
 pass 2**63, non-finite floats and odd flags, run through estimate with fitted
 linear, power and exponential models; baseline and model JSON files with
-missing, extra and ill-typed fields, non-finite literals, an integer past the
-interpreter's digit limit and deep nesting, run through calibrate, evaluate
-and estimate; and sidecar JSON files whose config is varied the same way, or
-whose top-level value is not an object, run through baseline and calibrate.
-Every command runs in this process.
+missing, extra and ill-typed fields, non-finite literals, 4,000-digit
+integers, an integer past the interpreter's digit limit and deep nesting,
+run through calibrate, evaluate and estimate; and sidecar JSON files whose
+config is varied the same way, or whose top-level value is not an object,
+run through baseline and calibrate. Every command runs in this process.
 
 ``pytest --hypothesis-profile=ci-deep`` runs each test here on ten times its
 examples (the profile is registered in ``tests/conftest.py``).
@@ -47,6 +49,12 @@ from floodgauge.traffic_sim import read_series
 DEPTH = 10 if settings.get_current_profile_name() == "ci-deep" else 1
 CONTRACT = settings(max_examples=60 * DEPTH, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+# the most characters an error line may hold after the file it names: room for compare's
+# reason per family, a fraction of one 4,000-digit number quoted whole
+MAX_MESSAGE = 1000
+# a 4,000-digit integer, under the interpreter's 4,300-digit limit for int(), so the
+# readers take it and an error line must quote it cut short
+HUGE = int("9" * 4000)
 
 
 def run(*argv, names=()):
@@ -56,7 +64,8 @@ def run(*argv, names=()):
 
 def run_with_stderr(*argv, names=()):
     """main(argv)'s return code and stderr, checked against the contract; on exit 1 the
-    error line starts with one of the paths ``names``, when any is given."""
+    error line starts with one of the paths ``names``, when any is given, and holds at
+    most MAX_MESSAGE characters after the path it starts with."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
@@ -68,6 +77,10 @@ def run_with_stderr(*argv, names=()):
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
         if names:
             assert lines[0].startswith(tuple(f"error: {path}" for path in names)), (argv, lines)
+        message = lines[0].removeprefix("error: ")
+        paths = [str(p) for p in (*names, *argv) if isinstance(p, Path)]
+        named = max((len(p) for p in paths if message.startswith(p)), default=0)
+        assert len(message) - named <= MAX_MESSAGE, (argv, len(message), message[:400])
     return code, err.getvalue()
 
 
@@ -102,15 +115,16 @@ def test_calibration_commands_exit_0_or_1_with_one_error_line(rows):
                     "--out", Path(tmp) / "est.csv", names=[cal])
 
 
-# small indices, the gap bound's edges, and indices at and past 2**63
+# small indices, the gap bound's edges, indices at and past 2**63 and 4,000-digit ones
 WINDOW_INDICES = st.one_of(
     st.integers(0, 12),
     st.sampled_from([MAX_GAP_WINDOWS, MAX_GAP_WINDOWS + 1, MAX_GAP_WINDOWS + 2,
-                     2**63 - 1, 2**63, 2**64, 10**30]),
+                     2**63 - 1, 2**63, 2**64, 10**30, HUGE, -HUGE]),
     st.integers(0, 10**40),
 )
 FLOW_ROWS = st.lists(
-    st.tuples(WINDOW_INDICES, st.sampled_from(["a", "b", "c"]), st.integers(0, 1000)),
+    st.tuples(WINDOW_INDICES, st.sampled_from(["a", "b", "c"]),
+              st.one_of(st.integers(0, 1000), st.sampled_from([HUGE, -HUGE]))),
     min_size=1, max_size=8,
 ).map(sorted)
 
@@ -119,6 +133,11 @@ FLOW_ROWS = st.lists(
 @given(rows=FLOW_ROWS)
 @example(rows=[(999999999999999999999999999999, "a", 1)])
 @example(rows=[(0, "a", 5), (2**63, "b", 7)])
+@example(rows=[(-HUGE, "a", 5)])
+@example(rows=[(0, "a", -HUGE)])
+@example(rows=[(0, "a", 5), (HUGE, "b", 7)])
+# a window whose byte total is past the float range
+@example(rows=[(0, "a", HUGE), (0, "b", 5), (1, "a", 5)])
 def test_baseline_of_a_bare_capture_exits_0_or_1_with_one_error_line(rows):
     with tempfile.TemporaryDirectory() as tmp:
         flows = Path(tmp) / "flows.csv"
@@ -128,11 +147,12 @@ def test_baseline_of_a_bare_capture_exits_0_or_1_with_one_error_line(rows):
             names=[flows])
 
 
-# sidecar counts at the gap bound's edges after window 0, at and past 2**63, and below 0
+# sidecar counts at the gap bound's edges after window 0, at and past 2**63, below 0,
+# and of 4,000 digits
 WINDOW_COUNTS = st.one_of(
     st.integers(1, 16),
     st.sampled_from([MAX_GAP_WINDOWS - 1, MAX_GAP_WINDOWS, MAX_GAP_WINDOWS + 1,
-                     MAX_GAP_WINDOWS + 2, 2**63, 10**30, -1]),
+                     MAX_GAP_WINDOWS + 2, 2**63, 10**30, -1, HUGE, -HUGE]),
 )
 
 
@@ -141,6 +161,9 @@ WINDOW_COUNTS = st.one_of(
 @example(rows=[(0, "a", 5), (1, "b", 7)], count=10**30)
 @example(rows=[(0, "a", 5)], count=MAX_GAP_WINDOWS + 2)
 @example(rows=[], count=-1)
+@example(rows=[(0, "a", 5)], count=HUGE)
+@example(rows=[(0, "a", 5)], count=-HUGE)
+@example(rows=[(0, "a", 5), (HUGE, "b", 7)], count=12)
 def test_baseline_and_calibrate_of_a_counted_capture_exit_0_or_1_with_one_error_line(
         rows, count):
     with tempfile.TemporaryDirectory() as tmp:
@@ -244,8 +267,8 @@ PAST_THE_DIGIT_LIMIT = "9" * 5000
 
 
 # a JSON value of each type, the NaN, Infinity and 1e999 literals that json.load takes,
-# an integer past the digit limit, and lists and objects nested up to and past the
-# parser's depth
+# 4,000-digit integers, an integer past the digit limit, and lists and objects nested up
+# to and past the parser's depth
 def nested(depth, opening, closing):
     return opening * depth + "1" + closing * depth
 
@@ -254,7 +277,8 @@ DEPTHS = st.one_of(st.integers(1, 1200), st.sampled_from([990, 1000, 1010, 100_0
 JSON_VALUES = st.one_of(
     st.sampled_from(["null", "true", "false", "0", "-1", "2", "10", "0.5", "1e308", '""',
                      '"x"', '"linear"', '"raw_ols"', "[]", "{}", "[1.0, 2.0]", '["1", 2]',
-                     "NaN", "Infinity", "-Infinity", "1e999", "-1e999", PAST_THE_DIGIT_LIMIT]),
+                     "NaN", "Infinity", "-Infinity", "1e999", "-1e999", str(HUGE), str(-HUGE),
+                     PAST_THE_DIGIT_LIMIT]),
     DEPTHS.map(lambda d: nested(d, "[", "]")),
     DEPTHS.map(lambda d: nested(d, '{"a": ', "}")),
 )
@@ -328,6 +352,7 @@ def calibrate_argv(tmp, flows, baseline):
 @CONTRACT
 @given(text=st.sampled_from(VALID_MODELS).flatmap(json_files))
 @example(text=object_text({**VALID_MODELS[0], "degree": PAST_THE_DIGIT_LIMIT}.items()))
+@example(text=object_text({**VALID_MODELS[1], "degree": str(HUGE)}.items()))
 def test_model_json_through_evaluate_and_estimate_exits_0_or_1_naming_it(text):
     with tempfile.TemporaryDirectory() as tmp:
         cal, model = write_calibration(tmp), Path(tmp) / "model.json"
@@ -339,6 +364,7 @@ def test_model_json_through_evaluate_and_estimate_exits_0_or_1_naming_it(text):
 @CONTRACT
 @given(text=json_files(VALID_BASELINE))
 @example(text=object_text({**VALID_BASELINE, "h_n": PAST_THE_DIGIT_LIMIT}.items()))
+@example(text=object_text({**VALID_BASELINE, "training_windows": str(-HUGE)}.items()))
 def test_baseline_json_through_calibrate_exits_0_or_1_naming_it(text):
     with tempfile.TemporaryDirectory() as tmp:
         flows, baseline = write_labeled_run(tmp), Path(tmp) / "baseline.json"
@@ -359,6 +385,8 @@ def sidecar_files(draw):
 @given(text=sidecar_files())
 @example(text=object_text([("config", object_text(
     {**VALID_CONFIG, "num_windows": PAST_THE_DIGIT_LIMIT}.items()))]))
+@example(text=object_text([("config", object_text(
+    {**VALID_CONFIG, "num_windows": str(HUGE)}.items()))]))
 def test_sidecar_json_through_baseline_and_calibrate_exits_0_or_1_naming_it(text):
     with tempfile.TemporaryDirectory() as tmp:
         flows, baseline = write_labeled_run(tmp), Path(tmp) / "baseline.json"

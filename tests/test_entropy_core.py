@@ -24,10 +24,10 @@ from floodgauge.entropy_core import (
     FlowRecord,
     FlowRecordSeries,
     WindowCounts,
+    _flow_csv_chunks,
     _read_flow_blocks,
     _read_flow_rows,
     compute_entropy,
-    flow_csv_chunks,
     read_flow_csv,
     read_flow_windows,
     windowize,
@@ -92,6 +92,15 @@ def test_entropy_of_two_equal_flows_is_one_bit():
 def test_entropy_of_eight_equal_flows_is_three_bits():
     w = counts(**{f"f{i}": 42 for i in range(8)})
     assert compute_entropy(w).value == 3.0
+
+
+def test_a_window_total_past_the_float_range_has_an_entropy():
+    # float(total) overflows: the shares divide as ints, and c's share rounds to 0, adding 0 bits
+    huge = 10**400
+    series = FlowRecordSeries([FlowRecord(0, "a", huge), FlowRecord(0, "b", huge),
+                               FlowRecord(0, "c", 5)], {"config": {"window_length_ms": 200.0}})
+    assert series.entropies() == [EntropyValue(1.0, 3)]
+    assert compute_entropy(series.windows()[0]) == EntropyValue(1.0, 3)
 
 
 def test_entropy_degenerate_windows_are_zero():
@@ -241,7 +250,7 @@ def test_flow_csv_round_trip(tmp_path):
     records = [FlowRecord(0, "a", 5), FlowRecord(1, "bc", 7)]
     path = tmp_path / "flows.csv"
     series = FlowRecordSeries(records, {"config": {"window_length_ms": 200.0}})
-    atomic_write(path, flow_csv_chunks(series))
+    atomic_write(path, _flow_csv_chunks(series))
     assert read_flow_csv(path) == records
     assert path.read_text() == "window_index,flow_id,bytes\n0,a,5\n1,bc,7\n"
 

@@ -54,8 +54,8 @@ MODEL_MODULES = {"fileio", "metrics", "pipeline", "regression"}
 
 COMMAND_MODULES = {
     "simulate": PARSER_MODULES | {"entropy_core", "fileio", "traffic_sim"},
-    "baseline": PARSER_MODULES | {"detector", "entropy_core", "fileio", "traffic_sim"},
-    "calibrate": PARSER_MODULES | MODEL_MODULES | {"detector", "entropy_core", "traffic_sim"},
+    "baseline": PARSER_MODULES | {"detector", "entropy_core", "fileio"},
+    "calibrate": PARSER_MODULES | MODEL_MODULES | {"detector", "entropy_core"},
     "fit": PARSER_MODULES | MODEL_MODULES,
     "evaluate": PARSER_MODULES | MODEL_MODULES,
     "compare": PARSER_MODULES | MODEL_MODULES,

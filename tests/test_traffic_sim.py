@@ -20,14 +20,14 @@ from floodgauge.entropy_core import (
     read_flow_csv,
     windowize,
 )
-from floodgauge import traffic_sim
+from floodgauge import entropy_core, traffic_sim
 from floodgauge.errors import ConfigError, InputError
 from floodgauge.fileio import atomic_write, atomic_write_text
 from floodgauge.traffic_sim import (
     GENERATOR_NAME,
     FlowRecordSeries,
     ScenarioConfig,
-    _bytes_per_window,
+    _window_bytes,
     expected_deviation,
     read_series,
     simulate,
@@ -327,8 +327,8 @@ def test_mean_deviation_matches_the_closed_form(legit, zombies, legit_rate, spee
     # 1 / (2 lam ln 2) and spread an attack window's, to first order, with
     # standard deviation sqrt(N / lam) * p * |log2 p + H| (p = lam / T, H the
     # window's entropy): allow twice the bias and six deviations of the mean
-    lam = _bytes_per_window(legit_rate, cfg.window_length_ms)
-    a = round(_bytes_per_window(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms))
+    lam = _window_bytes(legit_rate, cfg.window_length_ms)
+    a = round(_window_bytes(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms))
     p = lam / (legit * lam + zombies * a)
     h = expected_deviation(cfg) + math.log2(legit)  # a clean window's entropy is log2 N
     sigma = math.sqrt(legit / lam) * p * abs(math.log2(p) + h)
@@ -586,11 +586,16 @@ def test_windowize_accepts_records_in_any_order():
 
 def test_flow_record_series_is_one_class_under_every_name():
     import floodgauge
-    from floodgauge import entropy_core, traffic_sim
 
     assert entropy_core.FlowRecordSeries.__module__ == "floodgauge.entropy_core"
     assert traffic_sim.FlowRecordSeries is entropy_core.FlowRecordSeries
     assert floodgauge.FlowRecordSeries is entropy_core.FlowRecordSeries
+
+
+def test_the_run_file_codec_is_one_pair_of_functions_under_both_names():
+    assert traffic_sim.read_series is entropy_core.read_series
+    assert traffic_sim.write_series is entropy_core.write_series
+    assert entropy_core.read_series.__module__ == "floodgauge.entropy_core"
 
 
 BAD_ROWS = [
@@ -849,7 +854,7 @@ def test_read_series_checks_the_sidecar_before_the_csv(tmp_path, monkeypatch, si
     def no_csv(csv_path):
         raise AssertionError(f"{csv_path} read before its sidecar was checked")
 
-    monkeypatch.setattr(traffic_sim, "read_flow_windows", no_csv)
+    monkeypatch.setattr(entropy_core, "read_flow_windows", no_csv)
     with pytest.raises(InputError, match=rf"^{re.escape(str(meta))}: "):
         read_series(path)
 
