@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InputError, InsufficientBaselineError, brief_repr
@@ -36,13 +37,20 @@ MIN_TRAINING_WINDOWS = 5
 
 @dataclass(frozen=True)
 class Baseline:
-    """Mean training entropy h_n plus the detection threshold."""
+    """Mean training entropy h_n plus the detection threshold.
+
+    Each field is taken by load_baseline's rule, a JSON number, and kept as a Python
+    float or, for training_windows, a whole number as an int.
+    """
 
     h_n: float
     threshold: float
     training_windows: int
 
     def __post_init__(self) -> None:
+        for name, parse in (("h_n", json_number), ("threshold", json_number),
+                            ("training_windows", partial(json_number, whole=True))):
+            object.__setattr__(self, name, json_field(vars(self), name, parse))
         if self.training_windows < MIN_TRAINING_WINDOWS:
             raise InsufficientBaselineError(
                 f"baseline needs >= {MIN_TRAINING_WINDOWS} training windows, "
@@ -106,11 +114,9 @@ def save_baseline(path, baseline: Baseline) -> None:
 
 
 def load_baseline(path) -> Baseline:
+    # Baseline names a missing or ill-typed field itself, in field order
     return read_json(path, lambda obj: Baseline(
-        json_field(obj, "h_n", json_number),
-        json_field(obj, "threshold", json_number),
-        json_field(obj, "training_windows", lambda v: json_number(v, whole=True)),
-    ))
+        obj.get("h_n"), obj.get("threshold"), obj.get("training_windows")))
 
 
 EVENTS_TABLE = Table(

@@ -12,12 +12,12 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat
-from operator import attrgetter, index, mul, truediv
+from operator import attrgetter, index, itemgetter, mul, truediv
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, brief_repr, naming
-from .fileio import (atomic_write, header_cells, json_field, json_number, read_json,
-                     table_rows, write_json)
+from .fileio import (atomic_write, atomic_write_text, header_cells, json_field, json_number,
+                     json_text, read_json, table_rows)
 
 # the most empty windows a run may hold in a row, before its first record, between two or
 # after its last up to its window count; a run stores none of them
@@ -252,11 +252,11 @@ def _positive_totals(rows: Iterable[tuple]) -> Iterator[tuple]:
         yield fids, counts
 
 
-def _rows_by_window(records: Iterable[FlowRecord]) -> Iterator[WindowRow]:
-    """Each run of records with one window_index as one (window, flow ids, counts) row."""
-    for w, run in groupby(records, attrgetter("window_index")):
-        run = list(run)
-        yield w, tuple(map(attrgetter("flow_id"), run)), tuple(map(attrgetter("bytes"), run))
+def _rows_by_window(rows: Iterable[tuple[int, str, int]]) -> Iterator[WindowRow]:
+    """Each run of checked (window, flow id, count) rows in one window as one WindowRow."""
+    for w, run in groupby(rows, itemgetter(0)):
+        _, fids, counts = zip(*run)
+        yield w, fids, counts
 
 
 class FlowRecordSeries:
@@ -275,20 +275,14 @@ class FlowRecordSeries:
     _NO_ROW = ((), ())  # an empty window's (flow ids, counts)
 
     def __init__(self, records: Iterable[FlowRecord], metadata: dict) -> None:
+        self._check(metadata)
         records = (r if type(r) is FlowRecord else FlowRecord(r.window_index, r.flow_id, r.bytes)
                    for r in records)
-        self._take_rows(_rows_by_window(records), metadata)
+        self._take_rows(_rows_by_window(map(attrgetter("window_index", "flow_id", "bytes"),
+                                            records)))
 
-    @classmethod
-    def _from_rows(cls, rows: Iterable[WindowRow], metadata: dict) -> "FlowRecordSeries":
-        """A run from the rows ``read_flow_windows`` gives, which it checked already."""
-        series = cls.__new__(cls)
-        series._take_rows(rows, metadata)
-        return series
-
-    def _take_rows(self, rows: Iterable[WindowRow], metadata: dict) -> None:
-        """Keep each window's row, keyed by its window index."""
-        self._check(metadata)
+    def _take_rows(self, rows: Iterable[WindowRow]) -> None:
+        """Keep each window's row, checked already, keyed by its window index."""
         rows = list(rows)
         self._count = self._window_count(w for w, _, _ in rows)
         self._rows = {w: (fids, counts) for w, fids, counts in rows}
@@ -417,9 +411,9 @@ def read_flow_windows(path) -> list[WindowRow]:
     A flow's rows share one id string.
     """
     try:
-        return _read_flow_blocks(path)
+        return list(_read_flow_blocks(path))
     except (ValueError, InputError):
-        return list(_read_flow_rows(path))
+        return list(_rows_by_window(_read_flow_rows(path)))
 
 
 class _FlowIds(dict):
@@ -430,18 +424,16 @@ class _FlowIds(dict):
         return fid
 
 
-def _read_flow_blocks(path) -> list[tuple[int, tuple[str, ...], list[int]]]:
+def _read_flow_blocks(path) -> Iterator[tuple[int, tuple[str, ...], list[int]]]:
     """The flow CSV split on commas and newlines into one (window, flow ids, counts) row per
-    window with rows; ValueError where csv.reader might differ. A window's ids become one tuple
-    of checked, shared id strings, the previous window's tuple if it lists the same id bytes."""
-    rows, ids, last = [], _FlowIds(), [None, ()]  # last: the last window's id bytes and ids
-
-    def add(window: int, keys: list[bytes], counts: list[int]) -> None:
-        if keys != last[0]:
-            last[:] = keys, tuple(map(ids.__getitem__, keys))
-        rows.append((window, last[1], counts))
-
+    window with rows, yielded as it closes; ValueError where csv.reader might differ."""
+    ids, last_keys, last_ids = _FlowIds(), None, ()  # the last window's id bytes and ids
     window, keys, counts = 0, [], []  # the window being read, which may go on past a block
+    def ids_of(id_bytes: list) -> tuple[str, ...]:  # the last window's ids if its bytes match
+        nonlocal last_keys, last_ids
+        if id_bytes != last_keys:
+            last_keys, last_ids = id_bytes, tuple(map(ids.__getitem__, id_bytes))
+        return last_ids
     with open(path, "rb") as fh:
         if header_cells(fh.readline().decode("utf-8").split(",")) != FLOW_HEADER:
             raise ValueError("not the flow CSV header")
@@ -458,8 +450,7 @@ def _read_flow_blocks(path) -> list[tuple[int, tuple[str, ...], list[int]]]:
             flows, nbytes = fields[1::3], list(map(int, fields[2::3]))
             if min(nbytes) < 0:
                 raise ValueError("a negative byte count")
-            # rows come ordered by window: parse and order-check each run once
-            end = 0
+            end = 0  # rows come ordered by window: parse and order-check each run once
             for field, run in groupby(fields[0:-1:3]):
                 start, end = end, end + len(list(run))
                 w = int(field)
@@ -467,19 +458,18 @@ def _read_flow_blocks(path) -> list[tuple[int, tuple[str, ...], list[int]]]:
                     if w < window:
                         raise ValueError("a window out of order or negative")
                     if keys:
-                        add(window, keys, counts)
+                        yield window, ids_of(keys), counts
                     window, keys, counts = w, [], []
                 keys += flows[start:end]
                 counts += nbytes[start:end]
     if keys:
-        add(window, keys, counts)
-    return rows
+        yield window, ids_of(keys), counts
 
 
-def _read_flow_rows(path) -> Iterator[WindowRow]:
-    """csv.reader rows, one (window, flow ids, counts) row per window with rows; FlowRecord
-    checks a row with a new id or a number out of order or < 0."""
-    records, ids, last = [], {}, 0
+def _read_flow_rows(path) -> Iterator[tuple[int, str, int]]:
+    """csv.reader rows as checked (window, flow id, count) rows, a flow's rows sharing one
+    id string; FlowRecord checks a row with a new id or a number out of order or < 0."""
+    ids, last = {}, 0
     for line, _, (w, fid, b) in table_rows(path, FLOW_HEADER):
         try:
             w, b = int(w), int(b)
@@ -490,8 +480,7 @@ def _read_flow_rows(path) -> Iterator[WindowRow]:
         except (ValueError, InputError) as exc:
             raise InputError(f"{path}:{line}: {exc}") from exc
         last = w
-        records.append(_checked_record(w, ids[fid], b))  # each field is valid by now
-    return _rows_by_window(records)
+        yield w, ids[fid], b
 
 
 def _flow_csv_chunks(series: FlowRecordSeries) -> Iterator[str]:
@@ -511,9 +500,10 @@ def _sidecar_path(csv_path) -> str:
 
 def write_series(csv_path, series: FlowRecordSeries) -> None:
     """Write records as flow CSV, a window at a time with no copy of the file held,
-    then a metadata sidecar JSON."""
+    then a metadata sidecar JSON; metadata JSON cannot hold fails before either is written."""
+    sidecar = json_text(series.metadata)
     atomic_write(csv_path, _flow_csv_chunks(series))
-    write_json(_sidecar_path(csv_path), series.metadata)
+    atomic_write_text(_sidecar_path(csv_path), sidecar)
 
 
 def read_series(csv_path, window_length_ms: float | None = None) -> FlowRecordSeries:
@@ -531,8 +521,10 @@ def read_series(csv_path, window_length_ms: float | None = None) -> FlowRecordSe
     else:
         open(csv_path, "rb").close()  # a missing CSV is reported under its own name
         raise InputError(f"{meta_path}: metadata sidecar not found; pass --window-ms")
+    series = FlowRecordSeries.__new__(FlowRecordSeries)
     with naming(origin):
-        run_config(metadata)  # a bad window length or count is refused before the CSV is read
+        series._check(metadata)  # a bad window length or count is refused before the CSV is read
     rows = read_flow_windows(csv_path)
     with naming(origin):
-        return FlowRecordSeries._from_rows(rows, metadata)
+        series._take_rows(rows)
+    return series

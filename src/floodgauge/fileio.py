@@ -194,8 +194,13 @@ def json_field(obj: dict, key: str, parse: Callable[[Any], Any] | None = None,
         raise InputError(f"missing or ill-typed field: {key}: {exc}") from exc
 
 
+def json_text(obj: object) -> str:
+    """obj as the text of a JSON file; a value JSON cannot hold is a TypeError."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path: str | Path, obj: object) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(obj))
 
 
 def read_json(path: str | Path, parse: Callable[[dict], Any]) -> Any:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -43,12 +44,15 @@ LOG_Y = ("power", "exponential")
 
 @dataclass(frozen=True)
 class ModelKind:
-    """A family tag plus, for polynomials, the degree."""
+    """A family tag plus, for polynomials, the degree: a whole JSON number, kept as an int."""
 
     tag: str
     degree: int | None = None
 
     def __post_init__(self) -> None:
+        if self.degree is not None:
+            degree = json_field(vars(self), "degree", partial(json_number, whole=True))
+            object.__setattr__(self, "degree", degree)
         if self.tag not in MODEL_FAMILIES:
             raise InputError(
                 f"unknown model family {brief_repr(self.tag)}, expected one of {MODEL_FAMILIES}"
@@ -128,7 +132,8 @@ class CalibrationDataset:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Coefficients of one fitted family, b0 first; the family sets their count."""
+    """Coefficients of one fitted family, b0 first; the family sets their count. They are
+    taken by load_model's rule, JSON numbers, and kept as a tuple of Python floats."""
 
     kind: ModelKind
     coefficients: tuple[float, ...]
@@ -136,6 +141,10 @@ class FittedModel:
     trained_on: str
 
     def __post_init__(self) -> None:
+        if type(self.coefficients) is not tuple or not set(map(type, self.coefficients)) <= {float}:
+            coefficients = json_field(vars(self), "coefficients",
+                                      lambda v: tuple(map(json_number, v)))
+            object.__setattr__(self, "coefficients", coefficients)
         tag, method, got = self.kind.tag, self.kind.fit_method, self.fit_method
         if got != method:
             raise InputError(f"{tag} model needs fit_method {method!r}, got {brief_repr(got)}")
@@ -305,10 +314,8 @@ def save_model(path, model: FittedModel) -> None:
 
 def load_model(path) -> FittedModel:
     return read_json(path, lambda obj: FittedModel(
-        ModelKind(json_field(obj, "kind"),
-                  json_field(obj, "degree", lambda v: json_number(v, whole=True),
-                             optional=True)),
-        json_field(obj, "coefficients", lambda v: tuple(map(json_number, v))),
+        ModelKind(json_field(obj, "kind"), json_field(obj, "degree", optional=True)),
+        json_field(obj, "coefficients"),
         json_field(obj, "fit_method"),
         json_field(obj, "trained_on"),
     ))

@@ -11,11 +11,13 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from operator import index
 
 # read_series and write_series live beside the flow CSV codec; perfbench names them here
 from .entropy_core import FlowRecordSeries, read_series, write_series
-from .errors import ConfigError
+from .errors import ConfigError, brief_repr
+from .fileio import json_number
 
 GENERATOR_NAME = "numpy-pcg64"
 LEGIT_PREFIX = "legit-"
@@ -30,9 +32,19 @@ def _window_bytes(rate_mbps: float, window_length_ms: float) -> float:
     return rate_mbps * (window_length_ms / 1000.0) * 1e6 / 8.0
 
 
+def _zombie_bytes(cfg: ScenarioConfig) -> int:
+    """The bytes every zombie sends in each window: its rate's window volume, rounded."""
+    return round(_window_bytes(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parameters of one simulated run."""
+    """Parameters of one simulated run.
+
+    Counts and the seed are kept as ``operator.index`` of what is given, and rates
+    and the window length as floats, so numpy numbers become Python ones; a bool,
+    or a number of the other kind, is refused.
+    """
 
     legit_clients: int = 400
     zombies: int = 100
@@ -43,6 +55,17 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            # a count or the seed has an int default, a rate or length a float one
+            value, whole = getattr(self, field.name), isinstance(field.default, int)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                value = index(value) if whole else json_number(value)
+            except (TypeError, ValueError, OverflowError):
+                kind = "an integer" if whole else "a number"
+                raise ConfigError(f"{field.name} must be {kind}, got {brief_repr(value)}") from None
+            object.__setattr__(self, field.name, value)
         if self.legit_clients < 0:
             raise ConfigError(f"legit_clients must be >= 0, got {self.legit_clients}")
         if self.zombies < 0:
@@ -63,6 +86,10 @@ class ScenarioConfig:
                     f"{name} yields {per_window:.3g} bytes per window, "
                     f"beyond the exact-integer range"
                 )
+        per_zombie = _window_bytes(self.attack_rate_mbps_per_zombie, self.window_length_ms)
+        if self.zombies > 0 and per_zombie > 0 and _zombie_bytes(self) == 0:
+            raise ConfigError(f"attack_rate_mbps_per_zombie yields {per_zombie:.3g} bytes per "
+                              f"window, which rounds to 0; a rate of 0 disables the attack")
 
     @property
     def attack_strength_mbps(self) -> float:
@@ -83,7 +110,7 @@ def expected_deviation(cfg: ScenarioConfig) -> float:
     with T = N r + Z a; a clean run's is log2 N.
     """
     r = _window_bytes(cfg.legit_mean_rate_mbps_per_client, cfg.window_length_ms)
-    a = round(_window_bytes(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms))
+    a = _zombie_bytes(cfg)
 
     def entropy(zombies: int) -> float:
         groups = [(cfg.legit_clients, r), (zombies, a)]
@@ -112,13 +139,10 @@ def simulate(cfg: ScenarioConfig) -> FlowRecordSeries:
     seed = cfg.seed & _SEED_MASK
     rng = np.random.default_rng(seed)
     lam = _window_bytes(cfg.legit_mean_rate_mbps_per_client, cfg.window_length_ms)
-    zombie_bytes = round(
-        _window_bytes(cfg.attack_rate_mbps_per_zombie, cfg.window_length_ms)
-    )
     # one column per flow, legit clients first
     volumes = np.hstack([
         rng.poisson(lam, size=(cfg.num_windows, cfg.legit_clients)),
-        np.full((cfg.num_windows, cfg.zombies), zombie_bytes, dtype=np.int64),
+        np.full((cfg.num_windows, cfg.zombies), _zombie_bytes(cfg), dtype=np.int64),
     ])
     metadata = {
         "config": asdict(cfg),
@@ -165,8 +189,13 @@ def sweep(
             raise ConfigError(f"sweep strengths must be positive, got {strength}")
         sequence = np.random.SeedSequence([base.seed & _SEED_MASK, i])
         child_seed = int(sequence.generate_state(1, np.uint64)[0])
-        cfg = replace(
-            base, attack_rate_mbps_per_zombie=strength / base.zombies, seed=child_seed
-        )
+        try:
+            cfg = replace(
+                base, attack_rate_mbps_per_zombie=strength / base.zombies, seed=child_seed
+            )
+        except ConfigError as exc:
+            raise ConfigError(
+                f"sweep strength {strength} Mbps over {base.zombies} zombies: {exc}"
+            ) from None
         configs.append((float(strength), cfg))
     return _SweepRuns(tuple(configs))

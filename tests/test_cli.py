@@ -800,6 +800,19 @@ def one_error_line(capsys, path):
     return err.rstrip("\n")
 
 
+def test_simulate_refuses_zombies_whose_bytes_round_to_none(tmp_path, capsys):
+    # 1e-5 Mbps is a quarter byte per zombie and window: the run would hold no zombie row
+    out = tmp_path / "q.csv"
+    argv = ["simulate", "--out", out, "--legit-clients", 50, "--zombies", 1000,
+            "--attack-rate", 0.00001, "--windows", 2]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: attack_rate_mbps_per_zombie yields 0.25 bytes per window, "
+                            "which rounds to 0; a rate of 0 disables the attack\n")
+    assert not out.exists()
+
+
 def test_an_error_quoting_a_large_value_stays_one_short_line(tmp_path, capsys):
     model, events = tmp_path / "m.json", tmp_path / "events.csv"
     model.write_text(json.dumps({

@@ -1,6 +1,10 @@
+import math
 import re
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from floodgauge.detector import (
     EVENTS_TABLE,
@@ -16,6 +20,7 @@ from floodgauge.detector import (
 from floodgauge.entropy_core import EntropyValue
 from floodgauge.errors import InputError, InsufficientBaselineError
 from floodgauge.fileio import read_table
+from helpers import odd_numbers
 
 
 def ev(value):
@@ -168,3 +173,31 @@ def test_events_csv_errors_name_file_and_line(tmp_path):
     path.write_text("bad header\n")
     with pytest.raises(InputError, match=rf"{path}:1"):
         read_table(path, EVENTS_TABLE)
+
+
+numbers = odd_numbers(-2, 10)  # a training window count near the minimum of 5
+
+
+@settings(max_examples=200, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(h_n=numbers, threshold=numbers, training_windows=numbers)
+def test_a_baseline_is_refused_when_made_or_loads_back_equal(
+        tmp_path, h_n, threshold, training_windows):
+    try:
+        baseline = Baseline(h_n, threshold, training_windows)
+    except (InputError, InsufficientBaselineError):
+        return
+    assert [type(v) for v in vars(baseline).values()] == [float, float, int]
+    path = tmp_path / "b.json"
+    save_baseline(path, baseline)
+    assert load_baseline(path) == baseline
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((0.5, 0.1, 5.5), "training_windows: expected a whole number, got 5.5"),
+    ((True, 0.1, 6), "h_n: expected a number, got True"),
+    ((0.5, "0.1", 6), "threshold: expected a number, got '0.1'"),
+])
+def test_a_baseline_takes_numbers_by_the_loaders_rule(fields, message):
+    with pytest.raises(InputError, match="^missing or ill-typed field: " + re.escape(message)):
+        Baseline(*fields)

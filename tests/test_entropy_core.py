@@ -27,6 +27,7 @@ from floodgauge.entropy_core import (
     _flow_csv_chunks,
     _read_flow_blocks,
     _read_flow_rows,
+    _rows_by_window,
     compute_entropy,
     read_flow_csv,
     read_flow_windows,
@@ -36,6 +37,7 @@ from floodgauge.errors import EmptyRunError, InputError
 from floodgauge.fileio import atomic_write
 from floodgauge.pipeline import run_events
 from floodgauge.traffic_sim import ScenarioConfig, read_series, simulate, write_series
+from helpers import series_of_rows
 
 
 def counts(window_index=0, window_length_ms=200.0, **flows):
@@ -310,7 +312,7 @@ def test_entropies_are_bit_identical_to_compute_entropy_of_windows(per_window, t
     config = {"window_length_ms": 200.0}
     if trailing is not None:
         config["num_windows"] = last + 1 + trailing
-    series = FlowRecordSeries._from_rows(window_rows_of(per_window), {"config": config})
+    series = series_of_rows(window_rows_of(per_window), {"config": config})
     summed = [{} for _ in range(config.get("num_windows", last + 1))]
     for w, fid, b in rows:
         summed[w][fid] = summed[w].get(fid, 0) + b
@@ -399,7 +401,7 @@ def test_every_constructor_holds_the_same_run_or_gives_the_same_refusal(
     matrix = [[w + 1 if w in held else 0] for w in range(windows[-1] + 1 if windows else 2)]
     builds = [
         lambda: FlowRecordSeries.from_volumes(["a"], matrix, metadata),
-        lambda: FlowRecordSeries._from_rows([(w, ("a",), (w + 1,)) for w in windows], metadata),
+        lambda: series_of_rows([(w, ("a",), (w + 1,)) for w in windows], metadata),
         lambda: FlowRecordSeries([FlowRecord(w, "a", w + 1) for w in windows], metadata),
     ]
     if refusal is not None:
@@ -661,7 +663,12 @@ def read_outcome(read, path):
 
 def row_loop_windows(path):
     """The csv-module row loop's rows, one per window."""
-    return list(_read_flow_rows(path))
+    return list(_rows_by_window(_read_flow_rows(path)))
+
+
+def block_windows(path):
+    """The block reader's rows, one per window."""
+    return list(_read_flow_blocks(path))
 
 
 def as_tuples(outcome):
@@ -707,7 +714,7 @@ def test_block_reader_agrees_with_the_row_loop(
     path = tmp_path / "flows.csv"
     path.write_bytes(data)
     rows = read_outcome(row_loop_windows, path)
-    blocks = read_outcome(_read_flow_blocks, path)
+    blocks = read_outcome(block_windows, path)
     if blocks[0] == "read":
         assert_one_row_per_window(blocks[1])
         assert as_tuples(blocks) == as_tuples(rows)
@@ -782,14 +789,14 @@ def test_split_flows_across_blocks_read_as_the_row_loop_does(tmp_path, monkeypat
     path.write_text(split_flow_capture(), encoding="utf-8")
     metadata = {"config": {"window_length_ms": 200.0, "num_windows": 9}}
     (tmp_path / "split.meta.json").write_text(json.dumps(metadata))
-    expected = FlowRecordSeries._from_rows(_read_flow_rows(path), metadata)
+    expected = series_of_rows(row_loop_windows(path), metadata)
     # the row ending the first 64 KiB block and the row after it share a window
     data = path.read_bytes()
     header = data.index(b"\n") + 1
     cut = data.index(b"\n", header + (1 << 16)) + 1
     last_of_block = data[data.rindex(b"\n", 0, cut - 1) + 1:cut]
     assert last_of_block.split(b",")[0] == data[cut:].split(b",", 1)[0]
-    blocks = _read_flow_blocks(path)
+    blocks = block_windows(path)
     assert [w for w, _, _ in blocks] == list(range(8))
     assert blocks[3][1] is blocks[2][1] and blocks[5][1] is blocks[2][1]
     assert len(blocks[2][1]) > len(set(blocks[2][1]))
@@ -816,6 +823,64 @@ def test_lines_the_blocks_would_misread_are_refused_by_line(tmp_path, rows, mess
     path.write_text("window_index,flow_id,bytes\n" + rows)
     with pytest.raises(InputError, match=re.escape(message) + "$"):
         read_flow_windows(path)
+
+
+def crlf_copy(tmp_path, scenario):
+    """A simulated run written with LF line ends and copied with CRLF ones, each with its
+    sidecar; CRLF line ends send the copy to the row loop."""
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_series(lf, simulate(scenario))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    (tmp_path / "crlf.meta.json").write_bytes((tmp_path / "lf.meta.json").read_bytes())
+    return lf, crlf
+
+
+def test_a_crlf_capture_reads_within_half_again_the_lf_peak(tmp_path):
+    # 400 + 100 flows over 200 windows: 100k records; the row loop builds no record per row
+    lf, crlf = crlf_copy(tmp_path, ScenarioConfig(legit_clients=400, zombies=100, num_windows=200))
+    peaks, read = {}, {}
+    for path in (lf, crlf):
+        tracemalloc.start()
+        try:
+            read[path.name] = entropy_hexes(read_series(path))
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert read["crlf.csv"] == read["lf.csv"] and len(read["lf.csv"]) == 200
+    assert peaks["crlf.csv"] <= 1.5 * peaks["lf.csv"], peaks
+
+
+@pytest.mark.parametrize("window_ms", [None, 200.0], ids=["sidecar", "window-ms"])
+def test_read_series_reads_the_run_config_once(tmp_path, monkeypatch, window_ms):
+    path = tmp_path / "run.csv"
+    write_series(path, simulate(ScenarioConfig(legit_clients=3, zombies=1, num_windows=4)))
+    calls, run_config = [], entropy_core.run_config
+    monkeypatch.setattr(entropy_core, "run_config",
+                        lambda metadata: calls.append(metadata) or run_config(metadata))
+    assert len(read_series(path, window_ms).entropies()) == 4
+    assert len(calls) == 1
+
+
+def test_the_row_loop_makes_a_record_only_for_a_flows_first_row(tmp_path, monkeypatch):
+    lf, crlf = crlf_copy(tmp_path, ScenarioConfig(legit_clients=3, zombies=2, num_windows=5))
+    made, record = [], FlowRecord
+
+    def counted_record(*fields):
+        made.append(fields)
+        return record(*fields)
+
+    def no_checked_record(*fields):
+        raise AssertionError(f"the read path built the record {fields}")
+
+    monkeypatch.setattr(entropy_core, "FlowRecord", counted_record)
+    monkeypatch.setattr(entropy_core, "_checked_record", no_checked_record)
+    loaded = read_series(crlf)
+    monkeypatch.undo()
+    first_rows = {}
+    for row in csv_fields(lf):
+        first_rows.setdefault(row[1], row)
+    assert made == list(first_rows.values()) and len(made) == 5
+    assert loaded.records == read_series(lf).records
 
 
 valid_window_rows = st.lists(
@@ -861,7 +926,7 @@ def test_records_of_every_run_equal_records_checked_one_by_one(
         "simulate": (simulated, written),
         "read_series": (read_series(csv_path), written),
         "row loop": (read_series(crlf_path), written),
-        "_from_rows": (FlowRecordSeries._from_rows(window_rows_of(per_window), config), rows),
+        "window rows": (series_of_rows(window_rows_of(per_window), config), rows),
         "records": (FlowRecordSeries([FlowRecord(*row) for row in rows], config), rows),
         "from_volumes": (FlowRecordSeries.from_volumes(ids, matrix, config),
                          [(w, fid, b) for w, counts in enumerate(matrix)

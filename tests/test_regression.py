@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from floodgauge.regression import (
     residuals,
     save_model,
 )
+from helpers import odd_numbers
 
 
 def dataset(xs, ys):
@@ -507,3 +509,38 @@ def test_a_nan_reference_cell_fails_its_check():
     assert _check_cell("linear", "sse", 708.13).ok
     assert not _check_cell("linear", "sse", math.nan).ok
     assert not _check_cell("linear", "cc", math.nan).ok
+
+
+numbers = odd_numbers(-1, MAX_POLY_DEGREE + 1)  # degrees on both sides of 1..MAX_POLY_DEGREE
+
+
+@settings(max_examples=300, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tag=st.sampled_from(MODEL_FAMILIES), degree=st.one_of(st.none(), numbers),
+       coefficients=st.lists(numbers, min_size=2, max_size=MAX_POLY_DEGREE + 1))
+def test_a_model_is_refused_when_made_or_loads_back_equal(tmp_path, tag, degree, coefficients):
+    try:
+        kind = ModelKind(tag, degree)
+        model = FittedModel(kind, tuple(coefficients), kind.fit_method, "digest")
+    except InputError:
+        return
+    assert type(model.kind.degree) is (int if tag == "polynomial" else type(None))
+    assert {type(c) for c in model.coefficients} == {float}
+    path = tmp_path / "m.json"
+    save_model(path, model)
+    assert load_model(path) == model
+
+
+def test_a_model_takes_numbers_by_the_loaders_rule():
+    kind = ModelKind("polynomial", np.int64(2))
+    assert kind == ModelKind("polynomial", Fraction(4, 2)) == ModelKind("polynomial", 2.0)
+    model = FittedModel(ModelKind("linear"), [np.float32(1.0), Fraction(1, 2)], "raw_ols", "x")
+    assert model.coefficients == (1.0, 0.5)
+    for made, message in [
+        (lambda: ModelKind("polynomial", True), "degree: expected a whole number, got True"),
+        (lambda: ModelKind("polynomial", 2.5), "degree: expected a whole number, got 2.5"),
+        (lambda: FittedModel(ModelKind("linear"), (True, 2.0), "raw_ols", "x"),
+         "coefficients: expected a number, got True"),
+    ]:
+        with pytest.raises(InputError, match="^missing or ill-typed field: " + re.escape(message)):
+            made()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from floodgauge.entropy_core import (
     WindowCounts,
     _read_flow_blocks,
     _read_flow_rows,
+    _rows_by_window,
     read_flow_csv,
     windowize,
 )
@@ -34,6 +36,7 @@ from floodgauge.traffic_sim import (
     sweep,
     write_series,
 )
+from helpers import series_of_rows
 
 
 def small_config(**overrides):
@@ -283,6 +286,49 @@ def test_config_validation():
         small_config(attack_rate_mbps_per_zombie=1e12)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("num_windows", 2.5, "num_windows must be an integer, got 2.5"),
+    ("zombies", True, "zombies must be an integer, got True"),
+    ("seed", 5.0, "seed must be an integer, got 5.0"),
+    ("legit_clients", "4", "legit_clients must be an integer, got '4'"),
+    ("window_length_ms", True, "window_length_ms must be a number, got True"),
+    ("attack_rate_mbps_per_zombie", "0.5",
+     "attack_rate_mbps_per_zombie must be a number, got '0.5'"),
+    # past the float range
+    ("legit_mean_rate_mbps_per_client", 10**400,
+     "legit_mean_rate_mbps_per_client must be a number"),
+    # a quarter byte per window rounds to 0, so the zombies would send nothing
+    ("attack_rate_mbps_per_zombie", 1e-5, "attack_rate_mbps_per_zombie yields 0.25 bytes per "
+     "window, which rounds to 0; a rate of 0 disables the attack"),
+])
+def test_config_refuses_what_simulate_or_the_sidecar_cannot_hold(field, value, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        small_config(**{field: value})
+
+
+def test_config_keeps_python_numbers_that_the_sidecar_holds(tmp_path):
+    cfg = small_config(legit_clients=np.int64(4), zombies=np.uint8(2), seed=np.int64(5),
+                       attack_rate_mbps_per_zombie=np.float32(0.5), window_length_ms=200)
+    assert cfg == small_config(legit_clients=4, zombies=2, seed=5,
+                               attack_rate_mbps_per_zombie=0.5, window_length_ms=200.0)
+    assert [type(v) for v in vars(cfg).values()] == [int, int, float, float, float, int, int]
+    write_series(tmp_path / "run.csv", simulate(cfg))
+    assert read_series(tmp_path / "run.csv").metadata["config"] == dataclasses.asdict(cfg)
+    # no zombie, or a rate of 0, sends no attack, however small the rate
+    assert small_config(zombies=0, attack_rate_mbps_per_zombie=1e-5).zombies == 0
+    assert expected_deviation(small_config(attack_rate_mbps_per_zombie=0.0)) == 0.0
+
+
+def test_sweep_refuses_a_strength_whose_zombies_round_to_no_bytes(monkeypatch):
+    calls = []
+    monkeypatch.setattr(traffic_sim, "simulate", calls.append)
+    # 5e-5 Mbps over 5 zombies is a quarter byte per zombie and window, which rounds to 0
+    message = r"^sweep strength 5e-05 Mbps over 5 zombies: .* which rounds to 0"
+    with pytest.raises(ConfigError, match=message):
+        sweep(small_config(), [10.0, 5e-5])
+    assert calls == []
+
+
 def test_aggregate_strength_property():
     cfg = small_config(zombies=100, attack_rate_mbps_per_zombie=0.4)
     assert cfg.attack_strength_mbps == 40.0
@@ -345,17 +391,17 @@ def test_mean_deviation_matches_the_closed_form(legit, zombies, legit_rate, spee
 @given(
     legit=st.integers(0, 6),
     zombies=st.integers(0, 3),
-    # 1e-5 Mbps is a quarter byte per window, so most draws are zero, and
-    # a zombie rounds to zero bytes and sends nothing
+    # 1e-5 Mbps is a quarter byte per window, so most draws are zero; 4e-5 Mbps
+    # sends a zombie one byte per window, as a zombie rate that rounds to 0 is refused
     legit_rate=st.sampled_from([1e-5, 0.0005, 1.0]),
-    attack_rate=st.sampled_from([0.0, 1e-5, 0.1]),
+    attack_rate=st.sampled_from([0.0, 4e-5, 0.1]),
     windows=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
 )
 # no clients and no zombies: a run of empty windows only
 @example(legit=0, zombies=0, legit_rate=1.0, attack_rate=0.1, windows=3, seed=0)
-# window 0 and the last three windows draw no bytes, and the zombie rounds to zero
-@example(legit=2, zombies=1, legit_rate=1e-5, attack_rate=1e-5, windows=5, seed=2)
+# window 0 and the last three windows draw no bytes, and the zombie sends nothing
+@example(legit=2, zombies=1, legit_rate=1e-5, attack_rate=0.0, windows=5, seed=2)
 def test_volume_rows_and_records_make_the_same_series(
     tmp_path, legit, zombies, legit_rate, attack_rate, windows, seed
 ):
@@ -393,7 +439,7 @@ def series_view(series):
     zombies=st.sampled_from([0, 1, 3]),
     # 1e-5 Mbps is a quarter byte per window: most windows hold no flow or one
     legit_rate=st.sampled_from([1e-5, 1e-4, 0.0005, 1.0]),
-    attack_rate=st.sampled_from([0.0, 1e-5, 0.1, 3.0]),
+    attack_rate=st.sampled_from([0.0, 4e-5, 0.1, 3.0]),
     windows=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -454,7 +500,7 @@ def _chunks_failing_after_the_first():
 
 @pytest.mark.parametrize("write, error", [
     # window 0 is written, then window 1's count fails to format
-    (lambda path: write_series(path, FlowRecordSeries._from_rows(
+    (lambda path: write_series(path, series_of_rows(
         [(0, ("a", "b"), (5, 7)), (1, ("a",), (_UnwritableCount(9),))],
         {"config": {"window_length_ms": 200.0}})), OSError),
     (lambda path: atomic_write(path, _chunks_failing_after_the_first()), OSError),
@@ -470,6 +516,20 @@ def test_a_write_failing_part_way_leaves_the_target_and_no_temp_file(tmp_path, w
         write(path)
     # the CSV and its sidecar are byte for byte as they were, and no *.tmp is left
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_metadata_json_cannot_hold_fails_before_either_file_is_replaced(tmp_path):
+    path = tmp_path / "s.csv"
+    first = simulate(small_config(num_windows=10))
+    write_series(path, first)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    config = {"window_length_ms": 200.0, "num_windows": np.int64(2)}
+    second = FlowRecordSeries([FlowRecord(0, "x", 5), FlowRecord(1, "y", 7)], {"config": config})
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        write_series(path, second)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    loaded = read_series(path)
+    assert loaded.records == first.records and loaded.num_windows == 10
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])
@@ -902,11 +962,11 @@ def test_read_series_with_reused_flow_lists_matches_the_row_loop(tmp_path, run, 
     metadata = {"config": {"window_length_ms": 200.0, "num_windows": windows + trailing}}
     meta.write_text(json.dumps(metadata))
     # a window listing the same flows as the one before shares its id tuple
-    blocks = _read_flow_blocks(path)
+    blocks = list(_read_flow_blocks(path))
     for (_, before, _), (_, after, _) in zip(blocks, blocks[1:]):
         assert (after is before) == (after == before)
     loaded = read_series(path)
-    expected = FlowRecordSeries._from_rows(_read_flow_rows(path), metadata)
+    expected = series_of_rows(_rows_by_window(_read_flow_rows(path)), metadata)
     assert loaded.windows() == expected.windows()
     assert [(e.value.hex(), e.flow_count) for e in loaded.entropies()] == [
         (e.value.hex(), e.flow_count) for e in expected.entropies()
