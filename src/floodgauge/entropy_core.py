@@ -53,6 +53,15 @@ def _check_flow_ids(ids: Sequence[str]) -> None:
         _checked_flow_id(fid)
 
 
+def _distinct_flow_ids(flow_ids: Iterable[str]) -> tuple[str, ...]:
+    """The ids as a tuple, once _check_flow_ids takes them and none is repeated."""
+    ids = tuple(flow_ids)
+    _check_flow_ids(ids)
+    if len(set(ids)) < len(ids):
+        raise InputError("flow ids must be distinct")
+    return ids
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class FlowRecord:
     """Byte count observed for one flow in one window.
@@ -299,13 +308,23 @@ class FlowRecordSeries:
         import numpy as np  # here, not at module top: reading a run needs no numpy
         series = cls.__new__(cls)
         series._check(metadata)
-        ids = tuple(flow_ids)
-        _check_flow_ids(ids)
-        if len(set(ids)) < len(ids):
-            raise InputError("flow ids must be distinct")
+        ids = _distinct_flow_ids(flow_ids)
         volumes = _count_matrix(rows, len(ids))
         series._count = series._window_count(np.flatnonzero(volumes.any(axis=1)).tolist())
         series._ids, series._volumes = ids, volumes[:series._count]
+        return series
+
+    @classmethod
+    def _from_window_rows(
+        cls, flow_ids: Sequence[str], rows: Iterable[WindowRow], metadata: dict
+    ) -> "FlowRecordSeries":
+        """A run from each window with records as one (window, flow ids, counts) row, every
+        id one of ``flow_ids`` and every count > 0; the ids are checked as from_volumes
+        checks them, and the run keeps the rows as read_series keeps a capture's."""
+        series = cls.__new__(cls)
+        series._check(metadata)
+        _distinct_flow_ids(flow_ids)
+        series._take_rows(rows)
         return series
 
     def _check(self, metadata: dict) -> None:
@@ -324,18 +343,19 @@ class FlowRecordSeries:
             if self.num_windows is not None and w >= self.num_windows:
                 raise InputError(f"num_windows={brief_repr(self.num_windows)} but records "
                                  f"reach window {brief_repr(w)}")
-            self._check_gap(w - last - 1, f"window {brief_repr(w)} follows")
+            self._check_gap(w - last - 1, "window {} follows", w)
             last = w
         count = last + 1 if self.num_windows is None else self.num_windows
-        self._check_gap(count - last - 1, f"num_windows={brief_repr(count)} ends in")
+        self._check_gap(count - last - 1, "num_windows={} ends in", count)
         return count
 
-    def _check_gap(self, empty: int, where: str) -> None:
-        """Refuse a gap of more than MAX_GAP_WINDOWS empty windows."""
+    def _check_gap(self, empty: int, where: str, number: int) -> None:
+        """Refuse a gap of more than MAX_GAP_WINDOWS empty windows, quoting ``number`` in
+        ``where`` only then."""
         if empty > MAX_GAP_WINDOWS:
             run = "a run" if self.num_windows is not None else "a run with no window count"
-            raise InputError(f"{where} {brief_repr(empty)} empty windows; {run} may skip at most "
-                             f"{MAX_GAP_WINDOWS}")
+            raise InputError(f"{where.format(brief_repr(number))} {brief_repr(empty)} empty "
+                             f"windows; {run} may skip at most {MAX_GAP_WINDOWS}")
 
     def _per_window(self, summed: bool) -> Iterable[tuple[Sequence[str], Sequence[int]]]:
         """Each window's (flow ids, counts), an empty window made when it is reached: its

@@ -325,6 +325,22 @@ def test_entropies_are_bit_identical_to_compute_entropy_of_windows(per_window, t
             run_events(series, Baseline(h_n=1.0, threshold=0.1, training_windows=5))
 
 
+def test_window_checks_quote_no_value_until_they_refuse(monkeypatch):
+    calls = []
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+    monkeypatch.setattr(entropy_core, "brief_repr", counted)
+    config = {"config": {"window_length_ms": 200.0, "num_windows": 50}}
+    FlowRecordSeries.from_volumes(["a"], [[1]] * 50, config)
+    assert calls == []
+    # a refused gap still quotes its window and its length
+    with pytest.raises(InputError, match=f"^window {MAX_GAP_WINDOWS + 2} follows "):
+        FlowRecordSeries([FlowRecord(0, "a", 1), FlowRecord(MAX_GAP_WINDOWS + 2, "a", 1)],
+                         {"config": {"window_length_ms": 200.0}})
+    assert calls == [MAX_GAP_WINDOWS + 2, MAX_GAP_WINDOWS + 1]
+
+
 def test_from_volumes_drops_zero_counts_and_keeps_the_window_count():
     config = {"window_length_ms": 200.0}
     ids, rows = ["a", "b", "c"], [[3, 0, 5], [0, 0, 0], [0, 7, 0], [0, 0, 0]]

@@ -1,9 +1,9 @@
 """Start-up cost: each command imports only the modules it runs.
 
-Only the commands that need numpy import it, and each command loads a
-pinned set of floodgauge submodules. Each check runs a fresh interpreter
-on the source tree, because the test process itself has every module
-loaded already.
+Only the commands that need numpy import it (simulate only past its
+numpy-free size), and each command loads a pinned set of floodgauge
+submodules. Each check runs a fresh interpreter on the source tree,
+because the test process itself has every module loaded already.
 """
 
 import os
@@ -28,6 +28,9 @@ assert "numpy" not in sys.modules, "import floodgauge loaded numpy"
 import floodgauge.cli
 assert "numpy" not in sys.modules, "import floodgauge.cli loaded numpy"
 for argv in [
+    # the README quick start's largest run: 70 flows x 50 windows
+    ["simulate", "--out", "r.csv", "--legit-clients", "60", "--zombies", "10",
+     "--attack-rate", "0.2", "--seed", "21"],
     ["baseline", "--flows", "clean.csv", "--out", "b.json"],
     ["calibrate", "--baseline", "b.json", "--out", "c.csv", "--run", "1=a1.csv",
      "--run", "2.5=a2.csv"],
@@ -114,11 +117,28 @@ def test_numpy_free_commands_never_import_numpy(inputs):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--out", "s.csv", "--legit-clients", 5, "--zombies", 1, "--windows", 2],
+    # the default run, 500 flows x 50 windows, is past simulate's numpy-free size
+    ["simulate", "--out", "s.csv"],
     ["fit", "--data", "cal.csv", "--model", "polynomial", "--degree", 1, "--out", "p.json"],
 ], ids=["simulate", "fit-polynomial"])
 def test_numpy_commands_import_numpy(inputs, argv):
     run_fresh(LOADS_NUMPY, inputs, *argv)
+
+
+def test_a_small_sweep_and_its_refusals_load_no_numpy(tmp_path):
+    run_fresh("""
+import sys
+from floodgauge.errors import ConfigError
+from floodgauge.traffic_sim import ScenarioConfig, sweep
+base = ScenarioConfig(legit_clients=5, zombies=2, num_windows=3)
+assert len([series.record_count for _, series in sweep(base, [1.0, 2.0, 3.0])]) == 3
+try:
+    sweep(base, [1.0, 0.0])
+    raise AssertionError("sweep took a strength of 0")
+except ConfigError:
+    pass
+assert "numpy" not in sys.modules
+""", tmp_path)
 
 
 RUN_COMMAND = "import sys, floodgauge.cli\nassert floodgauge.cli.main(sys.argv[1:]) == 0"
