@@ -14,6 +14,9 @@ squares on the raw responses. Power and exponential models are fit by
 OLS on log-transformed responses and back-transformed, so their
 coefficients minimise squared error in log space, not in the original
 units. The fit_method field records which route produced a model.
+Every fit is plain Python float arithmetic: the polynomial's least squares
+is a Householder QR of at most MAX_POLY_DEGREE + 1 columns, so no fit loads
+numpy or depends on a BLAS build.
 """
 
 from __future__ import annotations
@@ -159,12 +162,16 @@ class FittedModel:
             raise InputError(f"trained_on must be a string, got {type(self.trained_on).__name__}")
 
 
+SPREAD_UNDERFLOWS = "x values differ, but their spread underflows the float range"
+
+
 def _simple_ols(x: Column, y: Column) -> tuple[float, float]:
     """Closed-form least squares of y on x: (intercept, slope)."""
     mean_x, mean_y = x.mean, y.mean
     sxx = x.sum_sq
     if sxx == 0.0:
-        raise DegenerateDataError("all x values are equal")
+        raise DegenerateDataError(
+            SPREAD_UNDERFLOWS if len(set(x.values)) > 1 else "all x values are equal")
     slope = x.cross(y) / sxx
     return mean_y - slope * mean_x, slope
 
@@ -177,40 +184,69 @@ def _require_positive(values: Sequence[float], axis: str, family: str) -> None:
             )
 
 
-def _fit_polynomial(xs: list[float], ys: list[float], degree: int) -> tuple[float, ...]:
-    if len(set(xs)) < degree + 1:
+def _fit_polynomial(x: Column, y: Column, degree: int) -> tuple[float, ...]:
+    """Least squares of y on 1, z, ..., z^degree with z = (x - mu)/sigma, solved by
+    Householder QR, then rewritten as coefficients of raw x."""
+    if len(set(x.values)) < degree + 1:
         raise DegenerateDataError(
             f"polynomial degree {degree} needs >= {degree + 1} distinct x values"
         )
-    import numpy as np  # here, not at module top: loading the package needs no numpy
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        x = np.asarray(xs, dtype=float)
-        # center and scale before building the Vandermonde basis; raw powers
-        # of nearby x values make the normal equations needlessly ill-conditioned.
-        # mu and sigma are x.mean() and x.std() without their wrappers: the same
-        # pairwise sums, subtraction, square (numpy 1.x squares by multiply, which
-        # rounds alike), divisions and root
-        n = len(xs)
-        mu = float(np.add.reduce(x) / n)
-        dx = x - mu
-        sigma = math.sqrt(float(np.add.reduce(np.square(dx)) / n))
-        z = dx / sigma
-        v = np.vander(z, degree + 1, increasing=True)
-        q, r = np.linalg.qr(v)
-        diag = [abs(d) for d in r.diagonal().tolist()]
-        if min(diag) <= max(diag) * 1e-13:
-            raise DegenerateDataError(
-                f"polynomial basis is rank deficient for degree {degree}"
-            )
-        beta_z = np.linalg.solve(r, q.T @ np.asarray(ys, dtype=float))
-        # rewrite p(z) with z = (x - mu)/sigma in raw x by Horner's rule on
-        # coefficient arrays; no step drops a zero, so degree + 1 terms remain
-        z_in_x = np.array([-mu / sigma, 1.0 / sigma])
-        coeffs = beta_z[degree:]
-        for k in range(degree - 1, -1, -1):
-            coeffs = np.convolve(coeffs, z_in_x)
-            coeffs[0] += beta_z[k]
-        return tuple(coeffs.tolist())
+    # center and scale before building the basis; raw powers of nearby x values
+    # make it needlessly ill-conditioned. mu and sigma come from x's kept moments
+    n = len(x.values)
+    mu = x.mean
+    try:
+        sigma = math.sqrt(x.sum_sq / n)
+    except OverflowError as exc:  # the squares of the spread
+        raise OverflowError("overflow encountered in square") from exc
+    if sigma == 0.0:  # the values differ, as checked above
+        raise DegenerateDataError(SPREAD_UNDERFLOWS)
+    z = [d / sigma for d in x.centred]
+    # the basis columns 1, z, ..., z^degree; |z| <= sqrt(n), so no power leaves the range
+    basis = [[1.0] * n]
+    for _ in range(degree):
+        basis.append(list(map(mul, basis[-1], z)))
+    # y over a power of two that puts its largest value in [1, 2): an exact step that
+    # keeps every sum of the solve in range; the coefficients are scaled back at the end
+    top = max(map(abs, y.values))
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1) if top else 1.0
+    qty = [value / scale for value in y.values]
+    # Householder reflections as LAPACK's dlarfg makes them: the j-th maps column j
+    # from row j down onto row j, giving R's diagonal entry, and is applied to the
+    # later columns and to y, never formed as Q; above row j the columns hold R, and
+    # y becomes Q^T y
+    diagonal = []
+    for j, column in enumerate(basis):
+        head, tail = column[j], column[j + 1:]
+        tail_sq = math.fsum(map(mul, tail, tail))
+        if tail_sq == 0.0:
+            diagonal.append(head)
+            continue
+        r = -math.copysign(math.sqrt(head * head + tail_sq), head)
+        tau = (r - head) / r
+        f = 1.0 / (head - r)
+        v = [1.0, *[t * f for t in tail]]
+        diagonal.append(r)
+        for later in (*basis[j + 1:], qty):
+            below = later[j:]
+            w = tau * math.fsum(map(mul, v, below))
+            later[j:] = [a - w * b for a, b in zip(below, v)]
+    sizes = list(map(abs, diagonal))
+    if min(sizes) <= max(sizes) * 1e-13:
+        raise DegenerateDataError(f"polynomial basis is rank deficient for degree {degree}")
+    # back-substitution in R, a column at a time: qty[:degree + 1] becomes beta_z
+    for k in range(degree, -1, -1):
+        b = qty[k] = qty[k] / diagonal[k]
+        qty[:k] = [a - b * entry for a, entry in zip(qty[:k], basis[k])]
+    # rewrite p(z) with z = shift + step*x in raw x by Horner's rule, multiplying the
+    # coefficients by (shift + step*x) and adding the next; degree + 1 terms remain
+    shift, step = -mu / sigma, 1.0 / sigma
+    coeffs = [qty[degree]]
+    for b in reversed(qty[:degree]):
+        coeffs = [shift * coeffs[0] + b,
+                  *[shift * c + step * lower for c, lower in zip(coeffs[1:], coeffs)],
+                  step * coeffs[-1]]
+    return tuple([c * scale for c in coeffs])
 
 
 def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
@@ -224,7 +260,7 @@ def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
     tag = kind.tag
     try:
         if tag == "polynomial":
-            coefficients = _fit_polynomial(data.x.values, data.y.values, kind.degree)
+            coefficients = _fit_polynomial(data.x, data.y, kind.degree)
         else:
             # OLS of y or ln y on x or ln x; a LOG_Y intercept is back-transformed
             # into the scale factor, and logarithmic's slope comes first

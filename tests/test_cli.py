@@ -890,3 +890,14 @@ def test_data_errors_name_the_file_the_command_read(tmp_path, capsys):
     level.write_text("deviation,strength_mbps\n0.1,3\n0.2,3\n")
     assert run_cli("evaluate", "--model", model, "--data", level) == 1
     assert one_error_line(capsys, level) == f"error: {level}: observed values are all equal"
+
+
+@pytest.mark.parametrize("model", [["linear"], ["exponential"], ["polynomial", "--degree", 2]],
+                         ids=lambda model: model[0])
+def test_fit_says_a_spread_underflows_rather_than_that_x_values_are_equal(
+        tmp_path, capsys, model):
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("deviation,strength_mbps\n1e-300,1\n2e-300,2\n3e-300,3\n4e-300,4\n")
+    assert run_cli("fit", "--data", tiny, "--model", *model, "--out", tmp_path / "m.json") == 1
+    assert one_error_line(capsys, tiny) == (
+        f"error: {tiny}: x values differ, but their spread underflows the float range")

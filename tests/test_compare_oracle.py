@@ -11,7 +11,6 @@ oracle's as ``float.hex``, NaN included.
 import math
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -40,13 +39,16 @@ from floodgauge.regression import (
 
 # ---- the oracle: one family at a time, nothing shared ----
 
+UNDERFLOWS = "x values differ, but their spread underflows the float range"
+
+
 def oracle_ols(xs, ys):
     n = len(xs)
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     sxx = math.fsum((x - mean_x) ** 2 for x in xs)
     if sxx == 0.0:
-        raise DegenerateDataError("all x values are equal")
+        raise DegenerateDataError(UNDERFLOWS if len(set(xs)) > 1 else "all x values are equal")
     sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = sxy / sxx
     return mean_y - slope * mean_x, slope
@@ -59,27 +61,64 @@ def oracle_require_positive(values, axis, family):
 
 
 def oracle_polynomial(xs, ys, degree):
+    """Householder least squares on the centred and scaled powers, written out one
+    entry at a time: a[i][k] is row i of basis column k, b is y."""
     if len(set(xs)) < degree + 1:
         raise DegenerateDataError(
             f"polynomial degree {degree} needs >= {degree + 1} distinct x values"
         )
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        x = np.asarray(xs, dtype=float)
-        mu = float(x.mean())
-        sigma = float(x.std())
+    n = len(xs)
+    mu = math.fsum(xs) / n
+    try:
+        sigma = math.sqrt(math.fsum((x - mu) ** 2 for x in xs) / n)
+    except OverflowError:
+        raise OverflowError("overflow encountered in square") from None
+    if sigma == 0.0:
+        raise DegenerateDataError(UNDERFLOWS)
+    a = []
+    for x in xs:
         z = (x - mu) / sigma
-        v = np.vander(z, degree + 1, increasing=True)
-        q, r = np.linalg.qr(v)
-        diag = np.abs(np.diag(r))
-        if diag.min() <= diag.max() * 1e-13:
-            raise DegenerateDataError(f"polynomial basis is rank deficient for degree {degree}")
-        beta_z = np.linalg.solve(r, q.T @ np.asarray(ys, dtype=float))
-        sub = np.array([-mu / sigma, 1.0 / sigma])
-        coeffs = beta_z[degree:]
-        for k in range(degree - 1, -1, -1):
-            coeffs = np.convolve(coeffs, sub)
-            coeffs[0] += beta_z[k]
-        return tuple(coeffs.tolist())
+        row = [1.0]
+        for k in range(degree):
+            row.append(row[k] * z)
+        a.append(row)
+    top = max(abs(y) for y in ys)
+    scale = 2.0 ** (math.frexp(top)[1] - 1) if top else 1.0
+    b = [y / scale for y in ys]
+    diagonal = []
+    for j in range(degree + 1):
+        head = a[j][j]
+        tail_sq = math.fsum(a[i][j] * a[i][j] for i in range(j + 1, n))
+        if tail_sq == 0.0:
+            diagonal.append(head)
+            continue
+        r = -math.copysign(math.sqrt(head * head + tail_sq), head)
+        tau = (r - head) / r
+        f = 1.0 / (head - r)
+        v = {i: 1.0 if i == j else a[i][j] * f for i in range(j, n)}
+        for k in range(j + 1, degree + 1):
+            w = tau * math.fsum(v[i] * a[i][k] for i in range(j, n))
+            for i in range(j, n):
+                a[i][k] = a[i][k] - w * v[i]
+        w = tau * math.fsum(v[i] * b[i] for i in range(j, n))
+        for i in range(j, n):
+            b[i] = b[i] - w * v[i]
+        diagonal.append(r)
+    sizes = [abs(d) for d in diagonal]
+    if min(sizes) <= max(sizes) * 1e-13:
+        raise DegenerateDataError(f"polynomial basis is rank deficient for degree {degree}")
+    beta = [0.0] * (degree + 1)
+    for k in range(degree, -1, -1):
+        beta[k] = b[k] / diagonal[k]
+        for i in range(k):
+            b[i] = b[i] - beta[k] * a[i][k]
+    # the fit in z = shift + step*x, rewritten in x one Horner step at a time
+    shift, step = -mu / sigma, 1.0 / sigma
+    c = [beta[degree]]
+    for k in range(degree - 1, -1, -1):
+        c = ([shift * c[0] + beta[k]] + [shift * c[i] + step * c[i - 1] for i in range(1, len(c))]
+             + [step * c[-1]])
+    return tuple(ci * scale for ci in c)
 
 
 def reason(exc):
@@ -107,8 +146,6 @@ def oracle_fit(data, kind):
             oracle_require_positive(ys, "y", tag)
             intercept, slope = oracle_ols(xs, [math.log(y) for y in ys])
             coefficients = (math.exp(intercept), slope)
-    except np.linalg.LinAlgError:
-        raise
     # fsum raises ValueError for products past the float range of both signs
     except (ArithmeticError, ValueError) as exc:
         raise DegenerateDataError(f"{tag} fit overflows: {reason(exc)}") from exc
@@ -279,13 +316,22 @@ CONSTANT_Y = dataset([(0.1, 5.0), (0.2, 5.0), (0.3, 5.0)])
 # squares past the float range: every family's fit or score overflows
 HUGE = dataset([(1.0, 1e308), (2.0, -1e308), (3.0, 1e308)])
 ALL_X_EQUAL = dataset([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)])
+# distinct x values about 1e-300 apart: the squares of their spread underflow to 0
+TINY_SPREAD = dataset([(1e-300, 1.0), (2e-300, 2.0), (3e-300, 3.0), (4e-300, 4.0)])
 
-
-REGIONS = pytest.mark.parametrize("data", [
-    REFERENCE, X_NOT_POSITIVE, Y_NOT_POSITIVE, REPEATED_X, CONSTANT_PREDICTIONS,
-    EXPONENTIAL_OVERFLOW, CONSTANT_Y, HUGE, ALL_X_EQUAL,
-], ids=["reference", "x_not_positive", "y_not_positive", "repeated_x", "constant_predictions",
-        "exponential_overflow", "constant_y", "huge", "all_x_equal"])
+NAMED = {
+    "reference": REFERENCE,
+    "x_not_positive": X_NOT_POSITIVE,
+    "y_not_positive": Y_NOT_POSITIVE,
+    "repeated_x": REPEATED_X,
+    "constant_predictions": CONSTANT_PREDICTIONS,
+    "exponential_overflow": EXPONENTIAL_OVERFLOW,
+    "constant_y": CONSTANT_Y,
+    "huge": HUGE,
+    "all_x_equal": ALL_X_EQUAL,
+    "tiny_spread": TINY_SPREAD,
+}
+REGIONS = pytest.mark.parametrize("data", NAMED.values(), ids=NAMED)
 
 
 @REGIONS
@@ -303,6 +349,87 @@ def test_comparing_one_dataset_again_reports_the_same_bits(data):
                 CalibrationDataset(data.samples), degree, criterion))
             for _ in range(2):
                 assert outcome(lambda: library_compare(kept, degree, criterion)) == fresh
+
+
+OVERFLOWS = "metrics overflow the float range: Numerical result out of range"
+X_EQUAL = "all x values are equal"
+# per region, the skip reasons of the four families other than the polynomial (the same
+# at every degree), then the polynomial's at degrees 1 to 6, None where it fits
+SKIPPED = {
+    "reference": ({}, (None, None, None, None, None, None)),
+    "x_not_positive": (
+        {"logarithmic": "logarithmic fit needs x > 0, got x=-0.2 at sample 0",
+         "power": "power fit needs x > 0, got x=-0.2 at sample 0"},
+        (None, None, None, None, "polynomial degree 5 needs >= 6 distinct x values",
+         "polynomial degree 6 needs >= 7 distinct x values")),
+    "y_not_positive": (
+        {"power": "power fit needs y > 0, got y=-5.0 at sample 0",
+         "exponential": "exponential fit needs y > 0, got y=-5.0 at sample 0"},
+        (None, None, None, None, "polynomial degree 5 needs >= 6 distinct x values",
+         "polynomial degree 6 needs >= 7 distinct x values")),
+    "repeated_x": (
+        {},
+        (None, "polynomial degree 2 needs >= 3 distinct x values",
+         "polynomial degree 3 needs >= 4 distinct x values",
+         "polynomial degree 4 needs >= 5 distinct x values",
+         "polynomial degree 5 needs >= 6 distinct x values",
+         "polynomial degree 6 needs >= 7 distinct x values")),
+    "constant_predictions": (
+        {"logarithmic": "logarithmic fit needs x > 0, got x=-1.0 at sample 0",
+         "power": "power fit needs x > 0, got x=-1.0 at sample 0",
+         "exponential": "exponential fit needs y > 0, got y=0.0 at sample 1"},
+        (None, None, "polynomial degree 3 needs >= 4 distinct x values",
+         "polynomial degree 4 needs >= 5 distinct x values",
+         "polynomial degree 5 needs >= 6 distinct x values",
+         "polynomial degree 6 needs >= 7 distinct x values")),
+    "exponential_overflow": (
+        {"power": "power model overflows the float range at x=5.0",
+         "exponential": "exponential model overflows the float range at x=3.0"},
+        (None, None, "polynomial degree 3 needs >= 4 distinct x values",
+         "polynomial degree 4 needs >= 5 distinct x values",
+         "polynomial degree 5 needs >= 6 distinct x values",
+         "polynomial degree 6 needs >= 7 distinct x values")),
+    "huge": (
+        {"linear": OVERFLOWS, "logarithmic": OVERFLOWS,
+         "power": "power fit needs y > 0, got y=-1e+308 at sample 1",
+         "exponential": "exponential fit needs y > 0, got y=-1e+308 at sample 1"},
+        (OVERFLOWS, "polynomial fit gives non-finite coefficients (inf, -inf, inf)",
+         "polynomial degree 3 needs >= 4 distinct x values",
+         "polynomial degree 4 needs >= 5 distinct x values",
+         "polynomial degree 5 needs >= 6 distinct x values",
+         "polynomial degree 6 needs >= 7 distinct x values")),
+    "all_x_equal": (
+        {"linear": X_EQUAL, "logarithmic": X_EQUAL, "power": X_EQUAL, "exponential": X_EQUAL},
+        ("polynomial degree 1 needs >= 2 distinct x values",
+         "polynomial degree 2 needs >= 3 distinct x values",
+         "polynomial degree 3 needs >= 4 distinct x values",
+         "polynomial degree 4 needs >= 5 distinct x values",
+         "polynomial degree 5 needs >= 6 distinct x values",
+         "polynomial degree 6 needs >= 7 distinct x values")),
+    # ln x spreads out the values, so the logarithmic and power fits go through
+    "tiny_spread": (
+        {"linear": UNDERFLOWS, "exponential": UNDERFLOWS},
+        (UNDERFLOWS, UNDERFLOWS, UNDERFLOWS, "polynomial degree 4 needs >= 5 distinct x values",
+         "polynomial degree 5 needs >= 6 distinct x values",
+         "polynomial degree 6 needs >= 7 distinct x values")),
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_each_region_skips_the_families_and_reasons_its_table_lists(name):
+    for degree in range(1, MAX_POLY_DEGREE + 1):
+        if name == "constant_y":  # the first family to be scored raises
+            expected = ("raised", "DegenerateVarianceError", "observed values are all equal")
+        else:
+            others, polynomial = SKIPPED[name]
+            reasons = dict(others, polynomial=polynomial[degree - 1])
+            expected = {tag: reasons[tag] for tag in MODEL_FAMILIES
+                        if reasons.get(tag) is not None}
+            if len(expected) == len(MODEL_FAMILIES):
+                expected = ("raised", "DegenerateDataError", "no model family could be fit: "
+                            + "; ".join(f"{tag}: {why}" for tag, why in expected.items()))
+        assert outcome(lambda: compare_models(NAMED[name], degree=degree).skipped) == expected, (
+            degree)
 
 
 def test_the_named_regions_reach_what_they_name():
