@@ -25,7 +25,7 @@ _EXPORTS = {
                "EmptyRunError", "FloodgaugeError", "InputError", "InsufficientBaselineError"),
     "families": (),
     "fileio": (),
-    "metrics": ("FitReport", "ResidualSeries", "evaluate", "residual_summary"),
+    "metrics": ("FitReport", "evaluate"),
     "pipeline": ("ModelComparisonReport", "StrengthEstimate", "calibrate", "compare_models",
                  "estimate_strength", "run_events"),
     "refdata": ("REFERENCE_DEVIATIONS", "REFERENCE_STRENGTHS_MBPS", "REFERENCE_SUMMARY",

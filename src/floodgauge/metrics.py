@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import mul, sub
 from typing import Sequence
@@ -60,20 +61,6 @@ class FitReport:
     cc_defined: bool = True
 
 
-class _kept:
-    """functools.cached_property without the lock it takes at each first read
-    before Python 3.12, three per score; a method that raises keeps nothing."""
-
-    def __init__(self, method) -> None:
-        self.method = method
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.method.__name__] = self.method(obj)
-        return value
-
-
 def overflow_error(what: str, exc: ArithmeticError) -> DegenerateDataError:
     """``what: reason`` for an overflow; of pow's (errno, text) args, the text."""
     return DegenerateDataError(f"{what}: {exc.args[-1] if exc.args else exc}")
@@ -90,21 +77,21 @@ class Column:
     def __init__(self, values: list[float]) -> None:
         self.values = values
 
-    @_kept
+    @cached_property
     def mean(self) -> float:
         return math.fsum(self.values) / len(self.values)
 
-    @_kept
+    @cached_property
     def centred(self) -> list[float]:
         return list(map(sub, self.values, repeat(self.mean)))
 
-    @_kept
+    @cached_property
     def sum_sq(self) -> float:
         # pow(d, 2.0) is what ``d ** 2`` computes: past the float range it
         # raises OverflowError, where ``d * d`` would give inf
         return math.fsum(map(pow, self.centred, repeat(2.0)))
 
-    @_kept
+    @cached_property
     def sum_abs(self) -> float:
         return math.fsum(map(abs, self.centred))
 
@@ -142,7 +129,9 @@ def evaluate(observed: Sequence[float] | Column, computed: Sequence[float]) -> F
     try:
         sst = observed.sum_sq
         if sst == 0.0:
-            raise DegenerateVarianceError("observed values are all equal")
+            raise DegenerateVarianceError(
+                "observed values differ, but their spread underflows the float range"
+                if len(set(observed.values)) > 1 else "observed values are all equal")
         obs_abs = observed.sum_abs
 
         diffs = list(map(sub, comp.values, observed.values))
@@ -178,41 +167,6 @@ def evaluate(observed: Sequence[float] | Column, computed: Sequence[float]) -> F
         mean_abs_error=abs_err / n,
         sample_count=n,
         cc_defined=cc_defined,
-    )
-
-
-@dataclass(frozen=True)
-class ResidualSeries:
-    """Signed residuals with their sign tally.
-
-    The convention throughout is computed minus observed, so a positive
-    residual is an overestimate.
-    """
-
-    values: tuple[float, ...]
-    positive_count: int
-    negative_count: int
-    zero_count: int
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "ResidualSeries":
-        vals = tuple(float(v) for v in values)
-        return cls(
-            vals,
-            sum(1 for v in vals if v > 0),
-            sum(1 for v in vals if v < 0),
-            sum(1 for v in vals if v == 0),
-        )
-
-
-def residual_summary(series: ResidualSeries) -> tuple[int, int, float]:
-    """Sign counts and largest magnitude: (positive, negative, max abs)."""
-    if not series.values:
-        raise InputError("residual series is empty")
-    return (
-        series.positive_count,
-        series.negative_count,
-        max(abs(v) for v in series.values),
     )
 
 

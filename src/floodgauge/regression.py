@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -33,7 +33,7 @@ from .errors import DegenerateDataError, DomainError, InputError, brief_repr
 # importable from here
 from .families import MAX_POLY_DEGREE, MODEL_FAMILIES, SELECTION_CRITERIA
 from .fileio import json_field, json_number, read_json, write_json
-from .metrics import Column, ResidualSeries, _kept, overflow_error
+from .metrics import Column, overflow_error
 
 DEFAULT_POLY_DEGREE = 2
 
@@ -106,24 +106,23 @@ class CalibrationDataset:
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "CalibrationDataset":
         return cls(tuple(CalibrationSample(float(x), float(y)) for x, y in pairs))
 
-    # _kept writes the instance __dict__, so it works on a frozen dataclass
-    @_kept
+    @cached_property
     def x(self) -> Column:
         return Column([s.x for s in self.samples])
 
-    @_kept
+    @cached_property
     def y(self) -> Column:
         return Column([s.y for s in self.samples])
 
-    @_kept
+    @cached_property
     def ln_x(self) -> Column:
         return Column(list(map(math.log, self.x.values)))
 
-    @_kept
+    @cached_property
     def ln_y(self) -> Column:
         return Column(list(map(math.log, self.y.values)))
 
-    @_kept
+    @cached_property
     def _digest(self) -> str:
         import hashlib
         text = "\n".join(f"{s.x!r},{s.y!r}" for s in self.samples)
@@ -163,15 +162,17 @@ class FittedModel:
 
 
 SPREAD_UNDERFLOWS = "x values differ, but their spread underflows the float range"
+LN_X_EQUAL = "x values differ, but ln x is the same float for all of them"
 
 
-def _simple_ols(x: Column, y: Column) -> tuple[float, float]:
-    """Closed-form least squares of y on x: (intercept, slope)."""
+def _simple_ols(x: Column, y: Column, raw_x: Column) -> tuple[float, float]:
+    """Closed-form least squares of y on x, which is raw_x or its ln x: (intercept, slope)."""
     mean_x, mean_y = x.mean, y.mean
     sxx = x.sum_sq
     if sxx == 0.0:
         raise DegenerateDataError(
-            SPREAD_UNDERFLOWS if len(set(x.values)) > 1 else "all x values are equal")
+            "all x values are equal" if len(set(raw_x.values)) == 1
+            else SPREAD_UNDERFLOWS if len(set(x.values)) > 1 else LN_X_EQUAL)
     slope = x.cross(y) / sxx
     return mean_y - slope * mean_x, slope
 
@@ -269,7 +270,7 @@ def fit(data: CalibrationDataset, kind: ModelKind) -> FittedModel:
             if tag in LOG_Y:
                 _require_positive(data.y.values, "y", tag)
             intercept, slope = _simple_ols(data.ln_x if tag in POSITIVE_X else data.x,
-                                           data.ln_y if tag in LOG_Y else data.y)
+                                           data.ln_y if tag in LOG_Y else data.y, data.x)
             b0 = math.exp(intercept) if tag in LOG_Y else intercept
             coefficients = (slope, intercept) if tag == "logarithmic" else (b0, slope)
     except ArithmeticError as exc:
@@ -326,10 +327,9 @@ def predict_all(model: FittedModel, xs: Iterable[float]) -> list[float]:
     raise DomainError(f"{tag} model overflows the float range at x={x!r}")
 
 
-def residuals(model: FittedModel, data: CalibrationDataset) -> ResidualSeries:
+def residuals(model: FittedModel, data: CalibrationDataset) -> Column:
     """Residuals over the dataset, predicted minus observed."""
-    return ResidualSeries.from_values(
-        list(map(sub, predict_all(model, data.x.values), data.y.values)))
+    return Column(list(map(sub, predict_all(model, data.x.values), data.y.values)))
 
 
 def save_model(path, model: FittedModel) -> None:

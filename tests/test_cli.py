@@ -890,14 +890,31 @@ def test_data_errors_name_the_file_the_command_read(tmp_path, capsys):
     level.write_text("deviation,strength_mbps\n0.1,3\n0.2,3\n")
     assert run_cli("evaluate", "--model", model, "--data", level) == 1
     assert one_error_line(capsys, level) == f"error: {level}: observed values are all equal"
+    # strengths that differ, but whose squared spread underflows, are not called equal
+    tiny_y = tmp_path / "tiny_y.csv"
+    tiny_y.write_text("deviation,strength_mbps\n0.1,1e-200\n0.2,2e-200\n0.3,4e-200\n")
+    for command in (["compare"], ["evaluate", "--model", model]):
+        assert run_cli(*command, "--data", tiny_y) == 1
+        assert one_error_line(capsys, tiny_y) == (f"error: {tiny_y}: observed values differ, "
+                                                  "but their spread underflows the float range")
 
 
-@pytest.mark.parametrize("model", [["linear"], ["exponential"], ["polynomial", "--degree", 2]],
-                         ids=lambda model: model[0])
+TINY_SPREAD = "deviation,strength_mbps\n1e-300,1\n2e-300,2\n3e-300,3\n4e-300,4\n"
+UNDERFLOWS = "x values differ, but their spread underflows the float range"
+
+
+@pytest.mark.parametrize("model, rows, message", [
+    pytest.param(["linear"], TINY_SPREAD, UNDERFLOWS, id="linear"),
+    pytest.param(["exponential"], TINY_SPREAD, UNDERFLOWS, id="exponential"),
+    pytest.param(["polynomial", "--degree", 2], TINY_SPREAD, UNDERFLOWS, id="polynomial"),
+    # x values one float apart whose logarithms round to one float
+    pytest.param(["power"],
+                 "deviation,strength_mbps\n1e300,1\n1.0000000000000002e300,2\n1e300,3\n",
+                 "x values differ, but ln x is the same float for all of them", id="power"),
+])
 def test_fit_says_a_spread_underflows_rather_than_that_x_values_are_equal(
-        tmp_path, capsys, model):
+        tmp_path, capsys, model, rows, message):
     tiny = tmp_path / "tiny.csv"
-    tiny.write_text("deviation,strength_mbps\n1e-300,1\n2e-300,2\n3e-300,3\n4e-300,4\n")
+    tiny.write_text(rows)
     assert run_cli("fit", "--data", tiny, "--model", *model, "--out", tmp_path / "m.json") == 1
-    assert one_error_line(capsys, tiny) == (
-        f"error: {tiny}: x values differ, but their spread underflows the float range")
+    assert one_error_line(capsys, tiny) == f"error: {tiny}: {message}"

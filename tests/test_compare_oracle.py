@@ -40,15 +40,19 @@ from floodgauge.regression import (
 # ---- the oracle: one family at a time, nothing shared ----
 
 UNDERFLOWS = "x values differ, but their spread underflows the float range"
+LN_X_EQUAL = "x values differ, but ln x is the same float for all of them"
 
 
-def oracle_ols(xs, ys):
+def oracle_ols(xs, ys, raw_xs):
+    """Least squares of ys on xs, which are raw_xs or their logarithms."""
     n = len(xs)
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     sxx = math.fsum((x - mean_x) ** 2 for x in xs)
     if sxx == 0.0:
-        raise DegenerateDataError(UNDERFLOWS if len(set(xs)) > 1 else "all x values are equal")
+        if len(set(raw_xs)) == 1:
+            raise DegenerateDataError("all x values are equal")
+        raise DegenerateDataError(UNDERFLOWS if len(set(xs)) > 1 else LN_X_EQUAL)
     sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = sxy / sxx
     return mean_y - slope * mean_x, slope
@@ -132,19 +136,20 @@ def oracle_fit(data, kind):
     tag = kind.tag
     try:
         if tag == "linear":
-            coefficients = oracle_ols(xs, ys)
+            coefficients = oracle_ols(xs, ys, xs)
         elif tag == "polynomial":
             coefficients = oracle_polynomial(xs, ys, kind.degree)
         elif tag == "logarithmic":
             oracle_require_positive(xs, "x", tag)
-            intercept, slope = oracle_ols([math.log(x) for x in xs], ys)
+            intercept, slope = oracle_ols([math.log(x) for x in xs], ys, xs)
             coefficients = (slope, intercept)
         else:
+            raw_xs = xs
             if tag == "power":
                 oracle_require_positive(xs, "x", tag)
                 xs = [math.log(x) for x in xs]
             oracle_require_positive(ys, "y", tag)
-            intercept, slope = oracle_ols(xs, [math.log(y) for y in ys])
+            intercept, slope = oracle_ols(xs, [math.log(y) for y in ys], raw_xs)
             coefficients = (math.exp(intercept), slope)
     # fsum raises ValueError for products past the float range of both signs
     except (ArithmeticError, ValueError) as exc:
@@ -192,7 +197,9 @@ def oracle_evaluate(observed, computed):
         obs_mean = math.fsum(obs) / n
         sst = math.fsum((o - obs_mean) ** 2 for o in obs)
         if sst == 0.0:
-            raise DegenerateVarianceError("observed values are all equal")
+            raise DegenerateVarianceError(
+                "observed values differ, but their spread underflows the float range"
+                if len(set(obs)) > 1 else "observed values are all equal")
         sse = math.fsum((c - o) ** 2 for c, o in zip(comp, obs))
         mse = sse / n
         rmse = math.sqrt(mse)
@@ -318,6 +325,9 @@ HUGE = dataset([(1.0, 1e308), (2.0, -1e308), (3.0, 1e308)])
 ALL_X_EQUAL = dataset([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)])
 # distinct x values about 1e-300 apart: the squares of their spread underflow to 0
 TINY_SPREAD = dataset([(1e-300, 1.0), (2e-300, 2.0), (3e-300, 3.0), (4e-300, 4.0)])
+# two x values one float apart: their logarithms round to one float, and the squares of
+# their spread overflow
+LN_X_EQUAL_REGION = dataset([(1e300, 1.0), (math.nextafter(1e300, 2e300), 2.0), (1e300, 3.0)])
 
 NAMED = {
     "reference": REFERENCE,
@@ -330,6 +340,7 @@ NAMED = {
     "huge": HUGE,
     "all_x_equal": ALL_X_EQUAL,
     "tiny_spread": TINY_SPREAD,
+    "ln_x_equal": LN_X_EQUAL_REGION,
 }
 REGIONS = pytest.mark.parametrize("data", NAMED.values(), ids=NAMED)
 
@@ -410,6 +421,16 @@ SKIPPED = {
     "tiny_spread": (
         {"linear": UNDERFLOWS, "exponential": UNDERFLOWS},
         (UNDERFLOWS, UNDERFLOWS, UNDERFLOWS, "polynomial degree 4 needs >= 5 distinct x values",
+         "polynomial degree 5 needs >= 6 distinct x values",
+         "polynomial degree 6 needs >= 7 distinct x values")),
+    "ln_x_equal": (
+        {"linear": "linear fit overflows: Numerical result out of range",
+         "logarithmic": LN_X_EQUAL, "power": LN_X_EQUAL,
+         "exponential": "exponential fit overflows: Numerical result out of range"},
+        ("polynomial fit overflows: overflow encountered in square",
+         "polynomial degree 2 needs >= 3 distinct x values",
+         "polynomial degree 3 needs >= 4 distinct x values",
+         "polynomial degree 4 needs >= 5 distinct x values",
          "polynomial degree 5 needs >= 6 distinct x values",
          "polynomial degree 6 needs >= 7 distinct x values")),
 }

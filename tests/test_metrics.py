@@ -4,13 +4,7 @@ import random
 import pytest
 
 from floodgauge.errors import DegenerateVarianceError, InputError
-from floodgauge.metrics import (
-    Column,
-    ResidualSeries,
-    evaluate,
-    report_to_dict,
-    residual_summary,
-)
+from floodgauge.metrics import Column, evaluate, report_to_dict
 from floodgauge.refdata import reference_dataset
 from floodgauge.regression import ModelKind, fit, predict
 
@@ -88,6 +82,11 @@ def test_evaluate_checks_lengths_then_sample_count_then_variance(share):
     with pytest.raises(DegenerateVarianceError) as info:
         check([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
     assert str(info.value) == "observed values are all equal"
+    # observations that differ, but whose squared spread underflows, are not called equal
+    with pytest.raises(DegenerateVarianceError) as info:
+        check([1e-200, 2e-200, 4e-200], [1.0, 2.0, 3.0])
+    assert str(info.value) == (
+        "observed values differ, but their spread underflows the float range")
 
 
 @pytest.mark.parametrize("share", [False, True], ids=["values", "observed_series"])
@@ -129,6 +128,32 @@ def test_an_observed_series_scores_each_series_as_evaluate_does():
             evaluate(constant, [1.0, 2.0, 3.0])
 
 
+def test_a_column_computes_each_moment_once_and_keeps_it():
+    column = Column([1.0, 2.0, 6.0])
+    centred = column.centred
+    assert {"mean", "centred"} <= set(vars(column))
+    assert column.sum_sq == 14.0
+    assert column.centred is centred and "sum_sq" in vars(column)
+    # the kept moments are not made again from the values
+    column.values.append(100.0)
+    assert (column.mean, column.centred, column.sum_sq) == (3.0, [-2.0, -1.0, 3.0], 14.0)
+
+
+def test_a_moment_whose_sum_overflows_raises_at_every_read_and_is_not_kept():
+    column = Column([1e300, -1e300])
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            column.sum_sq
+    assert "sum_sq" not in vars(column)
+    assert column.centred == [1e300, -1e300]
+
+
+def test_a_dataset_keeps_its_columns():
+    data = reference_dataset()
+    assert data.x is data.x and data.y is data.y and data.ln_x is data.ln_x
+    assert {"x", "y", "ln_x"} <= set(vars(data))
+
+
 def test_constant_predictions_leave_cc_undefined():
     # predicting the observed mean everywhere collapses both efficiency
     # indices to zero and leaves the correlation undefined
@@ -157,30 +182,6 @@ def test_translation_leaves_error_measures_unchanged():
         assert math.isclose(base.rmse, moved.rmse, rel_tol=1e-9, abs_tol=1e-9)
         if base.cc_defined and moved.cc_defined:
             assert math.isclose(base.cc, moved.cc, rel_tol=1e-9, abs_tol=1e-9)
-
-
-def test_residual_series_sign_counts():
-    rs = ResidualSeries.from_values([1.5, -2.0, 0.0, 3.0, -0.5])
-    assert rs.positive_count == 2
-    assert rs.negative_count == 2
-    assert rs.zero_count == 1
-    assert residual_summary(rs) == (2, 2, 3.0)
-
-
-def test_residual_summary_balanced_example():
-    rs = ResidualSeries.from_values([1.0, -1.0, 0.0])
-    assert residual_summary(rs) == (1, 1, 1.0)
-
-
-def test_residual_summary_all_zero():
-    rs = ResidualSeries.from_values([0.0, 0.0, 0.0])
-    assert rs.zero_count == 3
-    assert residual_summary(rs) == (0, 0, 0.0)
-
-
-def test_residual_summary_rejects_empty_series():
-    with pytest.raises(InputError):
-        residual_summary(ResidualSeries.from_values([]))
 
 
 def test_eta_matches_r_squared_for_raw_ols_fits():

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from floodgauge.errors import DegenerateDataError, DomainError, InputError
+from floodgauge.metrics import Column
 from floodgauge.refdata import (
     REFERENCE_DEVIATIONS,
     REFERENCE_STRENGTHS_MBPS,
@@ -25,6 +26,7 @@ from floodgauge.regression import (
     fit,
     load_model,
     predict,
+    predict_all,
     residuals,
     save_model,
 )
@@ -233,8 +235,18 @@ def test_residuals_are_predicted_minus_observed():
     biased = FittedModel(ModelKind("linear"), (1.0, 2.0), "raw_ols", "x")
     series = residuals(biased, dataset(xs, ys))
     # constant overestimate by one
-    assert series.values == (1.0, 1.0, 1.0, 1.0)
-    assert series.positive_count == 4
+    assert series.values == [1.0, 1.0, 1.0, 1.0]
+    assert sum(v > 0 for v in series.values) == 4
+
+
+def test_residuals_are_a_column_of_predicted_minus_observed_bit_for_bit():
+    data = reference_dataset()
+    for tag in MODEL_FAMILIES:
+        model = fit(data, ModelKind(tag))
+        series = residuals(model, data)
+        assert isinstance(series, Column)
+        expected = [p - y for p, y in zip(predict_all(model, data.x.values), data.y.values)]
+        assert list(map(float.hex, series.values)) == list(map(float.hex, expected)), tag
 
 
 def test_save_load_round_trip(tmp_path):
@@ -382,7 +394,8 @@ def test_constant_target_fits_flat_line():
     assert math.isclose(model.coefficients[0], 7.0, abs_tol=1e-12)
     assert math.isclose(model.coefficients[1], 0.0, abs_tol=1e-12)
     rs = residuals(model, dataset(xs, [7.0] * 4))
-    assert rs.zero_count + rs.positive_count + rs.negative_count == 4
+    assert sum(v > 0 for v in rs.values) + sum(v < 0 for v in rs.values) + sum(
+        v == 0 for v in rs.values) == 4
     assert max(abs(v) for v in rs.values) <= 1e-12
 
 
